@@ -132,15 +132,28 @@ def _cmd_generate_data(cfg: RunConfig, run_dir: str) -> int:
 
 def _cmd_train(cfg: RunConfig, run_dir: str) -> int:
     data = _load_or_generate(cfg)
-    model = _build_model(cfg, data)
-    result = fine_tune(model, data, cfg.train_config())
-    ckpt_path = os.path.join(run_dir, "checkpoint.cvck")
+    result = fine_tune(_build_model(cfg, data), data, cfg.train_config())
+    return _write_trained(cfg, run_dir, data, result, "train", "")
+
+
+def _cmd_probe(cfg: RunConfig, run_dir: str) -> int:
+    ckpt = _require_checkpoint(cfg)
+    data = _load_or_generate(cfg)
+    result = linear_probe(_model_from_checkpoint(cfg, ckpt), data, cfg.train_config())
+    return _write_trained(cfg, run_dir, data, result, "probe", "probe_",
+                          source_checkpoint=cfg.checkpoint_path)
+
+
+def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, command: str, prefix: str,
+                   **extra) -> int:
+    """Checkpoint, per-epoch metrics, held-out report and summary of a trainer run."""
+    ckpt_path = os.path.join(run_dir, f"{prefix}checkpoint.cvck")
     save_checkpoint(ckpt_path, result.model.parameters(), config_hash(cfg), ema_state=result.model.ema_state)
-    write_metrics_csv(result.metrics_rows, os.path.join(run_dir, "metrics.csv"))
+    write_metrics_csv(result.metrics_rows, os.path.join(run_dir, f"{prefix}metrics.csv"))
     report = compute_report(result.model, data, cfg.eval_batch_size)
     write_summary_json(
         {
-            "command": "train",
+            "command": command,
             "config_hash": config_hash(cfg),
             "kind": cfg.context_kind,
             "seed": cfg.seed,
@@ -148,6 +161,7 @@ def _cmd_train(cfg: RunConfig, run_dir: str) -> int:
             "best_val_accuracy": result.best_val_accuracy,
             "report": _report_dict(report),
             "checkpoint": ckpt_path,
+            **extra,
         },
         os.path.join(run_dir, "summary.json"),
     )
@@ -155,35 +169,6 @@ def _cmd_train(cfg: RunConfig, run_dir: str) -> int:
     print(f"best val accuracy {result.best_val_accuracy:.4f} (epoch {result.best_epoch})")
     print(f"id_test accuracy {report.splits['id_test'].accuracy:.4f}")
     print(f"ood_test accuracy {report.splits['ood_test'].accuracy:.4f} (gap {report.ood_gap:+.4f})")
-    return 0
-
-
-def _cmd_probe(cfg: RunConfig, run_dir: str) -> int:
-    ckpt = _require_checkpoint(cfg)
-    data = _load_or_generate(cfg)
-    model = _model_from_checkpoint(cfg, ckpt)
-    result = linear_probe(model, data, cfg.train_config())
-    probe_path = os.path.join(run_dir, "probe_checkpoint.cvck")
-    save_checkpoint(probe_path, result.model.parameters(), config_hash(cfg), ema_state=result.model.ema_state)
-    write_metrics_csv(result.metrics_rows, os.path.join(run_dir, "probe_metrics.csv"))
-    report = compute_report(result.model, data, cfg.eval_batch_size)
-    write_summary_json(
-        {
-            "command": "probe",
-            "config_hash": config_hash(cfg),
-            "kind": cfg.context_kind,
-            "seed": cfg.seed,
-            "source_checkpoint": cfg.checkpoint_path,
-            "best_epoch": result.best_epoch,
-            "best_val_accuracy": result.best_val_accuracy,
-            "report": _report_dict(report),
-        },
-        os.path.join(run_dir, "summary.json"),
-    )
-    print(f"probe checkpoint: {probe_path}")
-    print(f"probe val accuracy {result.best_val_accuracy:.4f}")
-    print(f"id_test accuracy {report.splits['id_test'].accuracy:.4f}")
-    print(f"ood_test accuracy {report.splits['ood_test'].accuracy:.4f}")
     return 0
 
 

@@ -66,7 +66,6 @@ class RunConfig:
     weight_decay_end: float = 0.4
     momentum: float = 0.9
     sampler: str = "uniform"
-    mode: str = "finetune"
     eval_batch_size: int = 64
     # evaluation / analysis
     ablate_kinds: str = "none,mean,mean_linear,mean_linear_detach,layerwise_mean_linear_detach"
@@ -126,7 +125,6 @@ class RunConfig:
             seed=self.seed,
             context_kind=self.context_kind,
             sampler=self.sampler,
-            mode=self.mode,
         )
 
     def kind(self) -> ContextKind:
@@ -156,12 +154,6 @@ def _parse_value(key: str, raw: str):
             return int(raw)
         if kind is float:
             return float(raw)
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError as exc:
         raise ValueError(f"config key {key!r} expects {kind.__name__}, got {raw!r}") from exc

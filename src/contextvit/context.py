@@ -9,6 +9,14 @@ a deep-sets network over member patches, from an exponential moving
 average of batch means, or the sequence can instead be extended with
 raw patches sampled from the group (``in_context_patches``).
 
+Every kind infers the tokens of all of a batch's G groups at once, so a
+forward records the same tape nodes for one group as for sixteen: one
+``group_pool`` pools each group's member rows into a [G, d] stack, the
+kind maps that stack to G tokens (a table gather, a [G, 1, d] head, the
+deep-sets networks), and one ``index_rows`` hands every image its
+group's token.  ``in_context_patches`` draws each group's rows with its
+own seed and gathers every image's draws in one ``index_rows``.
+
 The pooled kinds work for any group, including ones never seen in
 training and groups with a single member; the oracle table raises for
 unknown groups.
@@ -16,7 +24,7 @@ unknown groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +34,7 @@ from .rng import child_seed, generator, randn
 from .tensor import Tensor
 from .vit import (
     ViTConfig,
+    _assemble,
     embed_patches,
     encode_tokens,
     init_backbone_params,
@@ -50,18 +59,23 @@ __all__ = [
     "ContextViT",
 ]
 
-CONTEXT_KIND_NAMES = (
-    "none",
-    "mean",
-    "mean_linear",
-    "mean_linear_detach",
-    "layerwise_mean_linear_detach",
-    "deep_sets",
-    "deep_sets_detach",
-    "oracle",
-    "ema",
-    "in_context_patches",
-)
+# kind name -> (base, detach, layerwise); ``ContextKind.name`` inverts it
+_NAMED_KINDS = {
+    "none": ("none", False, False),
+    "mean": ("mean", False, False),
+    "mean_linear": ("mean_linear", False, False),
+    "mean_linear_detach": ("mean_linear", True, False),
+    "layerwise_mean_linear_detach": ("mean_linear", True, True),
+    "deep_sets": ("deep_sets", False, False),
+    "deep_sets_detach": ("deep_sets", True, False),
+    "oracle": ("oracle", False, False),
+    "ema": ("ema", False, False),
+    "in_context_patches": ("in_context_patches", False, False),
+}
+_NAME_OF_KIND = {fields: name for name, fields in _NAMED_KINDS.items()}
+_BASES = {base for base, _, _ in _NAMED_KINDS.values()}
+
+CONTEXT_KIND_NAMES = tuple(_NAMED_KINDS)
 
 _AMORTIZED_BASES = ("mean", "mean_linear", "deep_sets", "ema", "in_context_patches")
 
@@ -88,7 +102,7 @@ class ContextKind:
     ema_lambda: float = 0.99
 
     def __post_init__(self):
-        if self.base not in ("none", "mean", "mean_linear", "deep_sets", "oracle", "ema", "in_context_patches"):
+        if self.base not in _BASES:
             raise ValueError(f"unknown context base {self.base!r}")
         if self.detach and self.base not in ("mean_linear", "deep_sets"):
             raise ValueError(f"detach flag does not apply to base {self.base!r}")
@@ -113,38 +127,21 @@ class ContextKind:
 
     @classmethod
     def from_name(cls, name: str, patches: int = 256, ema_lambda: float = 0.99) -> "ContextKind":
-        table = {
-            "none": cls("none"),
-            "mean": cls("mean"),
-            "mean_linear": cls("mean_linear"),
-            "mean_linear_detach": cls("mean_linear", detach=True),
-            "layerwise_mean_linear_detach": cls("mean_linear", detach=True, layerwise=True),
-            "deep_sets": cls("deep_sets"),
-            "deep_sets_detach": cls("deep_sets", detach=True),
-            "oracle": cls("oracle"),
-            "ema": cls("ema", ema_lambda=ema_lambda),
-            "in_context_patches": cls("in_context_patches", patches=patches),
-        }
-        if name not in table:
+        if name not in _NAMED_KINDS:
             raise ValueError(f"unknown context kind {name!r}; expected one of {CONTEXT_KIND_NAMES}")
-        return table[name]
+        base, detach, layerwise = _NAMED_KINDS[name]
+        if base == "in_context_patches":
+            return cls(base, patches=patches)
+        if base == "ema":
+            return cls(base, ema_lambda=ema_lambda)
+        return cls(base, detach=detach, layerwise=layerwise)
 
     @property
     def name(self) -> str:
-        if self.base == "mean_linear":
-            if self.layerwise and self.detach:
-                return "layerwise_mean_linear_detach"
-            if self.detach:
-                return "mean_linear_detach"
-            if not self.layerwise:
-                return "mean_linear"
-        elif self.base == "deep_sets":
-            return "deep_sets_detach" if self.detach else "deep_sets"
-        elif self.base == "mean" and not self.layerwise:
-            return "mean"
-        elif self.base in ("none", "oracle", "ema", "in_context_patches"):
-            return self.base
-        raise ValueError(f"no canonical name for {self!r}")
+        try:
+            return _NAME_OF_KIND[(self.base, self.detach, self.layerwise)]
+        except KeyError:
+            raise ValueError(f"no canonical name for {self!r}") from None
 
 
 @dataclass
@@ -172,6 +169,14 @@ class GroupedBatch:
     @property
     def size(self) -> int:
         return int(self.images.shape[0])
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Each image's group slot: its group's position in ``partition``."""
+        out = np.empty(self.size, dtype=np.int64)
+        for slot, members in enumerate(self.partition.values()):
+            out[members] = slot
+        return out
 
 
 def group_partition(groups: Sequence[int]) -> dict[int, list[int]]:
@@ -227,33 +232,43 @@ def init_context_params(
     return params
 
 
-def infer_context_mean(patch_embeds: Tensor) -> Tensor:
-    """Mean over member images and patches: [m, N, d] -> [d] (also [N, d] -> [d])."""
-    if patch_embeds.size == 0:
-        raise ValueError("context mean over an empty member set")
-    if patch_embeds.ndim == 2:
-        return T.mean_axis(patch_embeds, axis=0)
-    if patch_embeds.ndim == 3:
-        return T.mean_axis(patch_embeds, axis=(0, 1))
-    raise ValueError(f"expected [m,N,d] or [N,d] patch embeddings, got {patch_embeds.shape}")
+def infer_context_mean(patch_embeds: Tensor, members: Optional[Sequence] = None) -> Tensor:
+    """Mean over each group's member images and patches: [B, N, d] -> [G, d].
+
+    Without ``members`` every row belongs to one group and the result is
+    its [d] token ([m, N, d] or [N, d] in).
+    """
+    if members is not None:
+        return T.group_pool(patch_embeds, members)
+    pooled = T.group_pool(patch_embeds, [np.arange(patch_embeds.shape[0])])
+    return T.reshape(pooled, pooled.shape[1:])
 
 
-def apply_linear_head(t_mean: Tensor, w: Tensor, b: Tensor, detach: bool) -> Tensor:
-    """Affine head b + pooled @ w, optionally detaching the pooled input."""
-    src = T.stop_gradient(t_mean) if detach else t_mean
-    row = T.reshape(src, (1, src.shape[-1]))
-    return T.reshape(T.matmul(row, w) + b, (w.shape[1],))
+def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor, detach: bool = False) -> Tensor:
+    """Affine head b + row @ w for each [d] row of ``pooled`` ([d] or [G, d]),
+    optionally detaching the input.
+
+    Rows are multiplied as a [G, 1, d] stack, which gives each row the same
+    bits as multiplying it on its own.
+    """
+    src = T.stop_gradient(pooled) if detach else pooled
+    lead = src.shape[:-1]
+    out = T.matmul(T.reshape(src, lead + (1, src.shape[-1])), w) + b
+    return T.reshape(out, lead + (w.shape[1],))
 
 
-def oracle_lookup(group: int, params: dict[str, Tensor]) -> Tensor:
-    """Trainable token for a registered group; unknown groups are an error."""
+def oracle_lookup(groups: Sequence[int], params: dict[str, Tensor]) -> Tensor:
+    """Trainable tokens [G, d] of registered groups; an unknown group is an error."""
     ids = params["oracle_groups"].data
-    hits = np.nonzero(ids == float(int(group)))[0]
-    if hits.size == 0:
-        raise UnknownGroupError(
-            f"unknown context: group {group} was never registered with the oracle table"
-        )
-    return T.index_rows(params["oracle_table"], [int(hits[0])])[0]
+    rows = []
+    for group in groups:
+        hits = np.nonzero(ids == float(int(group)))[0]
+        if hits.size == 0:
+            raise UnknownGroupError(
+                f"unknown context: group {group} was never registered with the oracle table"
+            )
+        rows.append(int(hits[0]))
+    return T.index_rows(params["oracle_table"], rows)
 
 
 def ema_update(state: dict[int, np.ndarray], group: int, batch_mean: np.ndarray, lam: float) -> np.ndarray:
@@ -278,8 +293,14 @@ def _mlp_residual(x: Tensor, params: dict[str, Tensor], net: str, final_residual
     return out + h if final_residual else out
 
 
-def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], detach: bool) -> Tensor:
-    """rho(sum_i phi(t_i)) over every patch of every member: [m, N, d] -> [d]."""
+def deep_sets_infer(
+    patch_embeds: Tensor, params: dict[str, Tensor], detach: bool, parts: Optional[Sequence] = None
+) -> Tensor:
+    """rho(sum_i phi(t_i)) over each group's patch rows: [R, d] -> [G, d].
+
+    ``parts`` lists each group's rows; without it every row (of [R, d] or
+    [m, N, d] input) belongs to one group and the result is its [d] token.
+    """
     if patch_embeds.size == 0:
         raise ValueError("deep sets over an empty member set")
     if patch_embeds.ndim == 3:
@@ -291,19 +312,27 @@ def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], detach: boo
         raise ValueError(f"expected [m,N,d] or [(mN),d], got {patch_embeds.shape}")
     if detach:
         flat = T.stop_gradient(flat)
-    summed = T.sum_axis(_mlp_residual(flat, params, "phi", final_residual=True), axis=0)
-    pooled = T.reshape(summed, (1, summed.shape[0]))
-    return T.reshape(_mlp_residual(pooled, params, "rho", final_residual=False), (summed.shape[0],))
+    phi = _mlp_residual(flat, params, "phi", final_residual=True)
+    summed = T.group_pool(phi, parts if parts is not None else [np.arange(flat.shape[0])], mean=False)
+    g, d = summed.shape
+    # rho runs on [G, 1, d] so each group's products match a lone [1, d] row
+    out = _mlp_residual(T.reshape(summed, (g, 1, d)), params, "rho", final_residual=False)
+    return T.reshape(out, (g, d) if parts is not None else (d,))
 
 
-def sample_context_patches(pool: Tensor, k: int, seed: int) -> Tensor:
-    """K tokens drawn uniformly with replacement from [(P), d] pooled rows."""
+def sample_context_patches(rows: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """K of a group's pooled patch rows, drawn uniformly with replacement."""
     if k < 1:
         raise ValueError(f"need K >= 1 context patches, got {k}")
-    if pool.ndim != 2 or pool.shape[0] == 0:
-        raise ValueError("patch pool must be a non-empty [P, d] matrix")
-    idx = generator(seed).integers(0, pool.shape[0], size=k)
-    return T.index_rows(pool, idx)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or rows.size == 0:
+        raise ValueError("patch pool must be a non-empty 1-D list of rows")
+    return rows[generator(seed).integers(0, rows.size, size=k)]
+
+
+def _patch_rows(members, n: int) -> np.ndarray:
+    """Rows of the flattened [B*N, d] patch tokens that belong to ``members``."""
+    return (np.asarray(members, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
 
 
 class _ContextIO:
@@ -319,80 +348,63 @@ class _ContextIO:
         self.capture = capture
         self.override = override
 
-    def boundary(self, key, computed: Tensor, frozen: bool) -> Tensor:
-        if self.override is not None and key in self.override:
-            out = T.constant(self.override[key])
-        elif frozen:
-            out = T.stop_gradient(computed)
-        else:
-            out = computed
+    def boundary(self, layer: int, groups, computed: Tensor, parts) -> Tensor:
+        """``parts[i]`` indexes the rows of ``computed`` that belong to ``groups[i]``."""
+        keys = [(layer, gid) for gid in groups]
+        out = computed
+        if self.override is not None:
+            found = [key in self.override for key in keys]
+            if all(found):
+                data = computed.data.copy()
+                for key, part in zip(keys, parts):
+                    data[part] = self.override[key]
+                out = T.constant(data)
+            elif any(found):
+                raise KeyError(f"context override covers only some of the groups at layer {layer}")
         if self.capture is not None:
-            self.capture[key] = np.array(out.data, copy=True)
+            for key, part in zip(keys, parts):
+                self.capture[key] = np.array(out.data[part], copy=True)
         return out
 
 
-def _infer_token(
-    gid: int,
-    member_tokens: Tensor,
-    head_layer: int,
+def _group_tokens(
+    patch_tokens: Tensor,
+    batch: GroupedBatch,
+    layer: int,
     kind: ContextKind,
     ctx_params: dict[str, Tensor],
     ema_state: Optional[dict[int, np.ndarray]],
     train: bool,
     io: _ContextIO,
 ) -> Tensor:
-    """Context token [d] for one group from its members' patch tokens [m, N, d]."""
+    """Context tokens [G, d] of the batch's groups, in partition order, from
+    patch tokens [B, N, d]."""
+    groups = list(batch.partition)
+    members = list(batch.partition.values())
     if kind.base == "oracle":
-        return oracle_lookup(gid, ctx_params)
+        return oracle_lookup(groups, ctx_params)
+    if kind.base == "deep_sets":
+        b, n, d = patch_tokens.shape
+        parts = [_patch_rows(m, n) for m in members]
+        rows = io.boundary(layer, groups, T.reshape(patch_tokens, (b * n, d)), parts)
+        return deep_sets_infer(rows, ctx_params, kind.detach, parts)
+    pooled = infer_context_mean(patch_tokens, members)
     if kind.base == "mean":
-        return infer_context_mean(member_tokens)
-    if kind.base == "mean_linear":
-        pooled = infer_context_mean(member_tokens)
-        src = io.boundary((head_layer, gid), pooled, frozen=kind.detach)
-        w = ctx_params[f"ctx_head{head_layer}.w"]
-        b = ctx_params[f"ctx_head{head_layer}.b"]
-        return apply_linear_head(src, w, b, detach=False)
+        return pooled
+    slots = range(len(groups))
     if kind.base == "ema":
         if ema_state is None:
             raise ValueError("ema kind requires an ema_state dict")
-        batch_mean = member_tokens.data.mean(axis=(0, 1))
-        if train or gid not in ema_state:
-            ema_update(ema_state, gid, batch_mean, kind.ema_lambda)
-        src = io.boundary((head_layer, gid), T.constant(ema_state[gid]), frozen=False)
-        return apply_linear_head(src, ctx_params["ctx_head0.w"], ctx_params["ctx_head0.b"], detach=False)
-    if kind.base == "deep_sets":
-        m, n, d = member_tokens.shape
-        flat = T.reshape(member_tokens, (m * n, d))
-        src = io.boundary((head_layer, gid), flat, frozen=kind.detach)
-        return deep_sets_infer(src, ctx_params, detach=False)
+        for gid, batch_mean in zip(groups, pooled.data):
+            if train or gid not in ema_state:
+                ema_update(ema_state, gid, batch_mean, kind.ema_lambda)
+        src = io.boundary(layer, groups, T.constant(np.stack([ema_state[g] for g in groups])), slots)
+        return apply_linear_head(src, ctx_params["ctx_head0.w"], ctx_params["ctx_head0.b"])
+    if kind.base == "mean_linear":
+        src = io.boundary(layer, groups, pooled, slots)
+        w, b = ctx_params[f"ctx_head{layer}.w"], ctx_params[f"ctx_head{layer}.b"]
+        return apply_linear_head(src, w, b, detach=kind.detach)
     raise ValueError(f"kind {kind.base!r} does not produce a context token")
-
-
-def _context_column(
-    patch_tokens: Tensor,
-    batch: GroupedBatch,
-    head_layer: int,
-    kind: ContextKind,
-    ctx_params: dict[str, Tensor],
-    ema_state: Optional[dict[int, np.ndarray]],
-    train: bool,
-    io: _ContextIO,
-    token_sink: Optional[dict] = None,
-) -> Tensor:
-    """[B, 1, d] context slot contents, one shared token per group."""
-    tokens = []
-    slot_of_group: dict[int, int] = {}
-    for gid, members in batch.partition.items():
-        member_tokens = T.index_rows(patch_tokens, members)
-        t_c = _infer_token(gid, member_tokens, head_layer, kind, ctx_params, ema_state, train, io)
-        if token_sink is not None:
-            token_sink[(head_layer, gid)] = np.array(t_c.data, copy=True)
-        slot_of_group[gid] = len(tokens)
-        tokens.append(T.reshape(t_c, (1, t_c.shape[0])))
-    stacked = T.concat(tokens, axis=0) if len(tokens) > 1 else tokens[0]
-    inverse = [slot_of_group[int(g)] for g in batch.groups]
-    per_image = T.index_rows(stacked, inverse)
-    return T.reshape(per_image, (batch.size, 1, patch_tokens.shape[-1]))
 
 
 def contextvit_forward(
@@ -423,31 +435,27 @@ def contextvit_forward(
     patches = T.constant(patchify_batch(batch.images, config.patch))
     patch_tokens = embed_patches(patches, backbone)  # pre-positional, pooled from
     b, n, d = patch_tokens.shape
-    pos = backbone["pos_embed"]
-    cls = T.broadcast_to(T.reshape(backbone["cls_token"], (1, 1, d)), (b, 1, d))
+    slots = batch.slots
+    layer_hook = None
 
     if kind.base == "in_context_patches":
-        blocks = []
-        slot_of_group: dict[int, int] = {}
-        for gid, members in batch.partition.items():
-            member_tokens = T.index_rows(patch_tokens, members)
-            m = len(members)
-            pool = T.reshape(member_tokens, (m * n, d))
-            drawn = sample_context_patches(pool, kind.patches, child_seed(sample_seed, "in_context", gid))
-            slot_of_group[gid] = len(blocks)
-            blocks.append(T.reshape(drawn, (1, kind.patches, d)))
-        stacked = T.concat(blocks, axis=0) if len(blocks) > 1 else blocks[0]
-        inverse = [slot_of_group[int(g)] for g in batch.groups]
-        ctx_blocks = T.index_rows(stacked, inverse)  # [B, K, d]
-        tokens = T.concat([cls, patch_tokens + pos, ctx_blocks], axis=1)
-        encoded = encode_tokens(tokens, backbone, config)
+        drawn = [
+            sample_context_patches(_patch_rows(members, n), kind.patches, child_seed(sample_seed, "in_context", gid))
+            for gid, members in batch.partition.items()
+        ]
+        picked = T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[slots].ravel())
+        tokens = _assemble(patch_tokens, backbone, suffix_tokens=(T.reshape(picked, (b, kind.patches, d)),))
     else:
-        ctx_col = _context_column(
-            patch_tokens, batch, 0, kind, ctx_params, ema_state, train, io, capture_context_tokens
-        )
-        tokens = T.concat([cls, ctx_col, patch_tokens + pos], axis=1)
 
-        layer_hook = None
+        def column(x: Tensor, layer: int) -> Tensor:
+            """[B, 1, d] context slot contents: each image gets its group's token."""
+            group_tokens = _group_tokens(x, batch, layer, kind, ctx_params, ema_state, train, io)
+            if capture_context_tokens is not None:
+                for gid, token in zip(batch.partition, group_tokens.data):
+                    capture_context_tokens[(layer, gid)] = token.copy()
+            return T.reshape(T.index_rows(group_tokens, slots), (b, 1, d))
+
+        tokens = _assemble(patch_tokens, backbone, prefix_tokens=(column(patch_tokens, 0),))
         if kind.layerwise:
 
             def layer_hook(l: int, x: Tensor) -> Tensor:
@@ -455,15 +463,10 @@ def contextvit_forward(
                     # no head exists past the last layer; the final slot-1
                     # output is never read by the CLS head anyway
                     return x
-                hidden_patches = x[:, 2:]
-                col = _context_column(
-                    hidden_patches, batch, l + 1, kind, ctx_params, ema_state, train, io,
-                    capture_context_tokens,
-                )
-                return T.concat([x[:, 0:1], col, x[:, 2:]], axis=1)
+                hidden = x[:, 2:]
+                return T.concat([x[:, 0:1], column(hidden, l + 1), hidden], axis=1)
 
-        encoded = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
-
+    encoded = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
     cls_out = encoded[:, 0]
     logits = T.matmul(cls_out, backbone["head.w"]) + backbone["head.b"]
     return cls_out, logits
@@ -526,6 +529,3 @@ class ContextViT:
             context_input_override=context_input_override,
             capture_context_tokens=capture_context_tokens,
         )
-
-    def with_kind(self, kind: ContextKind) -> "ContextViT":
-        return replace(self, kind=kind)

@@ -22,7 +22,7 @@ from .context import ContextKind, ContextViT, GroupedBatch, group_partition
 from .data import DatasetSplit, Subset
 from .rng import child_seed, generator
 from .tensor import Tape
-from .train import TrainConfig, fine_tune
+from .train import TrainConfig, fine_tune, predictions
 from .vit import ViTConfig
 
 __all__ = [
@@ -54,24 +54,11 @@ class MetricsReport:
     ood_gap: float  # id_test accuracy minus ood_test accuracy
 
 
-def _predictions(model: ContextViT, subset: Subset, eval_batch_size: int) -> np.ndarray:
-    if eval_batch_size < 1:
-        raise ValueError("eval batch size must be >= 1")
-    preds = np.empty(subset.size, dtype=np.int64)
-    for start in range(0, subset.size, eval_batch_size):
-        idx = np.arange(start, min(start + eval_batch_size, subset.size))
-        batch = GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
-        with Tape():
-            _, logits = model.forward(batch, train=False)
-        preds[idx] = np.argmax(logits.data, axis=1)
-    return preds
-
-
 def compute_metrics(model: ContextViT, subset: Subset, eval_batch_size: int) -> SplitMetrics:
     """Accuracy, per-group accuracy, and worst-group accuracy on one split."""
     if subset.size == 0:
         raise ValueError("metrics over an empty split")
-    preds = _predictions(model, subset, eval_batch_size)
+    preds = predictions(model, subset, eval_batch_size)
     hits = preds == subset.labels
     per_group = {
         gid: float(hits[members].mean())

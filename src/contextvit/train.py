@@ -23,7 +23,7 @@ from . import tensor as T
 from .context import CONTEXT_KIND_NAMES, ContextViT, GroupedBatch
 from .data import DatasetSplit, Subset, batches_per_epoch, make_batches
 from .rng import child_seed
-from .tensor import Tape, Tensor, backward
+from .tensor import NonFiniteError, Tape, Tensor, backward
 
 __all__ = [
     "TrainConfig",
@@ -36,6 +36,7 @@ __all__ = [
     "sgd_momentum_step",
     "schedules",
     "TrainResult",
+    "predictions",
     "fine_tune",
     "linear_probe",
     "write_metrics_csv",
@@ -58,7 +59,6 @@ class TrainConfig:
     seed: int = 0
     context_kind: str = "none"
     sampler: str = "uniform"
-    mode: str = "finetune"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -69,8 +69,6 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.mode not in ("finetune", "probe"):
-            raise ValueError(f"mode must be finetune or probe, got {self.mode!r}")
         if self.context_kind not in CONTEXT_KIND_NAMES:
             raise ValueError(f"unknown context kind {self.context_kind!r}")
         if self.sampler not in ("uniform", "context"):
@@ -141,7 +139,7 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: floa
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
+            raise NonFiniteError("adamw_step", g.shape, f"gradient of parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= _BETA1
@@ -169,7 +167,7 @@ def sgd_momentum_step(params: dict[str, Tensor], state: SGDState, lr: float, mom
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.isfinite(g).all():
-            raise FloatingPointError(f"non-finite gradient in parameter {name!r}")
+            raise NonFiniteError("sgd_momentum_step", g.shape, f"gradient of parameter {name!r}")
         vel = state.velocity[name]
         vel *= momentum
         vel += g
@@ -201,18 +199,19 @@ def schedules(step: int, total_steps: int, warmup_steps: int, config: TrainConfi
     return lr, wd
 
 
-def _split_accuracy(model: ContextViT, subset: Subset, batch_size: int) -> float:
-    """Deterministic sequential-batch accuracy (context from each batch)."""
-    if subset.size == 0:
-        raise ValueError("accuracy over an empty split")
-    correct = 0
+def predictions(model: ContextViT, subset: Subset, batch_size: int) -> np.ndarray:
+    """Predicted class of every image over deterministic sequential batches,
+    with context inferred from each batch's own groups."""
+    if batch_size < 1:
+        raise ValueError("eval batch size must be >= 1")
+    preds = np.empty(subset.size, dtype=np.int64)
     for start in range(0, subset.size, batch_size):
         idx = np.arange(start, min(start + batch_size, subset.size))
         batch = GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
         with Tape():
             _, logits = model.forward(batch, train=False)
-        correct += int((np.argmax(logits.data, axis=1) == batch.labels).sum())
-    return correct / subset.size
+        preds[idx] = np.argmax(logits.data, axis=1)
+    return preds
 
 
 def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -234,16 +233,21 @@ class TrainResult:
     step_losses: list = field(default_factory=list)  # one entry per optimizer step
 
 
-def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> TrainResult:
-    """Joint training of backbone + context + head with per-epoch validation
-    and best-validation model selection (earliest epoch wins ties)."""
-    params = model.trainable_parameters()
-    state = AdamWState.init(params)
-    train = data.train
-    steps_per_epoch = batches_per_epoch(train, config.batch_size, config.sampler)
+def _train_epochs(model: ContextViT, params: dict[str, Tensor], data: DatasetSplit, config: TrainConfig,
+                  update, prefix: str, train: bool) -> TrainResult:
+    """The epoch loop both trainers share.
+
+    Each seeded batch runs forward and backward, then ``update(lr, wd)``;
+    validation follows every epoch and the best validation epoch's
+    parameters and ema state (earliest epoch wins ties) are restored at
+    the end.  ``prefix`` names the seed streams and the metric rows.
+    """
+    steps_per_epoch = batches_per_epoch(data.train, config.batch_size, config.sampler)
     total_steps = config.epochs * steps_per_epoch
     warmup_steps = config.warmup_epochs * steps_per_epoch
     kind_name = model.kind.name
+    if data.val.size == 0:
+        raise ValueError("accuracy over an empty split")
 
     rows = []
     all_losses: list[float] = []
@@ -252,23 +256,19 @@ def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> Tra
     epoch_loss = float("nan")
     for epoch in range(config.epochs):
         losses = []
-        for batch in make_batches(train, config.batch_size, config.sampler, child_seed(config.seed, "epoch", epoch)):
+        seed = child_seed(config.seed, prefix + "epoch", epoch)
+        for batch in make_batches(data.train, config.batch_size, config.sampler, seed):
             lr, wd = schedules(step, total_steps, warmup_steps, config)
             try:
                 with Tape() as tape:
-                    _, logits = model.forward(batch, train=True, sample_seed=child_seed(config.seed, "draw", step))
+                    _, logits = model.forward(batch, train=train, sample_seed=child_seed(config.seed, prefix + "draw", step))
                     loss = batch_cross_entropy(logits, batch.labels)
                     backward(loss, tape)
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
-                    raise FloatingPointError(f"loss is {loss_val}")
-                adamw_step(params, state, lr, wd)
-            except (FloatingPointError, ValueError) as exc:
-                # non-finite values surface either as the loop's own loss
-                # check, the optimizer's gradient check, or an input guard
-                # inside softmax/logsumexp; all of them mean divergence here
-                if "non-finite" not in str(exc) and "loss is" not in str(exc):
-                    raise
+                    raise NonFiniteError("batch_cross_entropy", loss.shape, "loss")
+                update(lr, wd)
+            except NonFiniteError as exc:
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} step {step} (kind {kind_name}, lr {lr:g}): {exc}"
                 ) from exc
@@ -276,9 +276,9 @@ def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> Tra
             all_losses.append(loss_val)
             step += 1
         epoch_loss = float(np.mean(losses))
-        val_acc = _split_accuracy(model, data.val, config.batch_size)
-        rows.append((epoch, "train", "loss", epoch_loss, config.seed, kind_name))
-        rows.append((epoch, "val", "accuracy", val_acc, config.seed, kind_name))
+        val_acc = float(np.mean(predictions(model, data.val, config.batch_size) == data.val.labels))
+        rows.append((epoch, "train", prefix + "loss", epoch_loss, config.seed, kind_name))
+        rows.append((epoch, "val", prefix + "accuracy", val_acc, config.seed, kind_name))
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
             best_params = _snapshot(params)
@@ -296,20 +296,29 @@ def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> Tra
     )
 
 
+def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> TrainResult:
+    """Joint AdamW training of backbone + context + head with per-epoch
+    validation and best-validation model selection."""
+    params = model.trainable_parameters()
+    state = AdamWState.init(params)
+    return _train_epochs(model, params, data, config, lambda lr, wd: adamw_step(params, state, lr, wd),
+                         prefix="", train=True)
+
+
 def linear_probe(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> TrainResult:
-    """Train a fresh zero-initialized affine head over frozen features.
+    """Train a fresh zero-initialized affine head over frozen features with
+    SGD and momentum.
 
     The backbone and context parameters are wrapped as constants, so no
     gradient buffer can even exist for them; context inference still runs
     during every forward.
     """
-    frozen_backbone = {k: Tensor(p.data, requires_grad=False) for k, p in model.backbone.items()}
-    frozen_context = {k: Tensor(p.data, requires_grad=False) for k, p in model.context.items()}
+    frozen = lambda params: {k: Tensor(p.data, requires_grad=False) for k, p in params.items()}
     probe = ContextViT(
         config=model.config,
         kind=model.kind,
-        backbone=frozen_backbone,
-        context=frozen_context,
+        backbone=frozen(model.backbone),
+        context=frozen(model.context),
         ema_state={k: v.copy() for k, v in model.ema_state.items()},
     )
     d, k = model.config.dim, model.config.num_classes
@@ -317,47 +326,9 @@ def linear_probe(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> 
     probe.backbone["head.b"] = Tensor(np.zeros(k), requires_grad=True)
     params = {"head.w": probe.backbone["head.w"], "head.b": probe.backbone["head.b"]}
     state = SGDState.init(params)
-
-    train = data.train
-    steps_per_epoch = batches_per_epoch(train, config.batch_size, config.sampler)
-    total_steps = config.epochs * steps_per_epoch
-    warmup_steps = config.warmup_epochs * steps_per_epoch
-    kind_name = model.kind.name
-
-    rows = []
-    best_acc, best_epoch, best_params = -1.0, -1, None
-    step = 0
-    epoch_loss = float("nan")
-    for epoch in range(config.epochs):
-        losses = []
-        for batch in make_batches(train, config.batch_size, config.sampler, child_seed(config.seed, "probe_epoch", epoch)):
-            with Tape() as tape:
-                _, logits = probe.forward(batch, train=False, sample_seed=child_seed(config.seed, "probe_draw", step))
-                loss = batch_cross_entropy(logits, batch.labels)
-                backward(loss, tape)
-            loss_val = float(loss.data)
-            if not math.isfinite(loss_val):
-                raise FloatingPointError(f"probe diverged: loss {loss_val} at epoch {epoch} step {step}")
-            lr, _ = schedules(step, total_steps, warmup_steps, config)
-            sgd_momentum_step(params, state, lr, config.momentum)
-            losses.append(loss_val)
-            step += 1
-        epoch_loss = float(np.mean(losses))
-        val_acc = _split_accuracy(probe, data.val, config.batch_size)
-        rows.append((epoch, "train", "probe_loss", epoch_loss, config.seed, kind_name))
-        rows.append((epoch, "val", "probe_accuracy", val_acc, config.seed, kind_name))
-        if val_acc > best_acc:
-            best_acc, best_epoch = val_acc, epoch
-            best_params = _snapshot(params)
-
-    _restore(params, best_params)
-    return TrainResult(
-        model=probe,
-        best_epoch=best_epoch,
-        best_val_accuracy=best_acc,
-        metrics_rows=rows,
-        final_train_loss=epoch_loss,
-    )
+    return _train_epochs(probe, params, data, config,
+                         lambda lr, wd: sgd_momentum_step(params, state, lr, config.momentum),
+                         prefix="probe_", train=False)
 
 
 def write_metrics_csv(rows, path: str) -> None:

@@ -48,27 +48,22 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
         params, f = make()
         errors[name] = finite_diff_check(f, params, step=STEP)
 
-    def binary(op, positive_b: bool = False):
+    def binary(op):
         def make():
             shape = dims(None, None)
             a = Tensor(_rand(rng, *shape), requires_grad=True)
-            b_data = _rand(rng, *shape)
-            if positive_b:
-                b_data = np.abs(b_data) + 0.5
-            b = Tensor(b_data, requires_grad=True)
+            b = Tensor(_rand(rng, *shape), requires_grad=True)
             c = _rand(rng, *shape)
             return {"a": a, "b": b}, lambda: _weighted(op(a, b), c)
 
         return make
 
-    def unary(op, positive: bool = False, shift: float = 0.0):
+    def unary(op, *shape, scale: float = 1.0, shift: float = 0.0):
+        """One random input of ``shape`` (None: a random length)."""
+
         def make():
-            shape = dims(None, None)
-            data = _rand(rng, *shape)
-            if positive:
-                data = np.abs(data) + 0.5
-            a = Tensor(data + shift, requires_grad=True)
-            c = _rand(rng, *shape)
+            a = Tensor(_rand(rng, *dims(*shape)) * scale + shift, requires_grad=True)
+            c = _rand(rng, *op(T.constant(a.data)).shape)
             return {"a": a}, lambda: _weighted(op(a), c)
 
         return make
@@ -76,15 +71,8 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
     check("add", binary(T.add))
     check("sub", binary(T.sub))
     check("mul", binary(T.mul))
-    check("div", binary(T.div, positive_b=True))
-    check("neg", unary(T.neg))
-    check("pow_scalar", unary(lambda a: T.pow_scalar(a, 3.0), positive=True))
-    check("exp", unary(T.exp))
-    check("log", unary(T.log, positive=True))
-    check("sqrt", unary(T.sqrt, positive=True))
-    check("tanh", unary(T.tanh))
-    check("relu", unary(T.relu, shift=0.3))  # keep coordinates off the kink
-    check("gelu", unary(T.gelu))
+    check("relu", unary(T.relu, None, None, shift=0.3))  # keep coordinates off the kink
+    check("gelu", unary(T.gelu, None, None))
 
     def make_matmul():
         m, k, n = dims(None, None, None)
@@ -104,21 +92,8 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
 
     check("matmul_batched", make_matmul_batched)
 
-    def make_transpose():
-        s = dims(None, None, None)
-        a = Tensor(_rand(rng, *s), requires_grad=True)
-        c = _rand(rng, s[2], s[0], s[1])
-        return {"a": a}, lambda: _weighted(T.transpose(a, (2, 0, 1)), c)
-
-    check("transpose", make_transpose)
-
-    def make_reshape():
-        m, n = dims(None, None)
-        a = Tensor(_rand(rng, m, n), requires_grad=True)
-        c = _rand(rng, m * n)
-        return {"a": a}, lambda: _weighted(T.reshape(a, (m * n,)), c)
-
-    check("reshape", make_reshape)
+    check("transpose", unary(lambda a: T.transpose(a, (2, 0, 1)), None, None, None))
+    check("reshape", unary(lambda a: T.reshape(a, (a.size,)), None, None))
 
     def make_broadcast():
         b, n = dims(None, None)
@@ -146,6 +121,18 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
 
     check("index_rows", make_index_rows)
 
+    def make_group_pool():
+        m, k, n = dims(None, None, None)
+        a = Tensor(_rand(rng, m + 3, k, n), requires_grad=True)
+        # three groups in shuffled row order; one row belongs to none
+        rows = rng.permutation(m + 3)[:-1]
+        members = np.split(rows, np.sort(rng.choice(np.arange(1, rows.size), 2, replace=False)))
+        c_mean, c_sum = _rand(rng, 3, n), _rand(rng, 3, n)
+        return {"a": a}, lambda: (_weighted(T.group_pool(a, members), c_mean)
+                                  + _weighted(T.group_pool(a, members, mean=False), c_sum))
+
+    check("group_pool", make_group_pool)
+
     def make_select_columns():
         m, n = dims(None, None)
         a = Tensor(_rand(rng, m, n), requires_grad=True)
@@ -155,45 +142,11 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
 
     check("select_columns", make_select_columns)
 
-    def make_getitem():
-        m, n = dims(4, None)
-        a = Tensor(_rand(rng, m, n), requires_grad=True)
-        c = _rand(rng, 2, n)
-        return {"a": a}, lambda: _weighted(a[1:3], c)
-
-    check("getitem", make_getitem)
-
-    def make_sum():
-        s = dims(None, None, None)
-        a = Tensor(_rand(rng, *s), requires_grad=True)
-        c = _rand(rng, s[1])
-        return {"a": a}, lambda: _weighted(T.sum_axis(a, axis=(0, 2)), c)
-
-    check("sum_axis", make_sum)
-
-    def make_mean():
-        s = dims(None, None, None)
-        a = Tensor(_rand(rng, *s), requires_grad=True)
-        c = _rand(rng, s[2])
-        return {"a": a}, lambda: _weighted(T.mean_axis(a, axis=(0, 1)), c)
-
-    check("mean_axis", make_mean)
-
-    def make_softmax():
-        m, n = dims(None, None)
-        a = Tensor(_rand(rng, m, n) * 3.0, requires_grad=True)
-        c = _rand(rng, m, n)
-        return {"a": a}, lambda: _weighted(T.softmax(a, axis=-1), c)
-
-    check("softmax", make_softmax)
-
-    def make_logsumexp():
-        m, n = dims(None, None)
-        a = Tensor(_rand(rng, m, n) * 3.0, requires_grad=True)
-        c = _rand(rng, m)
-        return {"a": a}, lambda: _weighted(T.logsumexp(a, axis=-1), c)
-
-    check("logsumexp", make_logsumexp)
+    check("getitem", unary(lambda a: a[1:3], 4, None))
+    check("sum_axis", unary(lambda a: T.sum_axis(a, axis=(0, 2)), None, None, None))
+    check("mean_axis", unary(lambda a: T.mean_axis(a, axis=(0, 1)), None, None, None))
+    check("softmax", unary(lambda a: T.softmax(a, axis=-1), None, None, scale=3.0))
+    check("logsumexp", unary(lambda a: T.logsumexp(a, axis=-1), None, None, scale=3.0))
 
     def make_layer_norm():
         m, n = dims(None, 6)

@@ -136,14 +136,14 @@ def embed_patches(patches: Tensor, params: dict[str, Tensor]) -> Tensor:
     return T.matmul(patches, params["patch_projection"])
 
 
-def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=()) -> Tensor:
-    """CLS + optional extra slots + (patch tokens + positions), along axis 1."""
+def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(), suffix_tokens=()) -> Tensor:
+    """CLS + optional slots + (patch tokens + positions) + optional slots, along axis 1."""
     b, n, d = patch_tokens.shape
     pos = params["pos_embed"]
     if pos.shape[0] != n:
         raise ValueError(f"pos_embed has {pos.shape[0]} rows, batch has {n} patches")
     cls = T.broadcast_to(T.reshape(params["cls_token"], (1, 1, d)), (b, 1, d))
-    return T.concat([cls, *prefix_tokens, patch_tokens + pos], axis=1)
+    return T.concat([cls, *prefix_tokens, patch_tokens + pos, *suffix_tokens], axis=1)
 
 
 def embed_and_assemble(patches, params: dict[str, Tensor]) -> Tensor:

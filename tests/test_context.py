@@ -3,7 +3,10 @@ forward pass layout, detach semantics, and unseen-group behavior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextvit import context as ctx_mod
 from contextvit import tensor as T
 from contextvit.context import (
     CONTEXT_KIND_NAMES,
@@ -24,7 +27,7 @@ from contextvit.context import (
 from contextvit.rng import generator
 from contextvit.tensor import Tape, Tensor, backward, constant, tensor
 from contextvit.train import batch_cross_entropy
-from contextvit.vit import ViTConfig, encode_tokens, vit_forward
+from contextvit.vit import ViTConfig, encode_tokens, patchify_batch, vit_forward
 
 from conftest import make_batch
 
@@ -124,22 +127,22 @@ def test_oracle_lookup_returns_stored_vector(toy_config):
     params = _oracle_params(toy_config)
     params["oracle_table"].data[1, :] = 7.0  # group 3 sorts second
     with Tape():
-        out = oracle_lookup(3, params)
-    assert np.array_equal(out.data, np.full(toy_config.dim, 7.0))
+        out = oracle_lookup([3], params)
+    assert np.array_equal(out.data, np.full((1, toy_config.dim), 7.0))
 
 
 def test_oracle_lookup_unknown_group_errors(toy_config):
     params = _oracle_params(toy_config)
     with pytest.raises(UnknownGroupError):
         with Tape():
-            oracle_lookup(5, params)
+            oracle_lookup([0, 5], params)
 
 
 def test_oracle_entry_moves_against_gradient(toy_config):
     params = _oracle_params(toy_config)
     with Tape() as tape:
-        token = oracle_lookup(0, params)
-        backward(token[0], tape)  # loss increases with component 0
+        token = oracle_lookup([0], params)
+        backward(token[0, 0], tape)  # loss increases with component 0
     before = params["oracle_table"].data[0, 0]
     params["oracle_table"].data -= 0.1 * params["oracle_table"].grad
     assert params["oracle_table"].data[0, 0] < before
@@ -249,20 +252,20 @@ def test_sample_patches_default_k_is_256():
 
 
 def test_sample_patches_single_pool_repeats():
-    pool = constant([[1.0, 2.0]])
-    out = sample_context_patches(pool, 3, seed=0)
-    assert np.array_equal(out.data, [[1.0, 2.0]] * 3)
+    out = sample_context_patches(np.array([5]), 3, seed=0)
+    assert np.array_equal(out, [5, 5, 5])
 
 
 def test_sample_patches_deterministic_and_validated():
-    pool = constant(generator(10).normal(size=(7, 3)))
-    a = sample_context_patches(pool, 5, seed=4).data
-    b = sample_context_patches(pool, 5, seed=4).data
+    pool = np.arange(10, 17)
+    a = sample_context_patches(pool, 5, seed=4)
+    b = sample_context_patches(pool, 5, seed=4)
     assert np.array_equal(a, b)
+    assert set(a.tolist()) <= set(pool.tolist())
     with pytest.raises(ValueError):
         sample_context_patches(pool, 0, seed=0)
     with pytest.raises(ValueError):
-        sample_context_patches(constant(np.zeros((0, 3))), 2, seed=0)
+        sample_context_patches(np.zeros(0, dtype=int), 2, seed=0)
 
 
 # --------------------------------------------------------- forward: layouts
@@ -399,6 +402,103 @@ def test_amortized_kinds_handle_batch_size_one(small_data, toy_config, name):
         cls_out, logits = model.forward(batch)
     assert cls_out.data.shape == (1, toy_config.dim)
     assert logits.data.shape == (1, toy_config.num_classes)
+
+
+# ------------------------------------------------------- batched inference
+
+
+@pytest.mark.parametrize("name", [n for n in CONTEXT_KIND_NAMES if n != "none"])
+def test_tape_node_count_does_not_grow_with_groups(toy_config, name):
+    """All groups are inferred at once: one group or sixteen record the same nodes."""
+    model = _model(toy_config, name, group_ids=range(16))
+    images = generator(30).random((16, 16, 16, 3))
+    counts = []
+    for groups in (np.zeros(16, dtype=int), np.arange(16)):
+        with Tape() as tape:
+            model.forward(GroupedBatch(images, np.zeros(16, dtype=int), groups))
+        counts.append(len(tape))
+    assert counts[0] == counts[1]
+
+
+def _slot_one(model, batch):
+    """The context slot of the sequence that enters the encoder."""
+    seen = []
+    real_encode = ctx_mod.encode_tokens
+
+    def spy_encode(tokens, params, config, layer_hook=None):
+        seen.append(tokens.data[:, 1].copy())
+        return real_encode(tokens, params, config, layer_hook=layer_hook)
+
+    ctx_mod.encode_tokens = spy_encode
+    try:
+        with Tape():
+            model.forward(batch)
+    finally:
+        ctx_mod.encode_tokens = real_encode
+    return seen[0]
+
+
+@pytest.mark.parametrize("name", ["mean", "mean_linear", "mean_linear_detach", "ema", "oracle"])
+def test_batched_context_column_matches_per_group_loop_bitwise(toy_config, name):
+    model = _model(toy_config, name, group_ids=range(12))
+    for p in model.context.values():
+        if p.requires_grad:  # the oracle's id column stays as registered
+            p.data = p.data + generator(31).normal(size=p.data.shape) * 0.3
+    rng = np.random.default_rng(32)
+    for groups in (np.zeros(20, dtype=int), rng.integers(0, 2, size=20), rng.integers(0, 12, size=20)):
+        images = rng.random((20, 16, 16, 3))
+        got = _slot_one(model, GroupedBatch(images, np.zeros(20, dtype=int), groups))
+
+        patch_tokens = patchify_batch(images, toy_config.patch) @ model.backbone["patch_projection"].data
+        ctx = {k: p.data for k, p in model.context.items()}
+        want = np.empty((20, toy_config.dim))
+        for gid in np.unique(groups):
+            members = np.nonzero(groups == gid)[0]
+            pooled = patch_tokens[members].mean(axis=(0, 1))
+            if name == "mean":
+                token = pooled
+            elif name == "oracle":
+                token = ctx["oracle_table"][int(np.nonzero(ctx["oracle_groups"] == gid)[0][0])]
+            else:
+                token = (pooled[None] @ ctx["ctx_head0.w"] + ctx["ctx_head0.b"])[0]
+            want[members] = token
+        assert np.array_equal(got, want)
+
+
+_PERMUTATION_MODELS: dict = {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    groups=st.lists(st.integers(0, 4), min_size=1, max_size=10),
+    seed=st.integers(0, 2**16),
+)
+def test_member_permutation_invariance_property(toy_config, groups, seed):
+    """Any group layout: shuffling the batch leaves every group's token
+    unchanged and moves each image's logits with the image (within 1e-12)."""
+    groups = np.asarray(groups)
+    rng = np.random.default_rng(seed)
+    images = rng.random((groups.size, 16, 16, 3))
+    perm = rng.permutation(groups.size)
+    for name in sorted(set(AMORTIZED) & set(TOKEN_KINDS)):
+        if name not in _PERMUTATION_MODELS:
+            model = _model(toy_config, name)
+            for p in model.context.values():
+                p.data = p.data + generator(33).normal(size=p.data.shape) * 0.2
+            _PERMUTATION_MODELS[name] = model
+        model = _PERMUTATION_MODELS[name]
+        runs = []
+        for order in (np.arange(groups.size), perm):
+            sink: dict = {}
+            with Tape():
+                _, logits = model.forward(GroupedBatch(images[order], groups[order], groups[order]),
+                                          capture_context_tokens=sink)
+            runs.append((sink, logits.data))
+        (sink, logits), (sink_p, logits_p) = runs
+        assert set(sink) == set(sink_p)
+        for key in sink:
+            assert np.max(np.abs(sink[key] - sink_p[key])) <= 1e-12
+        assert np.max(np.abs(logits[perm] - logits_p)) <= 1e-12
 
 
 # ----------------------------------------------------- layerwise specificity

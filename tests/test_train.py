@@ -199,8 +199,6 @@ def test_train_config_validation():
         _tc(context_kind="bogus")
     with pytest.raises(ValueError):
         _tc(sampler="bogus")
-    with pytest.raises(ValueError):
-        _tc(mode="bogus")
 
 
 # ------------------------------------------------------------- training runs
@@ -297,7 +295,7 @@ def test_probe_leaves_backbone_bitwise_identical():
     data, _, model = _tiny_setup(kind="mean_linear_detach")
     before = {k: p.data.copy() for k, p in model.parameters().items()}
     result = linear_probe(model, data, TrainConfig(epochs=2, batch_size=8, warmup_epochs=0, seed=0,
-                                                   context_kind="mean_linear_detach", mode="probe"))
+                                                   context_kind="mean_linear_detach"))
     after = model.parameters()
     for k in before:
         assert np.array_equal(before[k], after[k].data), k
@@ -311,7 +309,7 @@ def test_probe_leaves_backbone_bitwise_identical():
 def test_probe_on_random_backbone_beats_chance():
     data, _, model = _tiny_setup(images_per_group=48)
     result = linear_probe(model, data, TrainConfig(epochs=12, batch_size=8, warmup_epochs=0, seed=0,
-                                                   base_lr=0.05, final_lr=0.001, mode="probe"))
+                                                   base_lr=0.05, final_lr=0.001))
     assert result.best_val_accuracy > 0.5  # chance is 1/2 with 2 classes; random features retain signal
 
 
@@ -320,7 +318,7 @@ def test_probe_insensitive_to_stream_composition():
     accs = []
     for stream_seed in (0, 1):
         res = linear_probe(model, data, TrainConfig(epochs=12, batch_size=8, warmup_epochs=0, seed=stream_seed,
-                                                    base_lr=0.05, final_lr=0.001, mode="probe"))
+                                                    base_lr=0.05, final_lr=0.001))
         accs.append(res.best_val_accuracy)
     # the convex probe objective has one optimum; stream order only perturbs the path there
     assert abs(accs[0] - accs[1]) <= 0.04
