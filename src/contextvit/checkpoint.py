@@ -8,11 +8,15 @@ Layout (all integers little-endian):
 
 Entry: u32 name_len | name utf8 | u32 ndim | u64 dims... | f8 payload.
 Entries are written in insertion order of the source dicts, so loading
-and re-saving reproduces the file byte for byte.
+and re-saving reproduces the file byte for byte.  Every size read from the
+file is checked against the bytes left in it before anything is read, so
+a truncated or corrupted file raises a ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,19 +38,21 @@ def _write_u64(f, value: int) -> None:
     f.write(np.uint64(value).astype("<u8").tobytes())
 
 
-def _read_exact(f, n: int) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise ValueError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
-    return data
+def _read_exact(f, n: int, what: str) -> bytes:
+    """The next ``n`` bytes of binary file ``f``; a size the rest of the file
+    cannot hold is rejected before any read or allocation."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if not 0 <= n <= left:
+        raise ValueError(f"truncated or corrupt file: {what} needs {n} bytes, {left} left")
+    return f.read(n)
 
 
-def _read_u32(f) -> int:
-    return int(np.frombuffer(_read_exact(f, 4), dtype="<u4")[0])
+def _read_u32(f, what: str) -> int:
+    return int(np.frombuffer(_read_exact(f, 4, what), dtype="<u4")[0])
 
 
-def _read_u64(f) -> int:
-    return int(np.frombuffer(_read_exact(f, 8), dtype="<u8")[0])
+def _read_u64(f, what: str) -> int:
+    return int(np.frombuffer(_read_exact(f, 8, what), dtype="<u8")[0])
 
 
 def _write_entry(f, name: str, array: np.ndarray) -> None:
@@ -61,12 +67,11 @@ def _write_entry(f, name: str, array: np.ndarray) -> None:
 
 
 def _read_entry(f) -> tuple[str, np.ndarray]:
-    name = _read_exact(f, _read_u32(f)).decode("utf-8")
-    ndim = _read_u32(f)
-    shape = tuple(_read_u64(f) for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    payload = np.frombuffer(_read_exact(f, count * 8), dtype="<f8").reshape(shape)
-    return name, payload.copy()
+    name = _read_exact(f, _read_u32(f, "entry name length"), "entry name").decode("utf-8")
+    ndim = _read_u32(f, f"entry {name!r} rank")
+    shape = tuple(int(d) for d in np.frombuffer(_read_exact(f, 8 * ndim, f"entry {name!r} dims"), dtype="<u8"))
+    payload = _read_exact(f, 8 * math.prod(shape), f"entry {name!r} of shape {shape}")
+    return name, np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
 
 
 @dataclass
@@ -127,23 +132,23 @@ def load_checkpoint(path: str) -> CheckpointData:
     except FileNotFoundError:
         raise FileNotFoundError(f"checkpoint file not found: {path}") from None
     with f:
-        magic = _read_exact(f, 4)
+        magic = _read_exact(f, 4, "magic")
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r}) at {path}")
-        version = _read_u32(f)
+        version = _read_u32(f, "version")
         if version != _VERSION:
             raise ValueError(f"checkpoint format version {version} unsupported (expected {_VERSION})")
-        config_hash = _read_exact(f, _read_u32(f)).decode("utf-8")
-        params = dict(_read_entry(f) for _ in range(_read_u32(f)))
+        config_hash = _read_exact(f, _read_u32(f, "config hash length"), "config hash").decode("utf-8")
+        params = dict(_read_entry(f) for _ in range(_read_u32(f, "parameter count")))
         out = CheckpointData(config_hash=config_hash, params=params)
-        has_optimizer = _read_exact(f, 1)
+        has_optimizer = _read_exact(f, 1, "optimizer flag")
         if has_optimizer == b"\x01":
-            out.optimizer_step = _read_u64(f)
-            out.optimizer_m = dict(_read_entry(f) for _ in range(_read_u32(f)))
-            out.optimizer_v = dict(_read_entry(f) for _ in range(_read_u32(f)))
+            out.optimizer_step = _read_u64(f, "optimizer step")
+            out.optimizer_m = dict(_read_entry(f) for _ in range(_read_u32(f, "optimizer m count")))
+            out.optimizer_v = dict(_read_entry(f) for _ in range(_read_u32(f, "optimizer v count")))
         elif has_optimizer != b"\x00":
             raise ValueError("corrupt checkpoint: bad optimizer flag byte")
-        out.state = dict(_read_entry(f) for _ in range(_read_u32(f)))
+        out.state = dict(_read_entry(f) for _ in range(_read_u32(f, "state count")))
         if f.read(1):
             raise ValueError("trailing bytes after checkpoint payload; file corrupt")
     return out

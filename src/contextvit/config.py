@@ -40,7 +40,6 @@ class RunConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     num_classes: int = 8
-    ffn_activation: str = "gelu"
     # context
     context_kind: str = "none"
     context_patches: int = 256
@@ -80,52 +79,19 @@ class RunConfig:
     checkpoint_path: str = ""
     out_dir: str = "runs"
 
+    def _sub_config(self, cls):
+        """``cls`` filled from the fields of this config with the same names;
+        every field of ``cls`` must exist here."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def vit_config(self) -> ViTConfig:
-        return ViTConfig(
-            image_h=self.image_h,
-            image_w=self.image_w,
-            channels=self.channels,
-            patch=self.patch,
-            dim=self.dim,
-            depth=self.depth,
-            heads=self.heads,
-            mlp_ratio=self.mlp_ratio,
-            num_classes=self.num_classes,
-            ffn_activation=self.ffn_activation,
-        )
+        return self._sub_config(ViTConfig)
 
     def shift_spec(self) -> SyntheticShiftSpec:
-        return SyntheticShiftSpec(
-            num_classes=self.num_classes,
-            train_groups=self.train_groups,
-            ood_groups=self.ood_groups,
-            images_per_group=self.images_per_group,
-            image_h=self.image_h,
-            image_w=self.image_w,
-            channels=self.channels,
-            signal_amplitude=self.signal_amplitude,
-            bias_max=self.bias_max,
-            contrast_jitter=self.contrast_jitter,
-            texture_std=self.texture_std,
-            noise_std=self.noise_std,
-            train_fraction=self.train_fraction,
-            val_fraction=self.val_fraction,
-        )
+        return self._sub_config(SyntheticShiftSpec)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            base_lr=self.base_lr,
-            final_lr=self.final_lr,
-            warmup_epochs=self.warmup_epochs,
-            weight_decay_start=self.weight_decay_start,
-            weight_decay_end=self.weight_decay_end,
-            momentum=self.momentum,
-            seed=self.seed,
-            context_kind=self.context_kind,
-            sampler=self.sampler,
-        )
+        return self._sub_config(TrainConfig)
 
     def kind(self) -> ContextKind:
         return ContextKind.from_name(

@@ -146,13 +146,14 @@ class ContextKind:
 
 @dataclass
 class GroupedBatch:
-    """One batch with group ids; the partition maps each group to the
-    member indices in input order, groups keyed by first occurrence."""
+    """One batch with group ids; the partition, derived from ``groups``, maps
+    each group to the member indices in input order, groups keyed by first
+    occurrence."""
 
     images: np.ndarray  # [B, H, W, C]
     labels: np.ndarray  # [B] int
     groups: np.ndarray  # [B] int group ids
-    partition: dict[int, list[int]] = field(default_factory=dict)
+    partition: dict[int, list[int]] = field(init=False)
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -163,8 +164,7 @@ class GroupedBatch:
         b = self.images.shape[0]
         if self.labels.shape != (b,) or self.groups.shape != (b,):
             raise ValueError("labels/groups must have one entry per image")
-        if not self.partition:
-            self.partition = group_partition(self.groups)
+        self.partition = group_partition(self.groups)
 
     @property
     def size(self) -> int:
@@ -232,16 +232,10 @@ def init_context_params(
     return params
 
 
-def infer_context_mean(patch_embeds: Tensor, members: Optional[Sequence] = None) -> Tensor:
-    """Mean over each group's member images and patches: [B, N, d] -> [G, d].
-
-    Without ``members`` every row belongs to one group and the result is
-    its [d] token ([m, N, d] or [N, d] in).
-    """
-    if members is not None:
-        return T.group_pool(patch_embeds, members)
-    pooled = T.group_pool(patch_embeds, [np.arange(patch_embeds.shape[0])])
-    return T.reshape(pooled, pooled.shape[1:])
+def infer_context_mean(patch_embeds: Tensor, members: Sequence) -> Tensor:
+    """Mean over each group's member images and patches: [B, N, d] -> [G, d],
+    where ``members[g]`` lists the batch rows of group g."""
+    return T.group_pool(patch_embeds, members)
 
 
 def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor, detach: bool = False) -> Tensor:
@@ -293,31 +287,19 @@ def _mlp_residual(x: Tensor, params: dict[str, Tensor], net: str, final_residual
     return out + h if final_residual else out
 
 
-def deep_sets_infer(
-    patch_embeds: Tensor, params: dict[str, Tensor], detach: bool, parts: Optional[Sequence] = None
-) -> Tensor:
-    """rho(sum_i phi(t_i)) over each group's patch rows: [R, d] -> [G, d].
-
-    ``parts`` lists each group's rows; without it every row (of [R, d] or
-    [m, N, d] input) belongs to one group and the result is its [d] token.
-    """
-    if patch_embeds.size == 0:
-        raise ValueError("deep sets over an empty member set")
-    if patch_embeds.ndim == 3:
-        m, n, d = patch_embeds.shape
-        flat = T.reshape(patch_embeds, (m * n, d))
-    elif patch_embeds.ndim == 2:
-        flat = patch_embeds
-    else:
-        raise ValueError(f"expected [m,N,d] or [(mN),d], got {patch_embeds.shape}")
+def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], detach: bool, parts: Sequence) -> Tensor:
+    """rho(sum_i phi(t_i)) over each group's patch rows: [R, d] -> [G, d],
+    where ``parts[g]`` lists the rows of group g."""
+    if patch_embeds.ndim != 2:
+        raise ValueError(f"expected [rows, d] patch tokens, got {patch_embeds.shape}")
     if detach:
-        flat = T.stop_gradient(flat)
-    phi = _mlp_residual(flat, params, "phi", final_residual=True)
-    summed = T.group_pool(phi, parts if parts is not None else [np.arange(flat.shape[0])], mean=False)
+        patch_embeds = T.stop_gradient(patch_embeds)
+    phi = _mlp_residual(patch_embeds, params, "phi", final_residual=True)
+    summed = T.group_pool(phi, parts, mean=False)
     g, d = summed.shape
     # rho runs on [G, 1, d] so each group's products match a lone [1, d] row
     out = _mlp_residual(T.reshape(summed, (g, 1, d)), params, "rho", final_residual=False)
-    return T.reshape(out, (g, d) if parts is not None else (d,))
+    return T.reshape(out, (g, d))
 
 
 def sample_context_patches(rows: np.ndarray, k: int, seed: int) -> np.ndarray:

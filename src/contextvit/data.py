@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
+from .checkpoint import _read_exact
 from .context import GroupedBatch, group_partition
 from .rng import child_seed, generator
 
@@ -259,28 +259,22 @@ def context_sampler(subset: Subset, batch_size: int, seed: int) -> Iterator[np.n
 _SAMPLERS = {"uniform": uniform_sampler, "context": context_sampler}
 
 
+def _sampler(name: str):
+    if name not in _SAMPLERS:
+        raise ValueError(f"unknown sampler {name!r}; expected one of {sorted(_SAMPLERS)}")
+    return _SAMPLERS[name]
+
+
 def make_batches(subset: Subset, batch_size: int, sampler: str, seed: int) -> Iterator[GroupedBatch]:
     """GroupedBatch stream over one subset using the named sampler."""
-    if sampler not in _SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(_SAMPLERS)}")
-    for idx in _SAMPLERS[sampler](subset, batch_size, seed):
+    for idx in _sampler(sampler)(subset, batch_size, seed):
         yield GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
 
 
 def batches_per_epoch(subset: Subset, batch_size: int, sampler: str) -> int:
-    """Exact batch count one epoch of ``make_batches`` will yield.
-
-    The grouped sampler never merges groups, so each group contributes
-    its own short final batch and the total can exceed ceil(size/batch).
-    """
-    if sampler == "uniform":
-        return math.ceil(subset.size / batch_size)
-    if sampler == "context":
-        return sum(
-            math.ceil(len(members) / batch_size)
-            for members in group_partition(subset.groups).values()
-        )
-    raise ValueError(f"unknown sampler {sampler!r}; expected one of {sorted(_SAMPLERS)}")
+    """Exact batch count one epoch of ``make_batches`` will yield, counted
+    from the sampler itself (the count does not depend on the seed)."""
+    return sum(1 for _ in _sampler(sampler)(subset, batch_size, 0))
 
 
 def _spec_to_dict(spec: SyntheticShiftSpec) -> dict:
@@ -337,27 +331,37 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
 
 
 def load_dataset(path: str) -> DatasetSplit:
+    """Read a ``save_dataset`` file; a truncated or corrupt one raises a
+    ``ValueError`` that names the part that is wrong."""
+    order = ["train", "val", "id_test", "ood_test"]
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a dataset file (bad magic {magic!r}) at {path}")
-        version = int(np.frombuffer(f.read(4), dtype="<u4")[0])
+        version = int(np.frombuffer(_read_exact(f, 4, "dataset version"), dtype="<u4")[0])
         if version != _VERSION:
             raise ValueError(f"dataset format version {version} unsupported (expected {_VERSION})")
-        header_len = int(np.frombuffer(f.read(4), dtype="<u4")[0])
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        spec = SyntheticShiftSpec(**header["spec"])
-        h, w, c = header["image_shape"]
+        header_len = int(np.frombuffer(_read_exact(f, 4, "dataset header length"), dtype="<u4")[0])
+        raw = _read_exact(f, header_len, "dataset header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+            spec = SyntheticShiftSpec(**header["spec"])
+            seed = int(header["seed"])
+            sizes = {name: int(header["splits"][name]) for name in order}
+            h, w, c = header["image_shape"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"corrupt dataset header in {path}: {exc!r}") from None
+        if (h, w, c) != (spec.image_h, spec.image_w, spec.channels):
+            raise ValueError(f"corrupt dataset header in {path}: image shape {[h, w, c]} disagrees with the spec")
         subsets = {}
-        for name in ["train", "val", "id_test", "ood_test"]:
-            n = header["splits"][name]
-            images = np.frombuffer(f.read(n * h * w * c * 8), dtype="<f8").reshape(n, h, w, c)
-            labels = np.frombuffer(f.read(n * 8), dtype="<i8")
-            groups = np.frombuffer(f.read(n * 8), dtype="<i8")
-            if labels.size != n or groups.size != n:
-                raise ValueError(f"truncated dataset file at split {name!r}")
-            subsets[name] = Subset(images.copy(), labels.copy(), groups.copy())
+        for name in order:
+            n = sizes[name]
+            what = f"dataset split {name!r}"
+            images = np.frombuffer(_read_exact(f, n * h * w * c * 8, what + " images"), dtype="<f8")
+            labels = np.frombuffer(_read_exact(f, n * 8, what + " labels"), dtype="<i8")
+            groups = np.frombuffer(_read_exact(f, n * 8, what + " groups"), dtype="<i8")
+            subsets[name] = Subset(images.reshape(n, h, w, c).copy(), labels.copy(), groups.copy())
         trailing = f.read(1)
         if trailing:
             raise ValueError("trailing bytes after the last split; file corrupt")
-    return DatasetSplit(seed=header["seed"], spec=spec, **subsets)
+    return DatasetSplit(seed=seed, spec=spec, **subsets)

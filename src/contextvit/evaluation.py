@@ -21,7 +21,6 @@ import numpy as np
 from .context import ContextKind, ContextViT, GroupedBatch, group_partition
 from .data import DatasetSplit, Subset
 from .rng import child_seed, generator
-from .tensor import Tape
 from .train import TrainConfig, fine_tune, predictions
 from .vit import ViTConfig
 
@@ -250,8 +249,7 @@ def collect_context_tokens(
             idx = rng.choice(members, size=take, replace=False)
             batch = GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
             sink: dict = {}
-            with Tape():
-                model.forward(batch, train=False, capture_context_tokens=sink)
+            model.forward(batch, train=False, capture_context_tokens=sink)
             key = (layer, int(gid))
             if key not in sink:
                 raise ValueError(f"no context token recorded for layer {layer} (kind {model.kind.name!r})")

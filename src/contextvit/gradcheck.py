@@ -21,11 +21,8 @@ __all__ = ["finite_diff_errors", "finite_diff_check"]
 
 
 def _evaluate(f: Callable[[], Tensor]) -> float:
-    # throwaway tape: grad-enabled params may flow through f, but we only
-    # want the forward value
-    with Tape():
-        out = f()
-    return float(out.data)
+    """Forward value of ``f``; outside any tape nothing is recorded."""
+    return float(f().data)
 
 
 def finite_diff_errors(

@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray plus a ``requires_grad`` flag.  Ops
-executed while a ``Tape`` is active record themselves (when any input
-needs gradients) so ``backward`` can replay the tape in reverse and
-accumulate vector-Jacobian products.  The accumulation order is the
-fixed reverse tape order, which makes gradients bitwise reproducible
-for a given forward pass.
+A ``Tensor`` wraps a float64 ndarray plus a ``requires_grad`` flag.  An op
+whose inputs need gradients records itself on the active ``Tape`` when
+one exists, and only computes when none does, so forward-only passes
+(evaluation, finite differences) keep no graph; the values are the same
+either way.  ``backward`` replays the tape in reverse and accumulates
+vector-Jacobian products; a grad-enabled loss that is not the output of
+a node on that tape (its forward ran outside the tape) is an error.  The
+accumulation order is the fixed reverse tape order, which makes
+gradients bitwise reproducible for a given forward pass.
 
 ``stop_gradient`` is the one deliberately odd primitive: forward is the
 identity (it shares the input's storage) while the reverse pass sends
@@ -46,7 +49,6 @@ __all__ = [
     "layer_norm",
     "relu",
     "gelu",
-    "activation",
     "stop_gradient",
     "backward",
 ]
@@ -179,17 +181,13 @@ class Tape:
 
 
 def _record(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Wrap an op result; record it on the active tape when grads are needed."""
+    """Wrap an op result; record it on the active tape, if any, when grads are needed."""
     needs_grad = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs_grad)
     if needs_grad:
         tape = active_tape()
-        if tape is None:
-            raise RuntimeError(
-                "operation on a grad-enabled tensor outside any active Tape; "
-                "wrap the forward pass in `with Tape():`"
-            )
-        tape.nodes.append(_Node(out, inputs, vjp))
+        if tape is not None:
+            tape.nodes.append(_Node(out, inputs, vjp))
     return out
 
 
@@ -486,14 +484,6 @@ def gelu(a: Tensor) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def activation(a: Tensor, kind: str) -> Tensor:
-    if kind == "gelu":
-        return gelu(a)
-    if kind == "relu":
-        return relu(a)
-    raise ValueError(f"unknown activation kind {kind!r} (expected 'gelu' or 'relu')")
-
-
 def stop_gradient(a: Tensor) -> Tensor:
     """Forward identity that the reverse pass cannot cross.
 
@@ -521,9 +511,15 @@ def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
     tensor touched by the tape; untouched-but-recorded tensors get zeros."""
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    tape = tape or active_tape()
+    if tape is None:  # not ``tape or ...``: an empty Tape is falsy
+        tape = active_tape()
     if tape is None:
         raise RuntimeError("backward requires an active (or explicitly passed) Tape")
+    if loss.requires_grad and not any(node.output is loss for node in reversed(tape.nodes)):
+        raise RuntimeError(
+            "loss is not the output of an op on this tape; "
+            "run the forward pass inside `with Tape():`"
+        )
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
@@ -548,5 +544,3 @@ def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
             seen.add(id(t))
             g = grads.get(id(t))
             t.grad = g if g is not None else np.zeros_like(t.data)
-    if loss.requires_grad and id(loss) not in seen:
-        loss.grad = grads[id(loss)]

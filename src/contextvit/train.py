@@ -15,7 +15,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ __all__ = [
     "TrainConfig",
     "AdamWState",
     "SGDState",
-    "cross_entropy",
     "batch_cross_entropy",
     "is_decay_exempt",
     "adamw_step",
@@ -75,21 +73,9 @@ class TrainConfig:
             raise ValueError(f"sampler must be uniform or context, got {self.sampler!r}")
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label] for one [K] logit vector, stable for
-    large logit magnitudes."""
-    k = logits.shape[-1]
-    label = int(label)
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} classes")
-    row = T.reshape(logits, (1, k))
-    lse = T.logsumexp(row, axis=-1)
-    picked = T.select_columns(row, [label])
-    return T.reshape(lse - picked, ())
-
-
 def batch_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy over a [B, K] batch."""
+    """Mean of -log softmax(logits[i])[labels[i]] over a [B, K] batch,
+    stable for large logit magnitudes."""
     labels = np.asarray(labels, dtype=np.int64)
     k = logits.shape[-1]
     if labels.min() < 0 or labels.max() >= k:
@@ -208,8 +194,7 @@ def predictions(model: ContextViT, subset: Subset, batch_size: int) -> np.ndarra
     for start in range(0, subset.size, batch_size):
         idx = np.arange(start, min(start + batch_size, subset.size))
         batch = GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
-        with Tape():
-            _, logits = model.forward(batch, train=False)
+        _, logits = model.forward(batch, train=False)
         preds[idx] = np.argmax(logits.data, axis=1)
     return preds
 

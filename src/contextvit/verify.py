@@ -197,10 +197,8 @@ def toy_model_gradient_check(kind_name: str, seed: int = 0, max_coords: Optional
     needs_freeze = model.kind.detach or model.kind.base == "ema"
     override = None
     if needs_freeze:
-        captured: dict = {}
-        with T.Tape():
-            model.forward(batch, train=False, sample_seed=7, capture_context_inputs=captured)
-        override = captured
+        override = {}
+        model.forward(batch, train=False, sample_seed=7, capture_context_inputs=override)
 
     def f():
         _, logits = model.forward(

@@ -6,9 +6,10 @@ with a trainable CLS token that carries no positional term.  Each layer
 is x + attn(norm(x)) followed by + ffn(norm(.)); a final layer norm
 precedes the CLS read-out and the affine classifier head.
 
-All forwards run batched on [B, S, d] tensors.  A ``layer_hook`` lets a
-caller rewrite the token sequence between layers, which is how context
-conditioning plugs in without forking this code path.
+Every entry point takes batched input only: [B, H, W, C] images, [B, N, pd]
+patch rows, [B, S, d] token sequences.  One image is a batch of one.  A
+``layer_hook`` lets a caller rewrite the token sequence between layers,
+which is how context conditioning plugs in without forking this code path.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from .tensor import Tensor
 __all__ = [
     "ViTConfig",
     "init_backbone_params",
-    "patchify",
     "patchify_batch",
     "embed_patches",
-    "embed_and_assemble",
     "attention",
     "transformer_layer",
     "encode_tokens",
@@ -47,7 +46,6 @@ class ViTConfig:
     heads: int = 4
     mlp_ratio: float = 4.0
     num_classes: int = 8
-    ffn_activation: str = "gelu"
 
     def __post_init__(self):
         if self.image_h % self.patch or self.image_w % self.patch:
@@ -111,14 +109,9 @@ def init_backbone_params(config: ViTConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def patchify(image: np.ndarray, patch: int) -> np.ndarray:
-    """[H, W, C] image -> [N, patch*patch*C] rows in row-major grid order."""
-    out = patchify_batch(image[None], patch)
-    return out[0]
-
-
 def patchify_batch(images: np.ndarray, patch: int) -> np.ndarray:
-    """[B, H, W, C] -> [B, N, patch*patch*C]; pure data prep, no gradients."""
+    """[B, H, W, C] -> [B, N, patch*patch*C] rows in row-major grid order;
+    pure data prep, no gradients."""
     images = np.asarray(images, dtype=np.float64)
     if images.ndim != 4:
         raise ValueError(f"expected [B, H, W, C] images, got shape {images.shape}")
@@ -146,28 +139,8 @@ def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(),
     return T.concat([cls, *prefix_tokens, patch_tokens + pos, *suffix_tokens], axis=1)
 
 
-def embed_and_assemble(patches, params: dict[str, Tensor]) -> Tensor:
-    """Patch rows -> token sequence [CLS, p1+pos1, ..., pN+posN].
-
-    Accepts one image's [N, pd] rows or a batch [B, N, pd]; the result has
-    a matching [N+1, d] or [B, N+1, d] shape.
-    """
-    single = not isinstance(patches, Tensor) and np.asarray(patches).ndim == 2
-    if isinstance(patches, Tensor):
-        single = patches.ndim == 2
-        pt = patches if not single else T.reshape(patches, (1,) + patches.shape)
-    else:
-        arr = np.asarray(patches, dtype=np.float64)
-        pt = T.constant(arr[None] if single else arr)
-    tokens = _assemble(embed_patches(pt, params), params)
-    return tokens[0] if single else tokens
-
-
 def attention(x: Tensor, params: dict[str, Tensor], layer: int, heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention over [B, S, d] (or [S, d])."""
-    single = x.ndim == 2
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
+    """Multi-head scaled dot-product self-attention over [B, S, d]."""
     b, s, d = x.shape
     if d % heads:
         raise ValueError(f"dim {d} not divisible by heads {heads}")
@@ -187,13 +160,12 @@ def attention(x: Tensor, params: dict[str, Tensor], layer: int, heads: int) -> T
     weights = T.softmax(scores, axis=-1)
     ctx = T.matmul(weights, v)  # [B, heads, S, dh]
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
-    out = T.matmul(merged, params[pre + "wo"]) + params[pre + "bo"]
-    return out[0] if single else out
+    return T.matmul(merged, params[pre + "wo"]) + params[pre + "bo"]
 
 
-def _ffn(x: Tensor, params: dict[str, Tensor], layer: int, kind: str) -> Tensor:
+def _ffn(x: Tensor, params: dict[str, Tensor], layer: int) -> Tensor:
     pre = f"layer{layer}.ffn."
-    h = T.activation(T.matmul(x, params[pre + "w1"]) + params[pre + "b1"], kind)
+    h = T.gelu(T.matmul(x, params[pre + "w1"]) + params[pre + "b1"])
     return T.matmul(h, params[pre + "w2"]) + params[pre + "b2"]
 
 
@@ -202,7 +174,7 @@ def transformer_layer(x: Tensor, params: dict[str, Tensor], layer: int, config: 
     normed = T.layer_norm(x, params[pre + "norm1.gain"], params[pre + "norm1.bias"])
     x = x + attention(normed, params, layer, config.heads)
     normed = T.layer_norm(x, params[pre + "norm2.gain"], params[pre + "norm2.bias"])
-    return x + _ffn(normed, params, layer, config.ffn_activation)
+    return x + _ffn(normed, params, layer)
 
 
 def encode_tokens(
@@ -228,20 +200,10 @@ def encode_tokens(
 
 
 def vit_forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig):
-    """Plain ViT: images -> (CLS embedding, logits).
-
-    Accepts one [H, W, C] image or a batch [B, H, W, C]; outputs are [d] /
-    [num_classes] for a single image, [B, d] / [B, num_classes] batched.
-    """
-    images = np.asarray(images, dtype=np.float64)
-    single = images.ndim == 3
-    if single:
-        images = images[None]
+    """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes])."""
     patches = T.constant(patchify_batch(images, config.patch))
     tokens = _assemble(embed_patches(patches, params), params)
     encoded = encode_tokens(tokens, params, config)
     cls = encoded[:, 0]
     logits = T.matmul(cls, params["head.w"]) + params["head.b"]
-    if single:
-        return cls[0], logits[0]
     return cls, logits

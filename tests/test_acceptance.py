@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import contextvit.context as context_mod
+import contextvit.evaluation as evaluation_mod
 from contextvit import tensor as T
 from contextvit.checkpoint import load_checkpoint, save_checkpoint
 from contextvit.config import RunConfig
@@ -118,28 +119,34 @@ def default_data():
 
 @pytest.fixture(scope="session")
 def ablation_outcome(default_data):
+    """The ablation's rows and seconds, plus each trained model keyed by
+    (kind, seed), captured as ``run_ablation`` hands it back."""
     cfg, data = default_data
     train_config = dataclasses.replace(
         cfg.train_config(), epochs=BENCH_EPOCHS, warmup_epochs=BENCH_WARMUP,
         batch_size=BENCH_BATCH, sampler="context",
     )
+    models = {}
+
+    def keep_model(model, data, config):
+        result = fine_tune(model, data, config)
+        models[(config.context_kind, config.seed)] = result.model
+        return result
+
     start = time.monotonic()
-    rows = run_ablation(data, cfg.vit_config(), train_config,
-                        kinds=BENCH_KINDS, seeds=BENCH_SEEDS, eval_batch_size=64)
-    return rows, time.monotonic() - start
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation_mod, "fine_tune", keep_model)
+        rows = run_ablation(data, cfg.vit_config(), train_config,
+                            kinds=BENCH_KINDS, seeds=BENCH_SEEDS, eval_batch_size=64)
+    return rows, time.monotonic() - start, models
 
 
 @pytest.fixture(scope="session")
-def trained_context_model(default_data):
-    cfg, data = default_data
-    kind = ContextKind.from_name("mean_linear_detach")
-    group_ids = sorted(int(g) for g in np.unique(data.train.groups))
-    model = ContextViT.create(cfg.vit_config(), kind, seed=0, group_ids=group_ids)
-    train_config = dataclasses.replace(
-        cfg.train_config(), epochs=BENCH_EPOCHS, warmup_epochs=BENCH_WARMUP,
-        batch_size=BENCH_BATCH, sampler="context", context_kind="mean_linear_detach",
-    )
-    return fine_tune(model, data, train_config).model, data
+def trained_context_model(default_data, ablation_outcome):
+    """The ablation's seed-0 ``mean_linear_detach`` model: the same data,
+    init and TrainConfig as a fresh run, so it is reused, not retrained."""
+    _, data = default_data
+    return ablation_outcome[2][("mean_linear_detach", 0)], data
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +243,20 @@ def test_criterion_04_permutation_invariance():
         worst = max(worst, float(np.max(np.abs(base - shuffled))))
 
     # patch-order invariance, asserted on the pooling functions themselves
+    # (one group owning every row; row 0 of the [G, d] result is its token)
     member = rng.normal(size=(3, 8, TOY.dim))
     patch_perm, member_perm = rng.permutation(8), rng.permutation(3)
-    with Tape():
-        mean_a = infer_context_mean(T.constant(member)).data
-        mean_b = infer_context_mean(T.constant(member[member_perm][:, patch_perm])).data
-        worst = max(worst, float(np.max(np.abs(mean_a - mean_b))))
+    mean_a = infer_context_mean(T.constant(member), [np.arange(3)]).data[0]
+    mean_b = infer_context_mean(T.constant(member[member_perm][:, patch_perm]), [np.arange(3)]).data[0]
+    worst = max(worst, float(np.max(np.abs(mean_a - mean_b))))
 
-        ds_model = _make_model("deep_sets")
-        flat = member.reshape(-1, TOY.dim)
-        ds_a = deep_sets_infer(T.constant(flat), ds_model.context, detach=False).data
-        ds_b = deep_sets_infer(T.constant(flat[rng.permutation(flat.shape[0])]),
-                               ds_model.context, detach=False).data
-        worst = max(worst, float(np.max(np.abs(ds_a - ds_b))))
+    ds_model = _make_model("deep_sets")
+    flat = member.reshape(-1, TOY.dim)
+    rows = [np.arange(flat.shape[0])]
+    ds_a = deep_sets_infer(T.constant(flat), ds_model.context, False, rows).data[0]
+    ds_b = deep_sets_infer(T.constant(flat[rng.permutation(flat.shape[0])]),
+                           ds_model.context, False, rows).data[0]
+    worst = max(worst, float(np.max(np.abs(ds_a - ds_b))))
 
     _report(4, worst <= 1e-12,
             f"{len(amortized)} amortized kinds + pooling functions, worst deviation "
@@ -281,7 +289,7 @@ def test_criterion_05_oracle_vs_amortized():
 
 
 def test_criterion_06_ood_ordering(ablation_outcome):
-    rows, elapsed = ablation_outcome
+    rows, elapsed, _ = ablation_outcome
     med = {row.kind: row.ood_accuracy for row in rows}
     errors = [f"{row.kind}: {row.error}" for row in rows if row.error]
     ordering = (med["none"] < med["mean"] <= med["mean_linear"]

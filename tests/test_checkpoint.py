@@ -149,3 +149,25 @@ def test_trailing_garbage_rejected(tmp_path, toy_model):
         f.write(b"\x00junk")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.001, 0.01, 0.3, 0.7, 0.999])
+def test_truncation_at_any_offset_rejected(tmp_path, toy_model, keep):
+    path, _ = _save_and_load(tmp_path, toy_model, config_hash="h", ema_state={0: np.ones(16)})
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[: int(len(blob) * keep)])
+    with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dim", [2**40, 2**62, 2**64 - 1])
+def test_corrupt_dim_field_names_entry(tmp_path, toy_model, dim):
+    path, ckpt = _save_and_load(tmp_path, toy_model, config_hash="h")
+    first = next(iter(ckpt.params))
+    # magic, version, hash length, hash, entry count, name length, name, rank
+    offset = 4 + 4 + 4 + 1 + 4 + 4 + len(first.encode()) + 4
+    blob = bytearray(open(path, "rb").read())
+    blob[offset:offset + 8] = dim.to_bytes(8, "little")
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(ValueError, match=f"entry '{first}'"):
+        load_checkpoint(path)

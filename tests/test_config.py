@@ -12,6 +12,9 @@ from contextvit.config import (
     parse_config_file,
     parse_config_text,
 )
+from contextvit.data import SyntheticShiftSpec
+from contextvit.train import TrainConfig
+from contextvit.vit import ViTConfig
 
 
 def test_defaults_are_consistent():
@@ -128,3 +131,11 @@ def test_conversions_carry_values_through():
     assert cfg.train_config().epochs == 4
     assert cfg.train_config().context_kind == "mean"
     assert cfg.kind().name == "mean"
+
+
+@pytest.mark.parametrize("sub_config", [ViTConfig, SyntheticShiftSpec, TrainConfig])
+def test_sub_config_fields_are_run_config_fields_with_same_defaults(sub_config):
+    run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for f in dataclasses.fields(sub_config):
+        assert f.name in run_defaults, f.name
+        assert run_defaults[f.name] == f.default, f.name

@@ -64,27 +64,32 @@ def test_partition_disjoint_cover_property():
 # ----------------------------------------------------------------- mean pool
 
 
+def _one_group(rows: int) -> list:
+    """Member list of a single group that owns all ``rows`` rows."""
+    return [np.arange(rows)]
+
+
 def test_mean_two_single_patch_members():
     embeds = constant(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))  # [2, 1, 2]
-    assert np.array_equal(infer_context_mean(embeds).data, [2.0, 3.0])
+    assert np.array_equal(infer_context_mean(embeds, _one_group(2)).data[0], [2.0, 3.0])
 
 
 def test_mean_single_member_is_own_patch_mean():
     member = generator(1).normal(size=(1, 5, 3))
-    out = infer_context_mean(constant(member))
-    assert np.allclose(out.data, member[0].mean(axis=0))
+    out = infer_context_mean(constant(member), _one_group(1))
+    assert np.allclose(out.data[0], member[0].mean(axis=0))
 
 
 def test_mean_permutation_invariant():
     embeds = generator(2).normal(size=(4, 6, 3))
-    base = infer_context_mean(constant(embeds)).data
+    base = infer_context_mean(constant(embeds), _one_group(4)).data[0]
     scrambled = embeds[np.random.default_rng(3).permutation(4)][:, np.random.default_rng(4).permutation(6)]
-    assert np.allclose(infer_context_mean(constant(scrambled)).data, base, atol=1e-12)
+    assert np.allclose(infer_context_mean(constant(scrambled), _one_group(4)).data[0], base, atol=1e-12)
 
 
 def test_mean_empty_member_set_rejected():
     with pytest.raises(ValueError):
-        infer_context_mean(constant(np.zeros((0, 4, 3))))
+        infer_context_mean(constant(np.zeros((0, 4, 3))), _one_group(0))
 
 
 # ---------------------------------------------------------------- linear head
@@ -190,12 +195,10 @@ def _deep_sets_params(config, seed=0):
 
 def test_deep_sets_permutation_invariant(toy_config):
     params = _deep_sets_params(toy_config)
-    embeds = generator(5).normal(size=(3, 4, toy_config.dim))
-    with Tape():
-        base = deep_sets_infer(constant(embeds), params, detach=False).data.copy()
-    perm = embeds.reshape(12, toy_config.dim)[np.random.default_rng(6).permutation(12)]
-    with Tape():
-        scrambled = deep_sets_infer(constant(perm), params, detach=False).data
+    rows = generator(5).normal(size=(3, 4, toy_config.dim)).reshape(12, toy_config.dim)
+    base = deep_sets_infer(constant(rows), params, False, _one_group(12)).data[0]
+    perm = rows[np.random.default_rng(6).permutation(12)]
+    scrambled = deep_sets_infer(constant(perm), params, False, _one_group(12)).data[0]
     assert np.allclose(scrambled, base, atol=1e-12)
 
 
@@ -203,10 +206,9 @@ def test_deep_sets_zero_networks_give_zero_token(toy_config):
     params = _deep_sets_params(toy_config)
     for name, p in params.items():
         p.data = np.zeros_like(p.data)  # phi becomes identity (residuals), rho becomes 0
-    embeds = generator(7).normal(size=(2, 3, toy_config.dim))
-    with Tape():
-        out = deep_sets_infer(constant(embeds), params, detach=False)
-    assert np.array_equal(out.data, np.zeros(toy_config.dim))
+    rows = generator(7).normal(size=(6, toy_config.dim))
+    out = deep_sets_infer(constant(rows), params, False, _one_group(6))
+    assert np.array_equal(out.data, np.zeros((1, toy_config.dim)))
 
 
 def test_deep_sets_duplicating_patches_doubles_sum(toy_config):
@@ -216,10 +218,8 @@ def test_deep_sets_duplicating_patches_doubles_sum(toy_config):
         p.data = np.zeros_like(p.data)
     params["ctx_rho.w3"].data = np.eye(d)  # phi identity, rho linear-identity
     embeds = generator(8).normal(size=(6, d))
-    with Tape():
-        once = deep_sets_infer(constant(embeds), params, detach=False).data.copy()
-    with Tape():
-        twice = deep_sets_infer(constant(np.concatenate([embeds, embeds])), params, detach=False).data
+    once = deep_sets_infer(constant(embeds), params, False, _one_group(6)).data
+    twice = deep_sets_infer(constant(np.concatenate([embeds, embeds])), params, False, _one_group(12)).data
     assert np.allclose(twice, 2.0 * once, atol=1e-12)
 
 
@@ -229,19 +229,19 @@ def test_deep_sets_detach_blocks_inputs(toy_config):
     # gradient legitimately zero too; nudge everything off that point
     for p in params.values():
         p.data = p.data + generator(19).normal(size=p.data.shape) * 0.1
-    src = tensor(generator(9).normal(size=(2, 3, toy_config.dim)), requires_grad=True)
+    src = tensor(generator(9).normal(size=(6, toy_config.dim)), requires_grad=True)
     with Tape() as tape:
-        backward(T.sum_axis(deep_sets_infer(src, params, detach=True)), tape)
+        backward(T.sum_axis(deep_sets_infer(src, params, True, _one_group(6))), tape)
     assert np.array_equal(src.grad, np.zeros_like(src.data))
     with Tape() as tape:
-        backward(T.sum_axis(deep_sets_infer(src, params, detach=False)), tape)
+        backward(T.sum_axis(deep_sets_infer(src, params, False, _one_group(6))), tape)
     assert np.abs(src.grad).max() > 0
 
 
 def test_deep_sets_empty_set_rejected(toy_config):
     params = _deep_sets_params(toy_config)
     with pytest.raises(ValueError):
-        deep_sets_infer(constant(np.zeros((0, toy_config.dim))), params, detach=False)
+        deep_sets_infer(constant(np.zeros((0, toy_config.dim))), params, False, _one_group(0))
 
 
 # ------------------------------------------------------------ patch sampling
@@ -596,3 +596,6 @@ def test_grouped_batch_partition_auto_property(small_data):
     batch = make_batch(small_data.train, [0, 5, 1])
     flat = sorted(i for idxs in batch.partition.values() for i in idxs)
     assert flat == [0, 1, 2]
+    # the partition is always derived from ``groups``; it cannot be passed in
+    with pytest.raises(TypeError):
+        GroupedBatch(batch.images, batch.labels, batch.groups, partition={0: [0, 1, 2]})

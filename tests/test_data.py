@@ -1,6 +1,8 @@
 """Synthetic grouped-shift benchmark: determinism, shift structure, sampler
 contracts, and the binary dataset format."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,51 @@ def test_dataset_file_rejects_corruption(tmp_path):
     padded.write_bytes(bytes(raw) + b"\x00" * 8)
     with pytest.raises(ValueError):
         load_dataset(str(padded))
+
+
+def _saved_dataset(tmp_path):
+    data = generate_dataset(_spec(images_per_group=8), seed=11)
+    path = str(tmp_path / "set.cvds")
+    save_dataset(data, path)
+    return path, open(path, "rb").read()
+
+
+def _header_end(raw: bytes) -> int:
+    return 12 + int.from_bytes(raw[8:12], "little")
+
+
+@pytest.mark.parametrize(
+    "cut, named",
+    [
+        (lambda raw: 6, "version"),
+        (lambda raw: 10, "header length"),
+        (lambda raw: 20, "header"),
+        (lambda raw: _header_end(raw) + 100, "split 'train' images"),
+        (lambda raw: len(raw) - 8, "split 'ood_test' groups"),
+    ],
+)
+def test_truncated_dataset_names_the_missing_part(tmp_path, cut, named):
+    path, raw = _saved_dataset(tmp_path)
+    open(path, "wb").write(raw[: cut(raw)])
+    with pytest.raises(ValueError, match=named):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("size", [10**12, -1])
+def test_corrupt_split_size_names_the_split(tmp_path, size):
+    path, raw = _saved_dataset(tmp_path)
+    header = json.loads(raw[12:_header_end(raw)])
+    header["splits"]["val"] = size
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    open(path, "wb").write(raw[:8] + len(text).to_bytes(4, "little") + text + raw[_header_end(raw):])
+    with pytest.raises(ValueError, match="split 'val' images"):
+        load_dataset(path)
+
+
+def test_corrupt_header_is_a_named_value_error(tmp_path):
+    path, raw = _saved_dataset(tmp_path)
+    broken = bytearray(raw)
+    broken[12] = ord("]")  # the JSON header no longer parses
+    open(path, "wb").write(bytes(broken))
+    with pytest.raises(ValueError, match="corrupt dataset header"):
+        load_dataset(path)

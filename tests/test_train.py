@@ -17,7 +17,6 @@ from contextvit.train import (
     TrainConfig,
     adamw_step,
     batch_cross_entropy,
-    cross_entropy,
     fine_tune,
     is_decay_exempt,
     linear_probe,
@@ -35,32 +34,32 @@ from conftest import make_batch
 
 def test_uniform_logits_loss_is_log_k():
     for k in (2, 5, 8):
-        loss = cross_entropy(constant(np.zeros(k)), 0)
+        loss = batch_cross_entropy(constant(np.zeros((1, k))), [0])
         assert loss.data == pytest.approx(math.log(k), abs=1e-12)
 
 
 def test_confident_correct_loss_analytic():
     # -log softmax([10,-10])[0] = log(1 + e^-20)
-    loss = cross_entropy(constant([10.0, -10.0]), 0)
+    loss = batch_cross_entropy(constant([[10.0, -10.0]]), [0])
     assert loss.data == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-9)
     # the same closed form at margin 10 (a common spot-check value)
-    loss10 = cross_entropy(constant([10.0, 0.0]), 0)
+    loss10 = batch_cross_entropy(constant([[10.0, 0.0]]), [0])
     assert loss10.data == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-9)
     assert loss10.data == pytest.approx(4.5398e-5, rel=1e-3)
 
 
 def test_cross_entropy_gradient_is_softmax_minus_onehot():
-    logits = tensor([0.3, -1.2, 0.8], requires_grad=True)
+    logits = tensor([[0.3, -1.2, 0.8]], requires_grad=True)
     with Tape() as tape:
-        backward(cross_entropy(logits, 2), tape)
-    p = np.exp(logits.data) / np.exp(logits.data).sum()
+        backward(batch_cross_entropy(logits, [2]), tape)
+    p = np.exp(logits.data[0]) / np.exp(logits.data[0]).sum()
     expected = p - np.eye(3)[2]
-    assert np.allclose(logits.grad, expected, atol=1e-12)
+    assert np.allclose(logits.grad[0], expected, atol=1e-12)
 
 
 def test_label_out_of_range_rejected():
     with pytest.raises((IndexError, ValueError)):
-        cross_entropy(constant([0.0, 0.0]), 2)
+        batch_cross_entropy(constant([[0.0, 0.0]]), [2])
     with pytest.raises((IndexError, ValueError)):
         batch_cross_entropy(constant(np.zeros((2, 3))), [0, 3])
 
@@ -68,8 +67,8 @@ def test_label_out_of_range_rejected():
 def test_batch_cross_entropy_is_mean_of_rows():
     logits = constant(np.array([[2.0, -1.0], [0.5, 0.5]]))
     total = batch_cross_entropy(logits, [0, 1])
-    row0 = cross_entropy(constant([2.0, -1.0]), 0)
-    row1 = cross_entropy(constant([0.5, 0.5]), 1)
+    row0 = batch_cross_entropy(constant([[2.0, -1.0]]), [0])
+    row1 = batch_cross_entropy(constant([[0.5, 0.5]]), [1])
     assert total.data == pytest.approx((row0.data + row1.data) / 2, rel=1e-12)
 
 

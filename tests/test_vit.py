@@ -8,14 +8,15 @@ from contextvit import tensor as T
 from contextvit.gradcheck import finite_diff_check
 from contextvit.rng import generator
 from contextvit.tensor import Tape, backward, constant, tensor
-from contextvit.train import cross_entropy
+from contextvit.train import batch_cross_entropy
 from contextvit.vit import (
     ViTConfig,
+    _assemble,
     attention,
-    embed_and_assemble,
+    embed_patches,
     encode_tokens,
     init_backbone_params,
-    patchify,
+    patchify_batch,
     transformer_layer,
     vit_forward,
 )
@@ -25,20 +26,20 @@ from contextvit.vit import (
 
 
 def test_patch_count_96x96_patch8():
-    image = np.zeros((96, 96, 3))
-    assert patchify(image, 8).shape == (144, 8 * 8 * 3)
+    images = np.zeros((1, 96, 96, 3))
+    assert patchify_batch(images, 8).shape == (1, 144, 8 * 8 * 3)
 
 
 def test_single_patch_is_flattened_image():
     image = np.arange(2 * 2 * 3, dtype=float).reshape(2, 2, 3)
-    rows = patchify(image, 2)
+    rows = patchify_batch(image[None], 2)[0]
     assert rows.shape == (1, 12)
     assert np.array_equal(rows[0], image.reshape(-1))
 
 
 def test_patch_layout_row_major():
     image = np.arange(16, dtype=float).reshape(4, 4, 1)
-    rows = patchify(image, 2)
+    rows = patchify_batch(image[None], 2)[0]
     assert rows.shape == (4, 4)
     # top-left patch: pixels (0,0), (0,1), (1,0), (1,1)
     assert np.array_equal(rows[0], [0.0, 1.0, 4.0, 5.0])
@@ -48,7 +49,7 @@ def test_patch_layout_row_major():
 
 def test_non_divisible_rejected():
     with pytest.raises(ValueError):
-        patchify(np.zeros((5, 4, 1)), 2)
+        patchify_batch(np.zeros((1, 5, 4, 1)), 2)
 
 
 # ------------------------------------------------------------------- assembly
@@ -58,35 +59,38 @@ def _params(config, seed=0):
     return init_backbone_params(config, seed=seed)
 
 
+def _tokens(image, params, config):
+    """[1, N+1, d] sequence [CLS, p1+pos1, ..., pN+posN] of one image."""
+    patches = constant(patchify_batch(image[None], config.patch))
+    return _assemble(embed_patches(patches, params), params)
+
+
 def test_zero_projection_assembly(toy_config):
     params = _params(toy_config)
     params["patch_projection"].data[:] = 0.0
     image = generator(4).uniform(size=(16, 16, 3))
-    with Tape():
-        tokens = embed_and_assemble(patchify(image, toy_config.patch), params)
+    tokens = _tokens(image, params, toy_config).data
     n = toy_config.num_patches
-    assert tokens.data.shape == (n + 1, toy_config.dim)
-    assert np.array_equal(tokens.data[0], params["cls_token"].data[0])
-    assert np.array_equal(tokens.data[1:], np.zeros((n, toy_config.dim)))
+    assert tokens.shape == (1, n + 1, toy_config.dim)
+    assert np.array_equal(tokens[0, 0], params["cls_token"].data[0])
+    assert np.array_equal(tokens[0, 1:], np.zeros((n, toy_config.dim)))
 
 
 def test_row_count_is_n_plus_one(toy_config):
     params = _params(toy_config)
     image = generator(5).uniform(size=(16, 16, 3))
-    with Tape():
-        tokens = embed_and_assemble(patchify(image, toy_config.patch), params)
-    assert tokens.data.shape[0] == toy_config.num_patches + 1
+    tokens = _tokens(image, params, toy_config)
+    assert tokens.data.shape[1] == toy_config.num_patches + 1
 
 
 def test_permuting_patches_and_pos_together_permutes_tokens(toy_config):
     params = _params(toy_config)
     params["pos_embed"].data[:] = generator(6).normal(size=params["pos_embed"].data.shape)
     image = generator(7).uniform(size=(16, 16, 3))
-    with Tape():
-        base = embed_and_assemble(patchify(image, toy_config.patch), params).data.copy()
+    base = _tokens(image, params, toy_config).data[0]
 
     perm = generator(8).permutation(toy_config.num_patches)
-    patches = patchify(image, toy_config.patch)
+    patches = patchify_batch(image[None], toy_config.patch)[0]
     proj = patches @ params["patch_projection"].data
     permuted_tokens = proj[perm] + params["pos_embed"].data[perm]
     assert np.allclose(base[1:][perm], permuted_tokens)
@@ -175,10 +179,9 @@ def test_encode_is_layer_composition(toy_config):
 def test_identical_images_identical_logits(toy_config):
     params = _params(toy_config, seed=7)
     image = generator(31).uniform(size=(16, 16, 3))
-    with Tape():
-        _, l1 = vit_forward(image, params, toy_config)
-    with Tape():
-        _, l2 = vit_forward(image, params, toy_config)
+    _, l1 = vit_forward(image[None], params, toy_config)
+    _, l2 = vit_forward(image[None], params, toy_config)
+    assert l1.data.shape == (1, toy_config.num_classes)
     assert np.array_equal(l1.data, l2.data)
 
 
@@ -186,9 +189,8 @@ def test_sequence_length_processed_is_n_plus_one(toy_config):
     params = _params(toy_config, seed=8)
     seen = []
     image = generator(32).uniform(size=(16, 16, 3))
-    with Tape():
-        tokens = embed_and_assemble(patchify(image, toy_config.patch), params)
-        encode_tokens(tokens, params, toy_config, layer_hook=lambda layer, x: seen.append(x.data.shape))
+    tokens = _tokens(image, params, toy_config)
+    encode_tokens(tokens, params, toy_config, layer_hook=lambda layer, x: seen.append(x.data.shape))
     assert all(s[-2] == toy_config.num_patches + 1 for s in seen)
     assert len(seen) == toy_config.depth
 
@@ -200,11 +202,11 @@ def test_end_to_end_gradient_oracle_4x4():
     g = generator(33)
     for p in params.values():
         p.data = p.data + g.normal(size=p.data.shape) * 0.05
-    image = generator(34).uniform(size=(4, 4, 1))
+    images = generator(34).uniform(size=(1, 4, 4, 1))
 
     def f():
-        _, logits = vit_forward(image, params, config)
-        return cross_entropy(logits, 1)
+        _, logits = vit_forward(images, params, config)
+        return batch_cross_entropy(logits, [1])
 
     err = finite_diff_check(f, params, step=1e-4, max_coords=6, seed=0)
     assert err < 1e-4
