@@ -84,6 +84,10 @@ class UnknownGroupError(KeyError):
     """Raised when a kind that memorizes groups meets an unregistered one."""
 
 
+# oracle ids are stored as float64, which holds every integer up to 2**53 exactly
+_MAX_ORACLE_ID = 2 ** 53
+
+
 @dataclass(frozen=True)
 class ContextKind:
     """Tagged choice of context mechanism.
@@ -204,6 +208,9 @@ def init_context_params(
     if kind.base == "oracle":
         if not group_ids:
             raise ValueError("oracle kind needs the training group ids at init time")
+        unstorable = sorted(int(g) for g in set(group_ids) if abs(int(g)) > _MAX_ORACLE_ID)
+        if unstorable:
+            raise ValueError(f"oracle group ids {unstorable} exceed 2**53 and cannot be stored exactly as float64")
         ids = np.asarray(sorted(int(g) for g in set(group_ids)), dtype=np.float64)
         params["oracle_groups"] = Tensor(ids, requires_grad=False)
         params["oracle_table"] = Tensor(np.zeros((ids.size, d)), requires_grad=True)
@@ -247,7 +254,7 @@ def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor, detach: bool = False
     """
     src = T.stop_gradient(pooled) if detach else pooled
     lead = src.shape[:-1]
-    out = T.matmul(T.reshape(src, lead + (1, src.shape[-1])), w) + b
+    out = T.linear(T.reshape(src, lead + (1, src.shape[-1])), w, b)
     return T.reshape(out, lead + (w.shape[1],))
 
 
@@ -256,8 +263,9 @@ def oracle_lookup(groups: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     ids = params["oracle_groups"].data
     rows = []
     for group in groups:
-        hits = np.nonzero(ids == float(int(group)))[0]
-        if hits.size == 0:
+        # beyond 2**53 float(group) rounds onto a neighbouring id
+        hits = np.nonzero(ids == float(int(group)))[0] if abs(int(group)) <= _MAX_ORACLE_ID else ()
+        if len(hits) == 0:
             raise UnknownGroupError(
                 f"unknown context: group {group} was never registered with the oracle table"
             )
@@ -281,9 +289,9 @@ def ema_update(state: dict[int, np.ndarray], group: int, batch_mean: np.ndarray,
 def _mlp_residual(x: Tensor, params: dict[str, Tensor], net: str, final_residual: bool) -> Tensor:
     """Two relu hidden layers with residual adds; final affine, residual optional."""
     p = lambda k: params[f"ctx_{net}.{k}"]
-    h = T.relu(T.matmul(x, p("w1")) + p("b1")) + x
-    h = T.relu(T.matmul(h, p("w2")) + p("b2")) + h
-    out = T.matmul(h, p("w3")) + p("b3")
+    h = T.relu(T.linear(x, p("w1"), p("b1"))) + x
+    h = T.relu(T.linear(h, p("w2"), p("b2"))) + h
+    out = T.linear(h, p("w3"), p("b3"))
     return out + h if final_residual else out
 
 
@@ -450,7 +458,7 @@ def contextvit_forward(
 
     encoded = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
     cls_out = encoded[:, 0]
-    logits = T.matmul(cls_out, backbone["head.w"]) + backbone["head.b"]
+    logits = T.linear(cls_out, backbone["head.w"], backbone["head.b"])
     return cls_out, logits
 
 

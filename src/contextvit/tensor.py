@@ -8,7 +8,12 @@ either way.  ``backward`` replays the tape in reverse and accumulates
 vector-Jacobian products; a grad-enabled loss that is not the output of
 a node on that tape (its forward ran outside the tape) is an error.  The
 accumulation order is the fixed reverse tape order, which makes
-gradients bitwise reproducible for a given forward pass.
+gradients bitwise reproducible for a given forward pass.  Only leaves
+(inputs no node on the tape produced) receive ``.grad``; an intermediate
+gradient is freed as soon as the vjp of the node that produced it has
+consumed it.  The vjps of ``add``, ``matmul``, ``linear`` and
+``attention_core``, the ops that meet constant inputs in training,
+compute nothing for inputs that need no gradient.
 
 ``stop_gradient`` is the one deliberately odd primitive: forward is the
 identity (it shares the input's storage) while the reverse pass sends
@@ -35,6 +40,8 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
+    "linear",
+    "attention_core",
     "transpose",
     "reshape",
     "broadcast_to",
@@ -44,7 +51,6 @@ __all__ = [
     "select_columns",
     "sum_axis",
     "mean_axis",
-    "softmax",
     "logsumexp",
     "layer_norm",
     "relu",
@@ -205,7 +211,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data + b.data
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+
+    def vjp(g):
+        return (
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None,
+        )
+
+    return _record(out, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -224,21 +237,74 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting on leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul requires tensors with at least 2 dimensions")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+
+
+def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
+    ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+    gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
+    return ga, gb
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with numpy batch broadcasting on leading axes."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    _check_matmul(a, b)
+    return _record(a.data @ b.data, (a, b), lambda g: _matmul_vjp(g, a, b))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map ``x @ w + b`` as one node; ``b`` broadcasts over the rows."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    _check_matmul(x, w)
+    out = x.data @ w.data
+    out += b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
-        return ga, gb
+        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        return (*_matmul_vjp(g, x, w), gb)
 
-    return _record(out, (a, b), vjp)
+    return _record(out, (x, w, b), vjp)
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale) @ v over the last axis, as one node.
+
+    [..., Sq, dh], [..., Sk, dh], [..., Sk, dv] -> [..., Sq, dv].  Only the
+    attention weights are kept for the reverse pass, which uses the
+    softmax identity dS = P * (dP - rowsum(dP * P)).
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if (q.data.ndim < 2 or not q.data.shape[:-2] == k.data.shape[:-2] == v.data.shape[:-2]
+            or q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]):
+        raise ValueError(f"attention_core shapes disagree: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
+    p = q.data @ k.data.swapaxes(-1, -2)
+    p *= scale
+    if not np.isfinite(p).all():
+        raise NonFiniteError("attention_core", p.shape, "score")
+    # softmax in place on the score buffer
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ v.data
+
+    def vjp(g):
+        gv = p.swapaxes(-1, -2) @ g if v.requires_grad else None
+        if not (q.requires_grad or k.requires_grad):
+            return None, None, gv
+        gs = g @ v.data.swapaxes(-1, -2)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale
+        gq = gs @ k.data if q.requires_grad else None
+        gk = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2) if k.requires_grad else None
+        return gq, gk, gv
+
+    return _record(out, (q, k, v), vjp)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -401,20 +467,6 @@ def mean_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(np.asarray(out, dtype=np.float64), (a,), vjp)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if not np.isfinite(a.data).all():
-        raise NonFiniteError("softmax", a.data.shape)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _record(out, (a,), vjp)
-
-
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     """Stable log(sum(exp(x))) over one axis; the softmax-free route to CE."""
     if not np.isfinite(a.data).all():
@@ -470,16 +522,36 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximate gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))."""
+    """Tanh-approximate gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+
+    Forward and vjp work in place on their own buffers, in the formula's
+    left-to-right operation order.
+    """
     x = a.data
     x2 = x * x  # x**3 spelled as repeated products: numpy's pow ufunc is ~60x slower
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
-    t = np.tanh(inner)
-    out = 0.5 * x * (1.0 + t)
+    t = x2 * 0.044715
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
 
     def vjp(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)), in two buffers
+        gx = t * t
+        np.subtract(1.0, gx, out=gx)
+        buf = 0.5 * x
+        gx *= buf
+        np.multiply(x2, 3.0 * 0.044715, out=buf)
+        buf += 1.0
+        buf *= _GELU_C
+        gx *= buf
+        np.add(t, 1.0, out=buf)
+        buf *= 0.5
+        gx += buf
+        gx *= g
+        return (gx,)
 
     return _record(out, (a,), vjp)
 
@@ -507,8 +579,13 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
-    """Accumulate d(loss)/d(tensor) into ``.grad`` for every grad-enabled
-    tensor touched by the tape; untouched-but-recorded tensors get zeros."""
+    """Set ``.grad`` = d(loss)/d(leaf) on every grad-enabled leaf of the tape.
+
+    A leaf is an input that no node on the tape produced; recorded leaves
+    the loss does not reach get zeros.  Intermediate tensors get no
+    ``.grad``: each node's output gradient is dropped as soon as its vjp
+    has read it, so a step holds only the gradients still to be consumed.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     if tape is None:  # not ``tape or ...``: an empty Tape is falsy
@@ -521,26 +598,28 @@ def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
             "run the forward pass inside `with Tape():`"
         )
 
+    # vjps may return views of their upstream gradient or of each other's
+    # results, so a stored gradient is never updated in place
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g_out = grads.get(id(node.output))
+        g_out = grads.pop(id(node.output), None)
         if g_out is None:
             continue
         contribs = node.vjp(g_out)
+        del g_out
         for inp, g in zip(node.inputs, contribs):
             if g is None or not inp.requires_grad:
                 continue
             key = id(inp)
-            if key in grads:
-                grads[key] += g
-            else:
-                grads[key] = np.array(g, dtype=np.float64, copy=True)
+            prev = grads.get(key)
+            grads[key] = g if prev is None else prev + g
 
-    seen: set[int] = set()
+    produced = {id(node.output) for node in tape.nodes}
     for node in tape.nodes:
-        for t in (*node.inputs, node.output):
-            if not t.requires_grad or id(t) in seen:
+        for t in node.inputs:
+            key = id(t)
+            if not t.requires_grad or key in produced:
                 continue
-            seen.add(id(t))
-            g = grads.get(id(t))
-            t.grad = g if g is not None else np.zeros_like(t.data)
+            produced.add(key)  # each leaf once
+            g = grads.pop(key, None)
+            t.grad = np.array(g, dtype=np.float64, copy=True) if g is not None else np.zeros_like(t.data)

@@ -147,26 +147,21 @@ def attention(x: Tensor, params: dict[str, Tensor], layer: int, heads: int) -> T
     dh = d // heads
     pre = f"layer{layer}.attn."
 
-    def split(name_w: str, name_b: Optional[str]) -> Tensor:
-        proj = T.matmul(x, params[pre + name_w])
-        if name_b is not None:
-            proj = proj + params[pre + name_b]
+    def split(proj: Tensor) -> Tensor:
         return T.transpose(T.reshape(proj, (b, s, heads, dh)), (0, 2, 1, 3))
 
-    q = split("wq", "bq")
-    k = split("wk", None)
-    v = split("wv", "bv")
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (dh ** -0.5)
-    weights = T.softmax(scores, axis=-1)
-    ctx = T.matmul(weights, v)  # [B, heads, S, dh]
+    q = split(T.linear(x, params[pre + "wq"], params[pre + "bq"]))
+    k = split(T.matmul(x, params[pre + "wk"]))
+    v = split(T.linear(x, params[pre + "wv"], params[pre + "bv"]))
+    ctx = T.attention_core(q, k, v, dh ** -0.5)  # [B, heads, S, dh]
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
-    return T.matmul(merged, params[pre + "wo"]) + params[pre + "bo"]
+    return T.linear(merged, params[pre + "wo"], params[pre + "bo"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], layer: int) -> Tensor:
     pre = f"layer{layer}.ffn."
-    h = T.gelu(T.matmul(x, params[pre + "w1"]) + params[pre + "b1"])
-    return T.matmul(h, params[pre + "w2"]) + params[pre + "b2"]
+    h = T.gelu(T.linear(x, params[pre + "w1"], params[pre + "b1"]))
+    return T.linear(h, params[pre + "w2"], params[pre + "b2"])
 
 
 def transformer_layer(x: Tensor, params: dict[str, Tensor], layer: int, config: ViTConfig) -> Tensor:
@@ -205,5 +200,5 @@ def vit_forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig
     tokens = _assemble(embed_patches(patches, params), params)
     encoded = encode_tokens(tokens, params, config)
     cls = encoded[:, 0]
-    logits = T.matmul(cls, params["head.w"]) + params["head.b"]
+    logits = T.linear(cls, params["head.w"], params["head.b"])
     return cls, logits

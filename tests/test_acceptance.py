@@ -288,6 +288,7 @@ def test_criterion_05_oracle_vs_amortized():
 # 6. directional benchmark: context ordering on the default data
 
 
+@pytest.mark.slow
 def test_criterion_06_ood_ordering(ablation_outcome):
     rows, elapsed, _ = ablation_outcome
     med = {row.kind: row.ood_accuracy for row in rows}
@@ -335,6 +336,7 @@ def test_criterion_07_layerwise_heads():
 # 8. trained context tokens cluster by group
 
 
+@pytest.mark.slow
 def test_criterion_08_context_token_structure(trained_context_model):
     model, data = trained_context_model
     tokens, groups = collect_context_tokens(model, data.train, batches_per_group=8,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from contextvit.checkpoint import load_checkpoint, restore_into, save_checkpoint
-from contextvit.context import ContextKind, ContextViT
+from contextvit.context import ContextViT
 from contextvit.train import AdamWState
-from contextvit.vit import ViTConfig
 
 
 def _save_and_load(tmp_path, model, name="m.cvck", **kw):

@@ -15,7 +15,6 @@ from contextvit.context import (
     GroupedBatch,
     UnknownGroupError,
     apply_linear_head,
-    contextvit_forward,
     deep_sets_infer,
     ema_update,
     group_partition,
@@ -25,9 +24,9 @@ from contextvit.context import (
     sample_context_patches,
 )
 from contextvit.rng import generator
-from contextvit.tensor import Tape, Tensor, backward, constant, tensor
+from contextvit.tensor import Tape, backward, constant, tensor
 from contextvit.train import batch_cross_entropy
-from contextvit.vit import ViTConfig, encode_tokens, patchify_batch, vit_forward
+from contextvit.vit import patchify_batch, vit_forward
 
 from conftest import make_batch
 
@@ -141,6 +140,24 @@ def test_oracle_lookup_unknown_group_errors(toy_config):
     with pytest.raises(UnknownGroupError):
         with Tape():
             oracle_lookup([0, 5], params)
+
+
+def test_oracle_ids_beyond_float64_precision_rejected(toy_config):
+    with pytest.raises(ValueError, match=str(2 ** 53 + 1)):
+        init_context_params(toy_config, ContextKind.from_name("oracle"), seed=0, group_ids=[0, 2 ** 53 + 1])
+    with pytest.raises(ValueError, match=str(-(2 ** 53) - 1)):
+        init_context_params(toy_config, ContextKind.from_name("oracle"), seed=0, group_ids=[-(2 ** 53) - 1])
+    # 2**53 itself is exact and registers
+    init_context_params(toy_config, ContextKind.from_name("oracle"), seed=0, group_ids=[2 ** 53])
+
+
+def test_oracle_lookup_of_unstorable_id_is_unknown(toy_config):
+    params = init_context_params(toy_config, ContextKind.from_name("oracle"), seed=0, group_ids=[0, 2 ** 53])
+    params["oracle_table"].data[1, :] = 7.0
+    assert np.array_equal(oracle_lookup([2 ** 53], params).data, np.full((1, toy_config.dim), 7.0))
+    # float(2**53 + 1) == 2**53: without the bound this returned group 2**53's token
+    with pytest.raises(UnknownGroupError):
+        oracle_lookup([2 ** 53 + 1], params)
 
 
 def test_oracle_entry_moves_against_gradient(toy_config):

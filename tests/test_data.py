@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from contextvit.data import (
-    DatasetSplit,
     SyntheticShiftSpec,
     class_templates,
     context_sampler,

@@ -21,8 +21,6 @@ from contextvit.tensor import constant
 from contextvit.train import TrainConfig, fine_tune
 from contextvit.vit import ViTConfig
 
-from conftest import make_batch
-
 
 class _FakeModel:
     """Duck-typed stand-in whose logits are a fixed function of the labels."""

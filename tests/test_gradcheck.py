@@ -5,7 +5,7 @@ import pytest
 
 from contextvit import tensor as T
 from contextvit.gradcheck import finite_diff_check, finite_diff_errors
-from contextvit.tensor import Tape, Tensor, backward, constant, stop_gradient, tensor
+from contextvit.tensor import Tape, backward, constant, stop_gradient, tensor
 
 
 def test_linear_function_is_nearly_exact():

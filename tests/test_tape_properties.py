@@ -1,0 +1,167 @@
+"""Property tests for gradient accumulation on the tape: ``_unbroadcast`` is
+the adjoint of broadcasting, fan-in through views sums to a dense reference,
+only leaves carry ``.grad``, and the fused ops are bitwise the unfused ones."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contextvit import tensor as T
+from contextvit.tensor import Tape, backward, constant, tensor
+
+SEEDS = st.integers(0, 2**16)
+
+
+def _weighted_sum(out, coeff):
+    return T.sum_axis(T.mul(out, constant(coeff)))
+
+
+@st.composite
+def broadcast_pairs(draw):
+    """(shape, full): ``shape`` broadcasts to ``full`` by numpy's rules."""
+    full = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    kept = draw(st.integers(0, len(full)))
+    shape = [1 if draw(st.booleans()) else s for s in full[len(full) - kept:]]
+    return tuple(shape), tuple(full)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=broadcast_pairs(), seed=SEEDS)
+def test_unbroadcast_is_adjoint_of_broadcasting(pair, seed):
+    shape, full = pair
+    rng = np.random.default_rng(seed)
+    x, g = rng.standard_normal(shape), rng.standard_normal(full)
+    reduced = T._unbroadcast(g, shape)
+    assert reduced.shape == shape
+    lhs = float(np.sum(g * np.broadcast_to(x, full)))
+    rhs = float(np.sum(reduced * x))
+    assert np.isclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 4), picks=st.integers(1, 12), seed=SEEDS)
+def test_index_rows_with_duplicates_matches_dense_reference(rows, cols, picks, seed):
+    rng = np.random.default_rng(seed)
+    a = tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    idx = rng.integers(0, rows, size=picks)
+    c = rng.standard_normal((picks, cols))
+    with Tape() as tape:
+        backward(_weighted_sum(T.index_rows(a, idx), c), tape)
+    want = np.zeros((rows, cols))
+    for i, r in enumerate(idx):
+        want[r] += c[i]
+    assert np.allclose(a.grad, want, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 4), axis=st.integers(0, 1), seed=SEEDS)
+def test_concat_of_one_tensor_twice_sums_both_slices(rows, cols, axis, seed):
+    rng = np.random.default_rng(seed)
+    a = tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    c = rng.standard_normal((2 * rows, cols) if axis == 0 else (rows, 2 * cols))
+    with Tape() as tape:
+        backward(_weighted_sum(T.concat([a, a], axis=axis), c), tape)
+    first, second = np.split(c, 2, axis=axis)
+    assert np.array_equal(a.grad, first + second)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.integers(1, 5), cols=st.integers(1, 4), seed=SEEDS)
+def test_fan_in_through_views_and_add_matches_dense_reference(rows, cols, seed):
+    """x is read through a reshape view and through ``add(x, x^T^T)``.  The
+    add's vjp hands one array to both inputs, and the transpose's vjp passes
+    a view of it on; the reshape's contribution reaches x while that view is
+    still pending, so accumulating into the array in place would corrupt it."""
+    rng = np.random.default_rng(seed)
+    x = tensor(rng.standard_normal((rows, cols)), requires_grad=True)
+    c_r = rng.standard_normal(rows * cols)
+    c_a = rng.standard_normal((rows, cols))
+    with Tape() as tape:
+        t = T.transpose(x, (1, 0))
+        r = T.reshape(x, (rows * cols,))
+        z = T.add(x, T.transpose(t, (1, 0)))
+        backward(T.add(_weighted_sum(r, c_r), _weighted_sum(z, c_a)), tape)
+    want = c_r.reshape(rows, cols) + 2.0 * c_a
+    assert np.allclose(x.grad, want, rtol=1e-12, atol=1e-15)
+
+
+_UNARY = {
+    "gelu": T.gelu,
+    "relu": T.relu,
+    "transpose": lambda h: T.transpose(h, (1, 0)),
+    "double": lambda h: T.add(h, h),
+    "scale": lambda h: T.mul(h, constant(0.5)),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=st.lists(st.sampled_from(sorted(_UNARY)), max_size=6), seed=SEEDS)
+def test_only_leaves_carry_grad(ops, seed):
+    rng = np.random.default_rng(seed)
+    x = tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    b = tensor(rng.standard_normal(4), requires_grad=True)
+    unused = tensor(rng.standard_normal(2), requires_grad=True)
+    with Tape() as tape:
+        T.mul(unused, unused)  # recorded, but the loss never reads it
+        h = T.linear(x, w, b)
+        for name in ops:
+            h = _UNARY[name](h)
+        backward(T.sum_axis(h), tape)
+    outputs = [node.output for node in tape.nodes]
+    assert all(t.grad is None for t in outputs)
+    for leaf in (x, w, b, unused):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+    assert np.array_equal(unused.grad, np.zeros(2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 5), k=st.integers(1, 5),
+       n=st.integers(1, 5), seed=SEEDS)
+def test_linear_is_bitwise_matmul_plus_bias(lead, m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    values = (rng.standard_normal((*lead, m, k)), rng.standard_normal((k, n)), rng.standard_normal(n))
+    c = rng.standard_normal((*lead, m, n))
+    results = []
+    for fused in (True, False):
+        x, w, b = (tensor(v, requires_grad=True) for v in values)
+        with Tape() as tape:
+            out = T.linear(x, w, b) if fused else T.add(T.matmul(x, w), b)
+            backward(_weighted_sum(out, c), tape)
+        results.append([out.data, x.grad, w.grad, b.grad])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+def _unfused_attention(q, k, v, scale, g):
+    """The op sequence the attention core replaced: matmul, scale, softmax,
+    matmul, and the reverse of each; returns (out, gq, gk, gv)."""
+    scores = q @ np.transpose(k, (0, 2, 1)) * np.asarray(scale)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = p @ v
+    gp = g @ v.swapaxes(-1, -2)
+    gv = p.swapaxes(-1, -2) @ g
+    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gs = gs * np.asarray(scale)
+    gq = gs @ np.transpose(k, (0, 2, 1)).swapaxes(-1, -2)
+    gk = np.transpose(q.swapaxes(-1, -2) @ gs, (0, 2, 1))
+    return out, gq, gk, gv
+
+
+@settings(max_examples=50, deadline=None)
+@given(b=st.integers(1, 3), sq=st.integers(1, 6), sk=st.integers(1, 6), dh=st.integers(1, 4),
+       dv=st.integers(1, 4), scale=st.floats(0.1, 2.0), seed=SEEDS)
+def test_attention_core_is_bitwise_the_unfused_composition(b, sq, sk, dh, dv, scale, seed):
+    rng = np.random.default_rng(seed)
+    q = tensor(rng.standard_normal((b, sq, dh)), requires_grad=True)
+    k = tensor(rng.standard_normal((b, sk, dh)), requires_grad=True)
+    v = tensor(rng.standard_normal((b, sk, dv)), requires_grad=True)
+    c = rng.standard_normal((b, sq, dv))
+    with Tape() as tape:
+        out = T.attention_core(q, k, v, scale)
+        backward(_weighted_sum(out, c), tape)
+    want = _unfused_attention(q.data, k.data, v.data, scale, c)
+    for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert got.tobytes() == ref.tobytes()

@@ -7,9 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from contextvit import tensor as T
-from contextvit.context import CONTEXT_KIND_NAMES, ContextKind, ContextViT, GroupedBatch
-from contextvit.data import DatasetSplit, SyntheticShiftSpec, generate_dataset
+from contextvit.context import CONTEXT_KIND_NAMES, ContextKind, ContextViT
+from contextvit.data import SyntheticShiftSpec, generate_dataset
 from contextvit.tensor import Tape, Tensor, backward, constant, tensor
 from contextvit.train import (
     AdamWState,

@@ -7,7 +7,7 @@ import pytest
 from contextvit import tensor as T
 from contextvit.gradcheck import finite_diff_check
 from contextvit.rng import generator
-from contextvit.tensor import Tape, backward, constant, tensor
+from contextvit.tensor import Tape, constant
 from contextvit.train import batch_cross_entropy
 from contextvit.vit import (
     ViTConfig,
