@@ -2,9 +2,9 @@
 
 Layout (all integers little-endian):
   magic "CVCK" | u32 version | u32 hash_len | config-hash utf8
-  | u32 n_params | entries | u8 has_optimizer
-  [ | u64 adam_step | u32 n | m entries | u32 n | v entries ]
-  | u32 n_state | state entries (ema values keyed "ema.<group>")
+  | u32 n_params | entries | u8 optimizer flag, always 0 (any other
+  value is rejected) | u32 n_state | state entries (ema values keyed
+  "ema.<group>")
 
 Entry: u32 name_len | name utf8 | u32 ndim | u64 dims... | f8 payload.
 Entries are written in insertion order of the source dicts, so loading
@@ -51,10 +51,6 @@ def _read_u32(f, what: str) -> int:
     return int(np.frombuffer(_read_exact(f, 4, what), dtype="<u4")[0])
 
 
-def _read_u64(f, what: str) -> int:
-    return int(np.frombuffer(_read_exact(f, 8, what), dtype="<u8")[0])
-
-
 def _write_entry(f, name: str, array: np.ndarray) -> None:
     raw = name.encode("utf-8")
     _write_u32(f, len(raw))
@@ -78,9 +74,6 @@ def _read_entry(f) -> tuple[str, np.ndarray]:
 class CheckpointData:
     config_hash: str
     params: dict[str, np.ndarray]
-    optimizer_step: Optional[int] = None
-    optimizer_m: dict[str, np.ndarray] = field(default_factory=dict)
-    optimizer_v: dict[str, np.ndarray] = field(default_factory=dict)
     state: dict[str, np.ndarray] = field(default_factory=dict)
 
     def ema_state(self) -> dict[int, np.ndarray]:
@@ -95,11 +88,10 @@ def save_checkpoint(
     path: str,
     params: dict[str, Tensor],
     config_hash: str = "",
-    optimizer=None,
     ema_state: Optional[dict[int, np.ndarray]] = None,
 ) -> None:
-    """``params`` maps names to Tensors (or arrays); ``optimizer`` is an
-    AdamWState-shaped object with .m/.v/.step or None."""
+    """``params`` maps names to Tensors (or arrays); ``ema_state`` maps group
+    ids to the ema kind's running means."""
     with open(path, "wb") as f:
         f.write(_MAGIC)
         _write_u32(f, _VERSION)
@@ -109,17 +101,7 @@ def save_checkpoint(
         _write_u32(f, len(params))
         for name, p in params.items():
             _write_entry(f, name, p.data if isinstance(p, Tensor) else p)
-        if optimizer is not None:
-            f.write(b"\x01")
-            _write_u64(f, optimizer.step)
-            _write_u32(f, len(optimizer.m))
-            for name, arr in optimizer.m.items():
-                _write_entry(f, name, arr)
-            _write_u32(f, len(optimizer.v))
-            for name, arr in optimizer.v.items():
-                _write_entry(f, name, arr)
-        else:
-            f.write(b"\x00")
+        f.write(b"\x00")  # optimizer flag
         state = {f"ema.{gid}": value for gid, value in (ema_state or {}).items()}
         _write_u32(f, len(state))
         for name, value in state.items():
@@ -140,18 +122,12 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise ValueError(f"checkpoint format version {version} unsupported (expected {_VERSION})")
         config_hash = _read_exact(f, _read_u32(f, "config hash length"), "config hash").decode("utf-8")
         params = dict(_read_entry(f) for _ in range(_read_u32(f, "parameter count")))
-        out = CheckpointData(config_hash=config_hash, params=params)
-        has_optimizer = _read_exact(f, 1, "optimizer flag")
-        if has_optimizer == b"\x01":
-            out.optimizer_step = _read_u64(f, "optimizer step")
-            out.optimizer_m = dict(_read_entry(f) for _ in range(_read_u32(f, "optimizer m count")))
-            out.optimizer_v = dict(_read_entry(f) for _ in range(_read_u32(f, "optimizer v count")))
-        elif has_optimizer != b"\x00":
+        if _read_exact(f, 1, "optimizer flag") != b"\x00":
             raise ValueError("corrupt checkpoint: bad optimizer flag byte")
-        out.state = dict(_read_entry(f) for _ in range(_read_u32(f, "state count")))
+        state = dict(_read_entry(f) for _ in range(_read_u32(f, "state count")))
         if f.read(1):
             raise ValueError("trailing bytes after checkpoint payload; file corrupt")
-    return out
+    return CheckpointData(config_hash=config_hash, params=params, state=state)
 
 
 def restore_into(model_params: dict[str, Tensor], ckpt: CheckpointData) -> None:

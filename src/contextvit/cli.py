@@ -23,12 +23,10 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
 from .checkpoint import CheckpointData, load_checkpoint, restore_into, save_checkpoint
 from .config import RunConfig, apply_overrides, config_hash, config_to_text, parse_config_file
-from .context import ContextViT
-from .data import DatasetSplit, Subset, generate_dataset, load_dataset, save_dataset
+from .context import ContextViT, GroupedBatch
+from .data import DatasetSplit, generate_dataset, load_dataset, save_dataset
 from .evaluation import (
     batch_size_sweep,
     collect_context_tokens,
@@ -80,7 +78,7 @@ def _build_model(cfg: RunConfig, data: Optional[DatasetSplit]) -> ContextViT:
     if kind.base == "oracle":
         if data is None:
             raise ValueError("oracle kind needs a dataset to enumerate training groups")
-        group_ids = sorted(int(g) for g in np.unique(data.train.groups))
+        group_ids = sorted(data.train.partition)
     return ContextViT.create(cfg.vit_config(), kind, seed=cfg.seed, group_ids=group_ids)
 
 
@@ -104,6 +102,13 @@ def _require_checkpoint(cfg: RunConfig) -> CheckpointData:
     return load_checkpoint(cfg.checkpoint_path)
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _report_dict(report) -> dict:
     return {
         "ood_gap": report.ood_gap,
@@ -125,7 +130,7 @@ def _cmd_generate_data(cfg: RunConfig, run_dir: str) -> int:
     print(f"dataset: {path}")
     print(f"manifest: {manifest}")
     for name, sub in data.splits().items():
-        print(f"  {name}: {sub.size} images, groups {sorted(set(int(g) for g in sub.groups))}")
+        print(f"  {name}: {sub.size} images, groups {sorted(sub.partition)}")
     return 0
 
 
@@ -182,13 +187,11 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
         eval_batch_size=cfg.eval_batch_size,
     )
     table_path = os.path.join(run_dir, "ablation.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["kind", "ood_accuracy", "id_accuracy", "seconds", "error"])
-        for row in rows:
-            writer.writerow(
-                [row.kind, repr(row.ood_accuracy), repr(row.id_accuracy), f"{row.seconds:.2f}", row.error or ""]
-            )
+    _write_csv(
+        table_path,
+        ["kind", "ood_accuracy", "id_accuracy", "seconds", "error"],
+        ([r.kind, repr(r.ood_accuracy), repr(r.id_accuracy), f"{r.seconds:.2f}", r.error or ""] for r in rows),
+    )
     write_summary_json(
         {
             "command": "ablate",
@@ -229,11 +232,8 @@ def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
     model = _model_from_checkpoint(cfg, ckpt)
     accuracies = batch_size_sweep(model, data.ood_test, cfg.size_list())
     sweep_path = os.path.join(run_dir, "sweep.csv")
-    with open(sweep_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["eval_batch_size", "ood_accuracy"])
-        for size in sorted(accuracies):
-            writer.writerow([size, repr(accuracies[size])])
+    _write_csv(sweep_path, ["eval_batch_size", "ood_accuracy"],
+               ([size, repr(accuracies[size])] for size in sorted(accuracies)))
     write_summary_json(
         {
             "command": "sweep",
@@ -255,11 +255,7 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
     data = _load_or_generate(cfg)
     model = _model_from_checkpoint(cfg, ckpt)
     if cfg.analysis_split == "all":
-        subset = Subset(
-            np.concatenate([data.id_test.images, data.ood_test.images]),
-            np.concatenate([data.id_test.labels, data.ood_test.labels]),
-            np.concatenate([data.id_test.groups, data.ood_test.groups]),
-        )
+        subset = GroupedBatch.concat([data.id_test, data.ood_test])
     elif cfg.analysis_split in ("train", "val", "id_test", "ood_test"):
         subset = data.splits()[cfg.analysis_split]
     else:
@@ -276,17 +272,11 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
     pca = pca_project(tokens, k=2)
 
     tokens_path = os.path.join(run_dir, "context_tokens.csv")
-    with open(tokens_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["group"] + [f"dim{i}" for i in range(tokens.shape[1])])
-        for gid, row in zip(gids, tokens):
-            writer.writerow([gid] + [repr(v) for v in row])
+    _write_csv(tokens_path, ["group"] + [f"dim{i}" for i in range(tokens.shape[1])],
+               ([gid] + [repr(v) for v in row] for gid, row in zip(gids, tokens)))
     pca_path = os.path.join(run_dir, "context_pca.csv")
-    with open(pca_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["group", "pc1", "pc2"])
-        for gid, row in zip(gids, pca.projections):
-            writer.writerow([gid, repr(row[0]), repr(row[1])])
+    _write_csv(pca_path, ["group", "pc1", "pc2"],
+               ([gid, repr(row[0]), repr(row[1])] for gid, row in zip(gids, pca.projections)))
     write_summary_json(
         {
             "command": "export-context",

@@ -150,9 +150,10 @@ class ContextKind:
 
 @dataclass
 class GroupedBatch:
-    """One batch with group ids; the partition, derived from ``groups``, maps
-    each group to the member indices in input order, groups keyed by first
-    occurrence."""
+    """Images with their labels and group ids, index-aligned: a model batch
+    and equally a whole dataset split.  The partition, derived from
+    ``groups``, maps each group to the member indices in input order, groups
+    keyed by first occurrence."""
 
     images: np.ndarray  # [B, H, W, C]
     labels: np.ndarray  # [B] int
@@ -173,6 +174,20 @@ class GroupedBatch:
     @property
     def size(self) -> int:
         return int(self.images.shape[0])
+
+    def take(self, idx) -> "GroupedBatch":
+        """The records at integer positions ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        return GroupedBatch(self.images[idx], self.labels[idx], self.groups[idx])
+
+    @classmethod
+    def concat(cls, parts: Sequence["GroupedBatch"]) -> "GroupedBatch":
+        """``parts`` joined end to end."""
+        return cls(
+            np.concatenate([p.images for p in parts]),
+            np.concatenate([p.labels for p in parts]),
+            np.concatenate([p.groups for p in parts]),
+        )
 
     @property
     def slots(self) -> np.ndarray:

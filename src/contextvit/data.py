@@ -11,6 +11,10 @@ All draws are keyed by (seed, purpose, index) so generation is
 deterministic and shardable; per-image texture is keyed by the index
 within the group, which makes same-class images identical across groups
 once every group-level knob is switched off.
+
+A split is a ``context.GroupedBatch``, the same record a model batch is:
+samplers yield index arrays over a split, and ``make_batches`` takes each
+batch out of it with ``GroupedBatch.take``.
 """
 
 from __future__ import annotations
@@ -22,13 +26,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .checkpoint import _read_exact
-from .context import GroupedBatch, group_partition
+from .checkpoint import _read_exact, _read_u32, _write_u32
+from .context import GroupedBatch
 from .rng import child_seed, generator
 
 __all__ = [
     "SyntheticShiftSpec",
-    "Subset",
     "DatasetSplit",
     "class_templates",
     "generate_dataset",
@@ -88,37 +91,15 @@ class SyntheticShiftSpec:
 
 
 @dataclass
-class Subset:
-    """One split's arrays, index-aligned."""
-
-    images: np.ndarray  # [n, H, W, C] float64
-    labels: np.ndarray  # [n] int64
-    groups: np.ndarray  # [n] int64
-
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.groups = np.asarray(self.groups, dtype=np.int64)
-
-    @property
-    def size(self) -> int:
-        return int(self.images.shape[0])
-
-    def take(self, idx) -> "Subset":
-        idx = np.asarray(idx, dtype=np.int64)
-        return Subset(self.images[idx], self.labels[idx], self.groups[idx])
-
-
-@dataclass
 class DatasetSplit:
-    train: Subset
-    val: Subset
-    id_test: Subset
-    ood_test: Subset
+    train: GroupedBatch
+    val: GroupedBatch
+    id_test: GroupedBatch
+    ood_test: GroupedBatch
     spec: SyntheticShiftSpec
     seed: int
 
-    def splits(self) -> dict[str, Subset]:
+    def splits(self) -> dict[str, GroupedBatch]:
         return {"train": self.train, "val": self.val, "id_test": self.id_test, "ood_test": self.ood_test}
 
 
@@ -169,7 +150,7 @@ def _group_shift(spec: SyntheticShiftSpec, seed: int, group: int) -> tuple[np.nd
     return bias, float(contrast)
 
 
-def _generate_group(spec: SyntheticShiftSpec, seed: int, group: int, templates: np.ndarray) -> Subset:
+def _generate_group(spec: SyntheticShiftSpec, seed: int, group: int, templates: np.ndarray) -> GroupedBatch:
     n = spec.images_per_group
     h, w, c = spec.image_h, spec.image_w, spec.channels
     labels = np.arange(n) % spec.num_classes
@@ -190,7 +171,7 @@ def _generate_group(spec: SyntheticShiftSpec, seed: int, group: int, templates: 
             + spec.noise_std * noise
         )
         images[i] = np.clip(img, 0.0, 1.0)
-    return Subset(images, labels, np.full(n, group, dtype=np.int64))
+    return GroupedBatch(images, labels, np.full(n, group, dtype=np.int64))
 
 
 def generate_dataset(spec: SyntheticShiftSpec, seed: int) -> DatasetSplit:
@@ -207,25 +188,17 @@ def generate_dataset(spec: SyntheticShiftSpec, seed: int) -> DatasetSplit:
         val_parts.append(sub.take(order[n_train:n_train + n_val]))
         test_parts.append(sub.take(order[n_train + n_val:]))
     ood_parts = [_generate_group(spec, seed, g, templates) for g in spec.ood_group_ids]
-
-    def merge(parts: list[Subset]) -> Subset:
-        return Subset(
-            np.concatenate([p.images for p in parts]),
-            np.concatenate([p.labels for p in parts]),
-            np.concatenate([p.groups for p in parts]),
-        )
-
     return DatasetSplit(
-        train=merge(train_parts),
-        val=merge(val_parts),
-        id_test=merge(test_parts),
-        ood_test=merge(ood_parts),
+        train=GroupedBatch.concat(train_parts),
+        val=GroupedBatch.concat(val_parts),
+        id_test=GroupedBatch.concat(test_parts),
+        ood_test=GroupedBatch.concat(ood_parts),
         spec=spec,
         seed=seed,
     )
 
 
-def uniform_sampler(subset: Subset, batch_size: int, seed: int) -> Iterator[np.ndarray]:
+def uniform_sampler(subset: GroupedBatch, batch_size: int, seed: int) -> Iterator[np.ndarray]:
     """Seeded shuffle of all indices, chunked; the short final batch is kept."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -234,18 +207,17 @@ def uniform_sampler(subset: Subset, batch_size: int, seed: int) -> Iterator[np.n
         yield order[start:start + batch_size]
 
 
-def context_sampler(subset: Subset, batch_size: int, seed: int) -> Iterator[np.ndarray]:
+def context_sampler(subset: GroupedBatch, batch_size: int, seed: int) -> Iterator[np.ndarray]:
     """Single-group batches, groups interleaved in seeded round-robin order;
     one epoch covers every image exactly once."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    partition = group_partition(subset.groups)
     rng = generator(child_seed(seed, "context_sampler"))
-    gids = list(partition.keys())
+    gids = list(subset.partition)
     rng.shuffle(gids)
     queues = []
     for g in gids:
-        members = np.asarray(partition[g], dtype=np.int64)
+        members = np.asarray(subset.partition[g], dtype=np.int64)
         members = members[rng.permutation(members.size)]
         chunks = [members[s:s + batch_size] for s in range(0, members.size, batch_size)]
         queues.append(chunks)
@@ -265,13 +237,13 @@ def _sampler(name: str):
     return _SAMPLERS[name]
 
 
-def make_batches(subset: Subset, batch_size: int, sampler: str, seed: int) -> Iterator[GroupedBatch]:
+def make_batches(subset: GroupedBatch, batch_size: int, sampler: str, seed: int) -> Iterator[GroupedBatch]:
     """GroupedBatch stream over one subset using the named sampler."""
     for idx in _sampler(sampler)(subset, batch_size, seed):
-        yield GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
+        yield subset.take(idx)
 
 
-def batches_per_epoch(subset: Subset, batch_size: int, sampler: str) -> int:
+def batches_per_epoch(subset: GroupedBatch, batch_size: int, sampler: str) -> int:
     """Exact batch count one epoch of ``make_batches`` will yield, counted
     from the sampler itself (the count does not depend on the seed)."""
     return sum(1 for _ in _sampler(sampler)(subset, batch_size, 0))
@@ -299,8 +271,8 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
-        f.write(np.uint32(_VERSION).astype("<u4").tobytes())
-        f.write(np.uint32(len(header_bytes)).astype("<u4").tobytes())
+        _write_u32(f, _VERSION)
+        _write_u32(f, len(header_bytes))
         f.write(header_bytes)
         for name in order:
             sub = splits[name]
@@ -319,7 +291,7 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
         "splits": {
             name: {
                 "size": splits[name].size,
-                "group_ids": sorted(int(g) for g in np.unique(splits[name].groups)),
+                "group_ids": sorted(splits[name].partition),
             }
             for name in order
         },
@@ -338,10 +310,10 @@ def load_dataset(path: str) -> DatasetSplit:
         magic = f.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a dataset file (bad magic {magic!r}) at {path}")
-        version = int(np.frombuffer(_read_exact(f, 4, "dataset version"), dtype="<u4")[0])
+        version = _read_u32(f, "dataset version")
         if version != _VERSION:
             raise ValueError(f"dataset format version {version} unsupported (expected {_VERSION})")
-        header_len = int(np.frombuffer(_read_exact(f, 4, "dataset header length"), dtype="<u4")[0])
+        header_len = _read_u32(f, "dataset header length")
         raw = _read_exact(f, header_len, "dataset header")
         try:
             header = json.loads(raw.decode("utf-8"))
@@ -360,7 +332,7 @@ def load_dataset(path: str) -> DatasetSplit:
             images = np.frombuffer(_read_exact(f, n * h * w * c * 8, what + " images"), dtype="<f8")
             labels = np.frombuffer(_read_exact(f, n * 8, what + " labels"), dtype="<i8")
             groups = np.frombuffer(_read_exact(f, n * 8, what + " groups"), dtype="<i8")
-            subsets[name] = Subset(images.reshape(n, h, w, c).copy(), labels.copy(), groups.copy())
+            subsets[name] = GroupedBatch(images.reshape(n, h, w, c).copy(), labels.copy(), groups.copy())
         trailing = f.read(1)
         if trailing:
             raise ValueError("trailing bytes after the last split; file corrupt")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .context import ContextKind, ContextViT, GroupedBatch, group_partition
-from .data import DatasetSplit, Subset
+from .data import DatasetSplit
 from .rng import child_seed, generator
 from .train import TrainConfig, fine_tune, predictions
 from .vit import ViTConfig
@@ -53,16 +53,13 @@ class MetricsReport:
     ood_gap: float  # id_test accuracy minus ood_test accuracy
 
 
-def compute_metrics(model: ContextViT, subset: Subset, eval_batch_size: int) -> SplitMetrics:
+def compute_metrics(model: ContextViT, subset: GroupedBatch, eval_batch_size: int) -> SplitMetrics:
     """Accuracy, per-group accuracy, and worst-group accuracy on one split."""
     if subset.size == 0:
         raise ValueError("metrics over an empty split")
     preds = predictions(model, subset, eval_batch_size)
     hits = preds == subset.labels
-    per_group = {
-        gid: float(hits[members].mean())
-        for gid, members in group_partition(subset.groups).items()
-    }
+    per_group = {gid: float(hits[members].mean()) for gid, members in subset.partition.items()}
     return SplitMetrics(
         accuracy=float(hits.mean()),
         per_group=per_group,
@@ -105,7 +102,7 @@ def run_ablation(
     if not kinds:
         raise ValueError("ablation needs at least one kind")
     eval_bs = eval_batch_size or train_config.batch_size
-    group_ids = sorted(int(g) for g in np.unique(data.train.groups))
+    group_ids = sorted(data.train.partition)
     rows = []
     for kind_name in kinds:
         row = AblationRow(kind=kind_name, ood_accuracy=math.nan, id_accuracy=math.nan, seconds=0.0)
@@ -133,7 +130,7 @@ def run_ablation(
     return rows
 
 
-def batch_size_sweep(model: ContextViT, subset: Subset, sizes: Sequence[int]) -> dict[int, float]:
+def batch_size_sweep(model: ContextViT, subset: GroupedBatch, sizes: Sequence[int]) -> dict[int, float]:
     """OOD accuracy vs evaluation batch size for an amortized-kind model."""
     if not model.kind.amortized:
         raise ValueError(f"batch-size sweep needs an amortized kind, got {model.kind.name!r}")
@@ -225,7 +222,7 @@ def separation_score(tokens: np.ndarray, groups: Sequence[int]) -> SeparationRes
 
 def collect_context_tokens(
     model: ContextViT,
-    subset: Subset,
+    subset: GroupedBatch,
     batches_per_group: int = 50,
     batch_size: int = 32,
     seed: int = 0,
@@ -239,17 +236,15 @@ def collect_context_tokens(
     """
     if not model.kind.has_token_slot:
         raise ValueError(f"kind {model.kind.name!r} produces no context token")
-    partition = group_partition(subset.groups)
     tokens, gids = [], []
-    for gid, members in partition.items():
+    for gid, members in subset.partition.items():
         members = np.asarray(members, dtype=np.int64)
         for b in range(batches_per_group):
             rng = generator(child_seed(seed, "collect", gid, b))
             take = min(batch_size, members.size)
             idx = rng.choice(members, size=take, replace=False)
-            batch = GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
             sink: dict = {}
-            model.forward(batch, train=False, capture_context_tokens=sink)
+            model.forward(subset.take(idx), train=False, capture_context_tokens=sink)
             key = (layer, int(gid))
             if key not in sink:
                 raise ValueError(f"no context token recorded for layer {layer} (kind {model.kind.name!r})")

@@ -42,7 +42,6 @@ __all__ = [
     "matmul",
     "linear",
     "attention_core",
-    "transpose",
     "reshape",
     "broadcast_to",
     "concat",
@@ -271,18 +270,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), vjp)
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(q @ k^T * scale) @ v over the last axis, as one node.
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh)) v as one node.
 
-    [..., Sq, dh], [..., Sk, dh], [..., Sk, dv] -> [..., Sq, dv].  Only the
-    attention weights are kept for the reverse pass, which uses the
-    softmax identity dS = P * (dP - rowsum(dP * P)).
+    [B, Sq, d], [B, Sk, d], [B, Sk, dv] -> [B, Sq, dv].  The projections are
+    split into ``heads`` heads of width dh = d / heads (and dv / heads) as
+    views, each head attends on its own with scale dh^-0.5, and the heads'
+    outputs are joined back along the last axis.  Only the attention weights
+    [B, heads, Sq, Sk] are kept for the reverse pass, which uses the softmax
+    identity dS = P * (dP - rowsum(dP * P)).
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.data.ndim < 2 or not q.data.shape[:-2] == k.data.shape[:-2] == v.data.shape[:-2]
-            or q.data.shape[-1] != k.data.shape[-1] or k.data.shape[-2] != v.data.shape[-2]):
+    if (not q.data.ndim == k.data.ndim == v.data.ndim == 3 or q.data.shape[0] != k.data.shape[0]
+            or q.data.shape[2] != k.data.shape[2] or k.data.shape[:2] != v.data.shape[:2]):
         raise ValueError(f"attention_core shapes disagree: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
-    p = q.data @ k.data.swapaxes(-1, -2)
+    if heads < 1 or q.data.shape[2] % heads or v.data.shape[2] % heads:
+        raise ValueError(f"attention_core widths {q.data.shape[2]}, {v.data.shape[2]} not divisible by {heads} heads")
+    scale = (q.data.shape[2] // heads) ** -0.5
+
+    def split(x):  # [B, S, heads * w] -> [B, heads, S, w], a view
+        return x.reshape(x.shape[0], x.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(x):  # [B, heads, S, w] -> [B, S, heads * w]
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    p = qh @ kh.swapaxes(-1, -2)
     p *= scale
     if not np.isfinite(p).all():
         raise NonFiniteError("attention_core", p.shape, "score")
@@ -290,27 +303,22 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out = p @ v.data
+    out = merge(p @ vh)
 
     def vjp(g):
-        gv = p.swapaxes(-1, -2) @ g if v.requires_grad else None
+        g = split(g)
+        gv = merge(p.swapaxes(-1, -2) @ g) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gs = g @ v.data.swapaxes(-1, -2)
+        gs = g @ vh.swapaxes(-1, -2)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p
         gs *= scale
-        gq = gs @ k.data if q.requires_grad else None
-        gk = (q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2) if k.requires_grad else None
+        gq = merge(gs @ kh) if q.requires_grad else None
+        gk = merge((qh.swapaxes(-1, -2) @ gs).swapaxes(-1, -2)) if k.requires_grad else None
         return gq, gk, gv
 
     return _record(out, (q, k, v), vjp)
-
-
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(int(ax) for ax in axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
-    return _record(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

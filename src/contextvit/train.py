@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .context import CONTEXT_KIND_NAMES, ContextViT, GroupedBatch
-from .data import DatasetSplit, Subset, batches_per_epoch, make_batches
+from .data import DatasetSplit, batches_per_epoch, make_batches
 from .rng import child_seed
 from .tensor import NonFiniteError, Tape, Tensor, backward
 
@@ -185,7 +185,7 @@ def schedules(step: int, total_steps: int, warmup_steps: int, config: TrainConfi
     return lr, wd
 
 
-def predictions(model: ContextViT, subset: Subset, batch_size: int) -> np.ndarray:
+def predictions(model: ContextViT, subset: GroupedBatch, batch_size: int) -> np.ndarray:
     """Predicted class of every image over deterministic sequential batches,
     with context inferred from each batch's own groups."""
     if batch_size < 1:
@@ -193,8 +193,7 @@ def predictions(model: ContextViT, subset: Subset, batch_size: int) -> np.ndarra
     preds = np.empty(subset.size, dtype=np.int64)
     for start in range(0, subset.size, batch_size):
         idx = np.arange(start, min(start + batch_size, subset.size))
-        batch = GroupedBatch(subset.images[idx], subset.labels[idx], subset.groups[idx])
-        _, logits = model.forward(batch, train=False)
+        _, logits = model.forward(subset.take(idx), train=False)
         preds[idx] = np.argmax(logits.data, axis=1)
     return preds
 

@@ -92,7 +92,6 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
 
     check("matmul_batched", make_matmul_batched)
 
-    check("transpose", unary(lambda a: T.transpose(a, (2, 0, 1)), None, None, None))
     check("reshape", unary(lambda a: T.reshape(a, (a.size,)), None, None))
 
     def make_broadcast():
@@ -170,12 +169,12 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
     check("linear", make_linear)
 
     def make_attention_core():
-        bsz, sq, sk, dh, dv = dims(None, None, None, None, None)
-        q = Tensor(_rand(rng, bsz, sq, dh), requires_grad=True)
-        k = Tensor(_rand(rng, bsz, sk, dh), requires_grad=True)
-        v = Tensor(_rand(rng, bsz, sk, dv), requires_grad=True)
-        c = _rand(rng, bsz, sq, dv)
-        return {"q": q, "k": k, "v": v}, lambda: _weighted(T.attention_core(q, k, v, 0.7), c)
+        bsz, sq, sk, dh, dv, heads = dims(None, None, None, None, None, 2)
+        q = Tensor(_rand(rng, bsz, sq, heads * dh), requires_grad=True)
+        k = Tensor(_rand(rng, bsz, sk, heads * dh), requires_grad=True)
+        v = Tensor(_rand(rng, bsz, sk, heads * dv), requires_grad=True)
+        c = _rand(rng, bsz, sq, heads * dv)
+        return {"q": q, "k": k, "v": v}, lambda: _weighted(T.attention_core(q, k, v, heads), c)
 
     check("attention_core", make_attention_core)
 

@@ -4,7 +4,10 @@ Images are cut into non-overlapping patches (row-major grid order),
 linearly projected, given learned position embeddings, and prepended
 with a trainable CLS token that carries no positional term.  Each layer
 is x + attn(norm(x)) followed by + ffn(norm(.)); a final layer norm
-precedes the CLS read-out and the affine classifier head.
+precedes the CLS read-out and the affine classifier head.  Attention is
+the q, k, v and output projections around one ``T.attention_core`` node,
+which owns the multi-head layout: the split into heads, the dh^-0.5
+scale and the merge back to [B, S, d].
 
 Every entry point takes batched input only: [B, H, W, C] images, [B, N, pd]
 patch rows, [B, S, d] token sequences.  One image is a batch of one.  A
@@ -141,21 +144,11 @@ def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(),
 
 def attention(x: Tensor, params: dict[str, Tensor], layer: int, heads: int) -> Tensor:
     """Multi-head scaled dot-product self-attention over [B, S, d]."""
-    b, s, d = x.shape
-    if d % heads:
-        raise ValueError(f"dim {d} not divisible by heads {heads}")
-    dh = d // heads
     pre = f"layer{layer}.attn."
-
-    def split(proj: Tensor) -> Tensor:
-        return T.transpose(T.reshape(proj, (b, s, heads, dh)), (0, 2, 1, 3))
-
-    q = split(T.linear(x, params[pre + "wq"], params[pre + "bq"]))
-    k = split(T.matmul(x, params[pre + "wk"]))
-    v = split(T.linear(x, params[pre + "wv"], params[pre + "bv"]))
-    ctx = T.attention_core(q, k, v, dh ** -0.5)  # [B, heads, S, dh]
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
-    return T.linear(merged, params[pre + "wo"], params[pre + "bo"])
+    q = T.linear(x, params[pre + "wq"], params[pre + "bq"])
+    k = T.matmul(x, params[pre + "wk"])
+    v = T.linear(x, params[pre + "wv"], params[pre + "bv"])
+    return T.linear(T.attention_core(q, k, v, heads), params[pre + "wo"], params[pre + "bo"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], layer: int) -> Tensor:

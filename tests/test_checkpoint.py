@@ -7,7 +7,6 @@ import pytest
 
 from contextvit.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from contextvit.context import ContextViT
-from contextvit.train import AdamWState
 
 
 def _save_and_load(tmp_path, model, name="m.cvck", **kw):
@@ -68,26 +67,18 @@ def test_restore_into_shape_mismatch_names_parameter(tmp_path, toy_model):
         restore_into(toy_model.parameters(), ckpt)
 
 
-def test_optimizer_state_round_trip(tmp_path, toy_model):
-    opt = AdamWState.init(toy_model.parameters())
-    opt.step = 17
-    for name in opt.m:
-        opt.m[name] = opt.m[name] + 0.25
-        opt.v[name] = opt.v[name] + 0.5
-    path = str(tmp_path / "o.cvck")
-    save_checkpoint(path, toy_model.parameters(), optimizer=opt)
-    ckpt = load_checkpoint(path)
-    assert ckpt.optimizer_step == 17
-    assert set(ckpt.optimizer_m) == set(opt.m)
-    for name in opt.m:
-        assert np.array_equal(ckpt.optimizer_m[name], opt.m[name])
-        assert np.array_equal(ckpt.optimizer_v[name], opt.v[name])
-
-
-def test_no_optimizer_loads_as_none(tmp_path, toy_model):
-    _, ckpt = _save_and_load(tmp_path, toy_model)
-    assert ckpt.optimizer_step is None
-    assert ckpt.optimizer_m == {} and ckpt.optimizer_v == {}
+def test_optimizer_flag_byte_is_zero_and_one_is_rejected(tmp_path, toy_model):
+    """The optimizer flag byte after the parameters is always written as 0,
+    and a 1 is rejected as corrupt."""
+    path, _ = _save_and_load(tmp_path, toy_model)
+    raw = bytearray(open(path, "rb").read())
+    flag_at = len(raw) - 5  # before the u32 state count of an empty state
+    assert raw[flag_at] == 0 and raw[flag_at + 1:] == b"\x00" * 4
+    raw[flag_at] = 1
+    with open(path, "wb") as f:
+        f.write(bytes(raw))
+    with pytest.raises(ValueError, match="bad optimizer flag byte"):
+        load_checkpoint(path)
 
 
 def test_ema_state_round_trip(tmp_path, toy_model):

@@ -616,3 +616,32 @@ def test_grouped_batch_partition_auto_property(small_data):
     # the partition is always derived from ``groups``; it cannot be passed in
     with pytest.raises(TypeError):
         GroupedBatch(batch.images, batch.labels, batch.groups, partition={0: [0, 1, 2]})
+
+
+def _indexed_record(groups) -> GroupedBatch:
+    """A record whose image and label values name their own row."""
+    n = len(groups)
+    return GroupedBatch(np.arange(float(n)).reshape(n, 1, 1, 1), np.arange(n), groups)
+
+
+@settings(max_examples=100, deadline=None)
+@given(groups=st.lists(st.integers(-3, 5), min_size=1, max_size=24), data=st.data())
+def test_grouped_batch_partition_take_and_concat_property(groups, data):
+    x = _indexed_record(groups)
+    ids = x.groups
+    members = [i for part in x.partition.values() for i in part]
+    assert sorted(members) == list(range(x.size))  # disjoint, and covering every row
+    assert list(x.partition) == list(dict.fromkeys(groups))  # first-occurrence order
+    for gid, part in x.partition.items():
+        assert all(ids[i] == gid for i in part)
+    slots = x.slots
+    for slot, part in enumerate(x.partition.values()):
+        assert all(slots[i] == slot for i in part)  # slots inverts the partition
+
+    rows = st.lists(st.integers(0, x.size - 1), max_size=12)
+    a, b = data.draw(rows), data.draw(rows)
+    assert x.take(a).partition == group_partition(ids[np.asarray(a, dtype=np.int64)])
+    joined, want = GroupedBatch.concat([x.take(a), x.take(b)]), x.take(a + b)
+    for name in ("images", "labels", "groups"):
+        assert getattr(joined, name).tobytes() == getattr(want, name).tobytes()
+    assert joined.partition == want.partition

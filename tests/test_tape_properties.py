@@ -68,18 +68,19 @@ def test_concat_of_one_tensor_twice_sums_both_slices(rows, cols, axis, seed):
 @settings(max_examples=50, deadline=None)
 @given(rows=st.integers(1, 5), cols=st.integers(1, 4), seed=SEEDS)
 def test_fan_in_through_views_and_add_matches_dense_reference(rows, cols, seed):
-    """x is read through a reshape view and through ``add(x, x^T^T)``.  The
-    add's vjp hands one array to both inputs, and the transpose's vjp passes
-    a view of it on; the reshape's contribution reaches x while that view is
-    still pending, so accumulating into the array in place would corrupt it."""
+    """x is read through a reshape view and through ``add(x, x')``, where x'
+    is x reshaped to [cols, rows] and back.  The add's vjp hands one array to
+    both inputs, and the reshape's vjp passes a view of it on; the other
+    reshape's contribution reaches x while that view is still pending, so
+    accumulating into the array in place would corrupt it."""
     rng = np.random.default_rng(seed)
     x = tensor(rng.standard_normal((rows, cols)), requires_grad=True)
     c_r = rng.standard_normal(rows * cols)
     c_a = rng.standard_normal((rows, cols))
     with Tape() as tape:
-        t = T.transpose(x, (1, 0))
+        t = T.reshape(x, (cols, rows))
         r = T.reshape(x, (rows * cols,))
-        z = T.add(x, T.transpose(t, (1, 0)))
+        z = T.add(x, T.reshape(t, (rows, cols)))
         backward(T.add(_weighted_sum(r, c_r), _weighted_sum(z, c_a)), tape)
     want = c_r.reshape(rows, cols) + 2.0 * c_a
     assert np.allclose(x.grad, want, rtol=1e-12, atol=1e-15)
@@ -88,7 +89,7 @@ def test_fan_in_through_views_and_add_matches_dense_reference(rows, cols, seed):
 _UNARY = {
     "gelu": T.gelu,
     "relu": T.relu,
-    "transpose": lambda h: T.transpose(h, (1, 0)),
+    "reshape": lambda h: T.reshape(h, h.shape[::-1]),
     "double": lambda h: T.add(h, h),
     "scale": lambda h: T.mul(h, constant(0.5)),
 }
@@ -133,10 +134,23 @@ def test_linear_is_bitwise_matmul_plus_bias(lead, m, k, n, seed):
         assert got.tobytes() == want.tobytes()
 
 
-def _unfused_attention(q, k, v, scale, g):
-    """The op sequence the attention core replaced: matmul, scale, softmax,
-    matmul, and the reverse of each; returns (out, gq, gk, gv)."""
-    scores = q @ np.transpose(k, (0, 2, 1)) * np.asarray(scale)
+def _heads(x, heads):
+    """[B, S, heads * w] -> [B, heads, S, w]."""
+    return np.transpose(x.reshape(x.shape[0], x.shape[1], heads, -1), (0, 2, 1, 3))
+
+
+def _joined(x):
+    """[B, heads, S, w] -> [B, S, heads * w]: the inverse of ``_heads``."""
+    return np.transpose(x, (0, 2, 1, 3)).reshape(x.shape[0], x.shape[2], -1)
+
+
+def _unfused_attention(q, k, v, heads, g):
+    """The op sequence the attention core replaced: head split, matmul,
+    scale, softmax, matmul, head merge, and the reverse of each; returns
+    (out, gq, gk, gv)."""
+    scale = (q.shape[-1] // heads) ** -0.5
+    q, k, v, g = _heads(q, heads), _heads(k, heads), _heads(v, heads), _heads(g, heads)
+    scores = q @ np.transpose(k, (0, 1, 3, 2)) * np.asarray(scale)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
@@ -145,23 +159,23 @@ def _unfused_attention(q, k, v, scale, g):
     gv = p.swapaxes(-1, -2) @ g
     gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
     gs = gs * np.asarray(scale)
-    gq = gs @ np.transpose(k, (0, 2, 1)).swapaxes(-1, -2)
-    gk = np.transpose(q.swapaxes(-1, -2) @ gs, (0, 2, 1))
-    return out, gq, gk, gv
+    gq = gs @ np.transpose(k, (0, 1, 3, 2)).swapaxes(-1, -2)
+    gk = np.transpose(q.swapaxes(-1, -2) @ gs, (0, 1, 3, 2))
+    return _joined(out), _joined(gq), _joined(gk), _joined(gv)
 
 
 @settings(max_examples=50, deadline=None)
-@given(b=st.integers(1, 3), sq=st.integers(1, 6), sk=st.integers(1, 6), dh=st.integers(1, 4),
-       dv=st.integers(1, 4), scale=st.floats(0.1, 2.0), seed=SEEDS)
-def test_attention_core_is_bitwise_the_unfused_composition(b, sq, sk, dh, dv, scale, seed):
+@given(b=st.integers(1, 3), sq=st.integers(1, 6), sk=st.integers(1, 6), heads=st.integers(1, 3),
+       dh=st.integers(1, 4), dv=st.integers(1, 4), seed=SEEDS)
+def test_attention_core_is_bitwise_the_unfused_composition(b, sq, sk, heads, dh, dv, seed):
     rng = np.random.default_rng(seed)
-    q = tensor(rng.standard_normal((b, sq, dh)), requires_grad=True)
-    k = tensor(rng.standard_normal((b, sk, dh)), requires_grad=True)
-    v = tensor(rng.standard_normal((b, sk, dv)), requires_grad=True)
-    c = rng.standard_normal((b, sq, dv))
+    q = tensor(rng.standard_normal((b, sq, heads * dh)), requires_grad=True)
+    k = tensor(rng.standard_normal((b, sk, heads * dh)), requires_grad=True)
+    v = tensor(rng.standard_normal((b, sk, heads * dv)), requires_grad=True)
+    c = rng.standard_normal((b, sq, heads * dv))
     with Tape() as tape:
-        out = T.attention_core(q, k, v, scale)
+        out = T.attention_core(q, k, v, heads)
         backward(_weighted_sum(out, c), tape)
-    want = _unfused_attention(q.data, k.data, v.data, scale, c)
+    want = _unfused_attention(q.data, k.data, v.data, heads, c)
     for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
         assert got.tobytes() == ref.tobytes()

@@ -64,13 +64,14 @@ def test_matmul_gradient_closed_form():
 
 def _softmax_rows(scores) -> np.ndarray:
     """Softmax of each row of ``scores`` as attention_core computes it: one
-    query with unit features, keys carrying the scores, identity values."""
+    head of width 1 (so the scale is 1), one query with unit features, keys
+    carrying the scores, identity values."""
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
     rows, n = scores.shape
     q = constant(np.ones((rows, 1, 1)))
     k = constant(scores[:, :, None])
     v = constant(np.broadcast_to(np.eye(n), (rows, n, n)).copy())
-    return T.attention_core(q, k, v, 1.0).data[:, 0, :]
+    return T.attention_core(q, k, v, 1).data[:, 0, :]
 
 
 def test_softmax_symmetry():
@@ -98,6 +99,18 @@ def test_softmax_rows_sum_to_one_up_to_1e3():
 def test_softmax_rejects_non_finite():
     with pytest.raises(T.NonFiniteError, match="attention_core"):
         _softmax_rows([np.inf, 0.0])
+
+
+@pytest.mark.parametrize("heads, q_width, v_width", [(3, 4, 6), (2, 4, 3), (0, 4, 4)])
+def test_attention_core_rejects_widths_heads_do_not_divide(heads, q_width, v_width):
+    q, k = constant(np.ones((1, 2, q_width))), constant(np.ones((1, 3, q_width)))
+    with pytest.raises(ValueError, match="not divisible"):
+        T.attention_core(q, k, constant(np.ones((1, 3, v_width))), heads)
+
+
+def test_attention_core_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shapes disagree"):
+        T.attention_core(constant(np.ones((1, 2, 4))), constant(np.ones((1, 3, 4))), constant(np.ones((1, 2, 4))), 2)
 
 
 # ----------------------------------------------------------------- layer_norm
