@@ -135,15 +135,17 @@ def _cmd_generate_data(cfg: RunConfig, run_dir: str) -> int:
 
 
 def _cmd_train(cfg: RunConfig, run_dir: str) -> int:
+    train_config = cfg.train_config()  # rejects bad settings before the data is made
     data = _load_or_generate(cfg)
-    result = fine_tune(_build_model(cfg, data), data, cfg.train_config())
+    result = fine_tune(_build_model(cfg, data), data, train_config)
     return _write_trained(cfg, run_dir, data, result, "train", "")
 
 
 def _cmd_probe(cfg: RunConfig, run_dir: str) -> int:
+    train_config = cfg.train_config()
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
-    result = linear_probe(_model_from_checkpoint(cfg, ckpt), data, cfg.train_config())
+    result = linear_probe(_model_from_checkpoint(cfg, ckpt), data, train_config)
     return _write_trained(cfg, run_dir, data, result, "probe", "probe_",
                           source_checkpoint=cfg.checkpoint_path)
 

@@ -24,6 +24,7 @@ unknown groups.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -59,7 +60,7 @@ __all__ = [
     "ContextViT",
 ]
 
-# kind name -> (base, detach, layerwise); ``ContextKind.name`` inverts it
+# kind name -> (base, detach, layerwise), the properties of ``ContextKind``
 _NAMED_KINDS = {
     "none": ("none", False, False),
     "mean": ("mean", False, False),
@@ -72,8 +73,6 @@ _NAMED_KINDS = {
     "ema": ("ema", False, False),
     "in_context_patches": ("in_context_patches", False, False),
 }
-_NAME_OF_KIND = {fields: name for name, fields in _NAMED_KINDS.items()}
-_BASES = {base for base, _, _ in _NAMED_KINDS.values()}
 
 CONTEXT_KIND_NAMES = tuple(_NAMED_KINDS)
 
@@ -90,34 +89,39 @@ _MAX_ORACLE_ID = 2 ** 53
 
 @dataclass(frozen=True)
 class ContextKind:
-    """Tagged choice of context mechanism.
+    """One of the named context mechanisms in ``CONTEXT_KIND_NAMES``.
 
-    base: none | mean | mean_linear | deep_sets | oracle | ema | in_context_patches
-    detach: pass pooled inputs through stop_gradient (mean_linear, deep_sets)
-    layerwise: re-infer the context token after every layer (mean family only)
+    name: the kind, which fixes the read-only properties
+      base: none | mean | mean_linear | deep_sets | oracle | ema | in_context_patches
+      detach: pass pooled inputs through stop_gradient (mean_linear, deep_sets)
+      layerwise: re-infer the context token after every layer (mean family only)
     patches: K for in_context_patches
     ema_lambda: decay for the ema kind
     """
 
-    base: str
-    detach: bool = False
-    layerwise: bool = False
+    name: str
     patches: int = 256
     ema_lambda: float = 0.99
 
     def __post_init__(self):
-        if self.base not in _BASES:
-            raise ValueError(f"unknown context base {self.base!r}")
-        if self.detach and self.base not in ("mean_linear", "deep_sets"):
-            raise ValueError(f"detach flag does not apply to base {self.base!r}")
-        if self.layerwise and self.base not in ("mean", "mean_linear"):
-            # per-layer heads exist for the mean family only; the deep-sets
-            # networks are a single shared pair
-            raise ValueError(f"layerwise conditioning requires a mean-family base, got {self.base!r}")
+        if self.name not in _NAMED_KINDS:
+            raise ValueError(f"unknown context kind {self.name!r}; expected one of {CONTEXT_KIND_NAMES}")
         if self.base == "in_context_patches" and self.patches < 1:
             raise ValueError("in_context_patches requires K >= 1")
         if self.base == "ema" and not (0.0 < self.ema_lambda < 1.0):
             raise ValueError(f"ema lambda must lie in (0,1), got {self.ema_lambda}")
+
+    @property
+    def base(self) -> str:
+        return _NAMED_KINDS[self.name][0]
+
+    @property
+    def detach(self) -> bool:
+        return _NAMED_KINDS[self.name][1]
+
+    @property
+    def layerwise(self) -> bool:
+        return _NAMED_KINDS[self.name][2]
 
     @property
     def amortized(self) -> bool:
@@ -131,34 +135,26 @@ class ContextKind:
 
     @classmethod
     def from_name(cls, name: str, patches: int = 256, ema_lambda: float = 0.99) -> "ContextKind":
-        if name not in _NAMED_KINDS:
-            raise ValueError(f"unknown context kind {name!r}; expected one of {CONTEXT_KIND_NAMES}")
-        base, detach, layerwise = _NAMED_KINDS[name]
-        if base == "in_context_patches":
-            return cls(base, patches=patches)
-        if base == "ema":
-            return cls(base, ema_lambda=ema_lambda)
-        return cls(base, detach=detach, layerwise=layerwise)
-
-    @property
-    def name(self) -> str:
-        try:
-            return _NAME_OF_KIND[(self.base, self.detach, self.layerwise)]
-        except KeyError:
-            raise ValueError(f"no canonical name for {self!r}") from None
+        """The kind ``name``; ``patches`` and ``ema_lambda`` are kept only by
+        the kinds that read them, so equal kinds compare equal."""
+        kind = cls(name)
+        if kind.base == "in_context_patches":
+            return cls(name, patches=patches)
+        if kind.base == "ema":
+            return cls(name, ema_lambda=ema_lambda)
+        return kind
 
 
 @dataclass
 class GroupedBatch:
     """Images with their labels and group ids, index-aligned: a model batch
     and equally a whole dataset split.  The partition, derived from
-    ``groups``, maps each group to the member indices in input order, groups
-    keyed by first occurrence."""
+    ``groups`` on first read, maps each group to the member indices in input
+    order, groups keyed by first occurrence."""
 
     images: np.ndarray  # [B, H, W, C]
     labels: np.ndarray  # [B] int
     groups: np.ndarray  # [B] int group ids
-    partition: dict[int, list[int]] = field(init=False)
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -169,7 +165,10 @@ class GroupedBatch:
         b = self.images.shape[0]
         if self.labels.shape != (b,) or self.groups.shape != (b,):
             raise ValueError("labels/groups must have one entry per image")
-        self.partition = group_partition(self.groups)
+
+    @functools.cached_property
+    def partition(self) -> dict[int, list[int]]:
+        return group_partition(self.groups)
 
     @property
     def size(self) -> int:

@@ -13,7 +13,9 @@ gradients bitwise reproducible for a given forward pass.  Only leaves
 gradient is freed as soon as the vjp of the node that produced it has
 consumed it.  The vjps of ``add``, ``matmul``, ``linear`` and
 ``attention_core``, the ops that meet constant inputs in training,
-compute nothing for inputs that need no gradient.
+compute nothing for inputs that need no gradient.  ``linear``,
+``attention_core`` and ``cross_entropy`` (the whole softmax loss) are each
+one node.
 
 ``stop_gradient`` is the one deliberately odd primitive: forward is the
 identity (it shares the input's storage) while the reverse pass sends
@@ -37,8 +39,6 @@ __all__ = [
     "tensor",
     "constant",
     "add",
-    "sub",
-    "mul",
     "matmul",
     "linear",
     "attention_core",
@@ -47,10 +47,7 @@ __all__ = [
     "concat",
     "index_rows",
     "group_pool",
-    "select_columns",
-    "sum_axis",
-    "mean_axis",
-    "logsumexp",
+    "cross_entropy",
     "layer_norm",
     "relu",
     "gelu",
@@ -62,8 +59,8 @@ __all__ = [
 class NonFiniteError(FloatingPointError, ValueError):
     """A NaN or infinity reached ``op``, in an array of shape ``shape``.
 
-    Kept out of ``__all__``: perfbench's gradient-coverage check reads that
-    list as the set of differentiable ops.
+    Kept out of ``__all__``: the gradient-coverage checks (tier-1 and
+    perfbench) read that list as the set of differentiable ops.
     """
 
     def __init__(self, op: str, shape, what: str = "input"):
@@ -106,17 +103,6 @@ class Tensor:
         return add(self, _as_tensor(other))
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -218,22 +204,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _record(out, (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data * b.data
-    return _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
-    )
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -408,22 +378,6 @@ def group_pool(a: Tensor, members, mean: bool = True) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def select_columns(a: Tensor, indices) -> Tensor:
-    """Pick one column per row: out[i] = a[i, indices[i]]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2 or idx.shape != (a.data.shape[0],):
-        raise ValueError("select_columns expects a [rows, cols] tensor and one index per row")
-    rows = np.arange(a.data.shape[0])
-    out = a.data[rows, idx]
-
-    def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, idx), g)
-        return (ga,)
-
-    return _record(out, (a,), vjp)
-
-
 def _getitem(a: Tensor, key) -> Tensor:
     out = a.data[key]
     if np.isscalar(out) or out.ndim == 0:
@@ -437,58 +391,33 @@ def _getitem(a: Tensor, key) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def _normalize_axes(axis, ndim: int):
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, (int, np.integer)):
-        axis = (int(axis),)
-    axes = tuple(sorted(ax % ndim for ax in axis))
-    if len(set(axes)) != len(axes):
-        raise ValueError(f"duplicate reduction axes {axis}")
-    return axes
-
-
-def sum_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.data.ndim)
-    out = a.data.sum(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return _record(np.asarray(out, dtype=np.float64), (a,), vjp)
-
-
-def mean_axis(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, a.data.ndim)
-    count = int(np.prod([a.data.shape[ax] for ax in axes])) if axes else 1
-    if count == 0:
-        raise ValueError("mean over an empty reduction (size-0 axis)")
-    out = a.data.mean(axis=axes, keepdims=keepdims)
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over rows of logsumexp(logits[i]) - logits[i, labels[i]] as one
+    node, [B, K] -> scalar; exp runs on max-shifted rows, so it cannot overflow."""
+    labels = np.asarray(labels, dtype=np.int64)
+    x = logits.data
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"cross_entropy expects [B, K] logits with B >= 1, got shape {x.shape}")
+    b, k = x.shape
+    if labels.shape != (b,):
+        raise ValueError(f"cross_entropy expects {b} labels, got shape {labels.shape}")
+    if labels.min() < 0 or labels.max() >= k:
+        raise IndexError(f"label out of range for {k} classes")
+    if not np.isfinite(x).all():
+        raise NonFiniteError("cross_entropy", x.shape)
+    rows = np.arange(b)
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    out = (np.squeeze(m + np.log(s), axis=-1) - x[rows, labels]).mean()
 
     def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, a.data.shape).copy(),)
+        per_row = np.broadcast_to(g / b, (b,)).copy()
+        gx = np.zeros_like(x)
+        np.add.at(gx, (rows, labels), -per_row)
+        return (gx + per_row[:, None] * (e / s),)
 
-    return _record(np.asarray(out, dtype=np.float64), (a,), vjp)
-
-
-def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
-    """Stable log(sum(exp(x))) over one axis; the softmax-free route to CE."""
-    if not np.isfinite(a.data).all():
-        raise NonFiniteError("logsumexp", a.data.shape)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=axis, keepdims=True)
-    out = np.squeeze(m + np.log(s), axis=axis)
-    soft = e / s
-
-    def vjp(g):
-        return (np.expand_dims(g, axis) * soft,)
-
-    return _record(out, (a,), vjp)
+    return _record(np.asarray(out, dtype=np.float64), (logits,), vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:

@@ -63,8 +63,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if not (0 <= self.warmup_epochs < self.epochs):
             raise ValueError("warmup_epochs must satisfy 0 <= warmup < epochs")
-        if self.base_lr <= 0 or self.final_lr <= 0:
-            raise ValueError("learning rates must be > 0")
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.base_lr, self.final_lr)):
+            raise ValueError("learning rates must be finite and > 0")
+        if not all(math.isfinite(wd) and wd >= 0 for wd in (self.weight_decay_start, self.weight_decay_end)):
+            raise ValueError("weight decays must be finite and >= 0")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.context_kind not in CONTEXT_KIND_NAMES:
@@ -74,15 +78,10 @@ class TrainConfig:
 
 
 def batch_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean of -log softmax(logits[i])[labels[i]] over a [B, K] batch,
-    stable for large logit magnitudes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    k = logits.shape[-1]
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels out of range for {k} classes")
-    lse = T.logsumexp(logits, axis=-1)
-    picked = T.select_columns(logits, labels)
-    return T.mean_axis(lse - picked)
+    """Mean of -log softmax(logits[i])[labels[i]] over a [B, K] batch: the
+    one-node ``tensor.cross_entropy``, kept as a function of its own so the
+    loss can be timed by name."""
+    return T.cross_entropy(logits, labels)
 
 
 def is_decay_exempt(name: str) -> bool:

@@ -9,9 +9,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from contextvit import tensor as T
 from contextvit.context import ContextKind, ContextViT, GroupedBatch
 from contextvit.data import SyntheticShiftSpec, generate_dataset
+from contextvit.tensor import Tensor, constant
 from contextvit.vit import ViTConfig
+
+
+def dot(a: Tensor, b=None) -> Tensor:
+    """The scalar sum(a * b) over every element, recorded as reshape, one
+    [1, n] @ [n, 1] matmul and reshape; ``b`` is a tensor of a's size, an
+    array (a constant), or None for all ones (the plain sum of ``a``)."""
+    n = a.size
+    b = constant(np.ones(n)) if b is None else b if isinstance(b, Tensor) else constant(b)
+    return T.reshape(T.matmul(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
 
 
 @pytest.fixture(scope="session")

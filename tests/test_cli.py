@@ -132,6 +132,15 @@ def test_missing_dataset_file_is_named(tmp_path, capsys):
     assert "ghost.cvds" in capsys.readouterr().err
 
 
+def test_bad_train_settings_rejected_before_data_is_read(tmp_path, capsys):
+    ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
+    for command in ("train", "probe"):
+        rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
+                   "momentum=1"])
+        assert rc == 1
+        assert "momentum" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_named(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1

@@ -133,6 +133,21 @@ def test_conversions_carry_values_through():
     assert cfg.kind().name == "mean"
 
 
+_LR, _WD = "learning rates", "weight decays"
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("base_lr", "nan", _LR), ("base_lr", "0", _LR), ("final_lr", "-1e-5", _LR), ("final_lr", "inf", _LR),
+    ("weight_decay_start", "-0.1", _WD), ("weight_decay_start", "nan", _WD), ("weight_decay_end", "inf", _WD),
+    ("momentum", "1.0", "momentum"), ("momentum", "-0.1", "momentum"), ("momentum", "nan", "momentum"),
+])
+def test_train_config_rejects_values_that_can_only_fail_later(key, value, what):
+    with pytest.raises(ValueError, match=what):
+        TrainConfig(**{key: float(value)})
+    with pytest.raises(ValueError, match=what):
+        apply_overrides(RunConfig(), [f"{key}={value}"]).train_config()
+
+
 @pytest.mark.parametrize("sub_config", [ViTConfig, SyntheticShiftSpec, TrainConfig])
 def test_sub_config_fields_are_run_config_fields_with_same_defaults(sub_config):
     run_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}

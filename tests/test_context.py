@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextvit import context as ctx_mod
-from contextvit import tensor as T
 from contextvit.context import (
     CONTEXT_KIND_NAMES,
     ContextKind,
@@ -28,7 +27,7 @@ from contextvit.tensor import Tape, backward, constant, tensor
 from contextvit.train import batch_cross_entropy
 from contextvit.vit import patchify_batch, vit_forward
 
-from conftest import make_batch
+from conftest import dot, make_batch
 
 AMORTIZED = [n for n in CONTEXT_KIND_NAMES if ContextKind.from_name(n).amortized]
 TOKEN_KINDS = [n for n in CONTEXT_KIND_NAMES if ContextKind.from_name(n).has_token_slot]
@@ -112,11 +111,11 @@ def test_linear_head_detach_blocks_upstream():
     w = tensor(np.eye(2), requires_grad=True)
     b = tensor(np.zeros(2), requires_grad=True)
     with Tape() as tape:
-        backward(T.sum_axis(apply_linear_head(src, w, b, detach=True)), tape)
+        backward(dot(apply_linear_head(src, w, b, detach=True)), tape)
     assert np.array_equal(src.grad, np.zeros(2))
     assert np.array_equal(b.grad, np.ones(2))
     with Tape() as tape:
-        backward(T.sum_axis(apply_linear_head(src, w, b, detach=False)), tape)
+        backward(dot(apply_linear_head(src, w, b, detach=False)), tape)
     assert np.array_equal(src.grad, np.ones(2))
 
 
@@ -248,10 +247,10 @@ def test_deep_sets_detach_blocks_inputs(toy_config):
         p.data = p.data + generator(19).normal(size=p.data.shape) * 0.1
     src = tensor(generator(9).normal(size=(6, toy_config.dim)), requires_grad=True)
     with Tape() as tape:
-        backward(T.sum_axis(deep_sets_infer(src, params, True, _one_group(6))), tape)
+        backward(dot(deep_sets_infer(src, params, True, _one_group(6))), tape)
     assert np.array_equal(src.grad, np.zeros_like(src.data))
     with Tape() as tape:
-        backward(T.sum_axis(deep_sets_infer(src, params, False, _one_group(6))), tape)
+        backward(dot(deep_sets_infer(src, params, False, _one_group(6))), tape)
     assert np.abs(src.grad).max() > 0
 
 
@@ -595,6 +594,9 @@ def test_detach_gradients_match_frozen_constant_exactly(small_data, toy_config):
 def test_kind_vocabulary_round_trips():
     for name in CONTEXT_KIND_NAMES:
         assert ContextKind.from_name(name).name == name
+        # only the kinds that read patches or ema_lambda keep them
+        kind = ContextKind.from_name(name, patches=8, ema_lambda=0.5)
+        assert (kind == ContextKind(name)) == (kind.base not in ("in_context_patches", "ema"))
 
 
 def test_unknown_kind_rejected():
@@ -602,15 +604,9 @@ def test_unknown_kind_rejected():
         ContextKind.from_name("transformer_pool")
 
 
-def test_layerwise_requires_amortized_mean_family():
-    with pytest.raises(ValueError):
-        ContextKind(base="oracle", layerwise=True)
-    with pytest.raises(ValueError):
-        ContextKind(base="none", layerwise=True)
-
-
 def test_grouped_batch_partition_auto_property(small_data):
     batch = make_batch(small_data.train, [0, 5, 1])
+    assert "partition" not in vars(batch)  # derived on first read, not at construction
     flat = sorted(i for idxs in batch.partition.values() for i in idxs)
     assert flat == [0, 1, 2]
     # the partition is always derived from ``groups``; it cannot be passed in

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from contextvit import tensor as T
 from contextvit.tensor import Tape, backward, constant, tensor
 
+from conftest import dot
+
 SEEDS = st.integers(0, 2**16)
-
-
-def _weighted_sum(out, coeff):
-    return T.sum_axis(T.mul(out, constant(coeff)))
 
 
 @st.composite
@@ -46,7 +44,7 @@ def test_index_rows_with_duplicates_matches_dense_reference(rows, cols, picks, s
     idx = rng.integers(0, rows, size=picks)
     c = rng.standard_normal((picks, cols))
     with Tape() as tape:
-        backward(_weighted_sum(T.index_rows(a, idx), c), tape)
+        backward(dot(T.index_rows(a, idx), c), tape)
     want = np.zeros((rows, cols))
     for i, r in enumerate(idx):
         want[r] += c[i]
@@ -60,7 +58,7 @@ def test_concat_of_one_tensor_twice_sums_both_slices(rows, cols, axis, seed):
     a = tensor(rng.standard_normal((rows, cols)), requires_grad=True)
     c = rng.standard_normal((2 * rows, cols) if axis == 0 else (rows, 2 * cols))
     with Tape() as tape:
-        backward(_weighted_sum(T.concat([a, a], axis=axis), c), tape)
+        backward(dot(T.concat([a, a], axis=axis), c), tape)
     first, second = np.split(c, 2, axis=axis)
     assert np.array_equal(a.grad, first + second)
 
@@ -81,7 +79,7 @@ def test_fan_in_through_views_and_add_matches_dense_reference(rows, cols, seed):
         t = T.reshape(x, (cols, rows))
         r = T.reshape(x, (rows * cols,))
         z = T.add(x, T.reshape(t, (rows, cols)))
-        backward(T.add(_weighted_sum(r, c_r), _weighted_sum(z, c_a)), tape)
+        backward(T.add(dot(r, c_r), dot(z, c_a)), tape)
     want = c_r.reshape(rows, cols) + 2.0 * c_a
     assert np.allclose(x.grad, want, rtol=1e-12, atol=1e-15)
 
@@ -91,7 +89,7 @@ _UNARY = {
     "relu": T.relu,
     "reshape": lambda h: T.reshape(h, h.shape[::-1]),
     "double": lambda h: T.add(h, h),
-    "scale": lambda h: T.mul(h, constant(0.5)),
+    "scale": lambda h: T.matmul(h, constant(0.5 * np.eye(h.shape[-1]))),
 }
 
 
@@ -104,11 +102,11 @@ def test_only_leaves_carry_grad(ops, seed):
     b = tensor(rng.standard_normal(4), requires_grad=True)
     unused = tensor(rng.standard_normal(2), requires_grad=True)
     with Tape() as tape:
-        T.mul(unused, unused)  # recorded, but the loss never reads it
+        T.add(unused, unused)  # recorded, but the loss never reads it
         h = T.linear(x, w, b)
         for name in ops:
             h = _UNARY[name](h)
-        backward(T.sum_axis(h), tape)
+        backward(dot(h), tape)
     outputs = [node.output for node in tape.nodes]
     assert all(t.grad is None for t in outputs)
     for leaf in (x, w, b, unused):
@@ -128,7 +126,7 @@ def test_linear_is_bitwise_matmul_plus_bias(lead, m, k, n, seed):
         x, w, b = (tensor(v, requires_grad=True) for v in values)
         with Tape() as tape:
             out = T.linear(x, w, b) if fused else T.add(T.matmul(x, w), b)
-            backward(_weighted_sum(out, c), tape)
+            backward(dot(out, c), tape)
         results.append([out.data, x.grad, w.grad, b.grad])
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
@@ -175,7 +173,37 @@ def test_attention_core_is_bitwise_the_unfused_composition(b, sq, sk, heads, dh,
     c = rng.standard_normal((b, sq, heads * dv))
     with Tape() as tape:
         out = T.attention_core(q, k, v, heads)
-        backward(_weighted_sum(out, c), tape)
+        backward(dot(out, c), tape)
     want = _unfused_attention(q.data, k.data, v.data, heads, c)
     for got, ref in zip((out.data, q.grad, k.grad, v.grad), want):
         assert got.tobytes() == ref.tobytes()
+
+
+def _unfused_cross_entropy(x, labels):
+    """The four nodes cross_entropy replaced, logsumexp, select_columns, sub
+    and mean, forward and reverse at unit upstream gradient; returns (loss, gx)."""
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1, keepdims=True)
+    loss = (np.squeeze(m + np.log(s), axis=-1) - x[rows, labels]).mean(axis=(0,))
+    g = np.broadcast_to(np.expand_dims(np.ones(()), (0,)) / x.shape[0], (x.shape[0],)).copy()
+    g_picked = np.zeros_like(x)
+    np.add.at(g_picked, (rows, labels), -g)
+    g_lse = np.expand_dims(g, -1) * (e / s)
+    return loss, g_picked + g_lse
+
+
+@settings(max_examples=50, deadline=None)
+@given(b=st.integers(1, 9), k=st.integers(1, 6), scale=st.sampled_from([1.0, 30.0, 1e3]), seed=SEEDS)
+def test_cross_entropy_is_bitwise_the_unfused_composition(b, k, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = tensor(scale * rng.standard_normal((b, k)), requires_grad=True)
+    labels = rng.integers(0, k, size=b)  # repeats exercise the scatter-add
+    with Tape() as tape:
+        loss = T.cross_entropy(x, labels)
+        backward(loss, tape)
+    assert len(tape) == 1
+    want_loss, want_gx = _unfused_cross_entropy(x.data, labels)
+    assert loss.data.tobytes() == np.asarray(want_loss).tobytes()
+    assert x.grad.tobytes() == want_gx.tobytes()

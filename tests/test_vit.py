@@ -21,6 +21,8 @@ from contextvit.vit import (
     vit_forward,
 )
 
+from conftest import dot
+
 
 # ------------------------------------------------------------------- patchify
 
@@ -132,7 +134,7 @@ def test_two_token_attention_gradient():
     attn_params = {k: v for k, v in params.items() if k.startswith("layer0.attn")}
 
     err = finite_diff_check(
-        lambda: T.sum_axis(T.mul(attention(x, params, 0, config.heads), coeff)),
+        lambda: dot(attention(x, params, 0, config.heads), coeff),
         attn_params,
         step=1e-4,
     )
