@@ -1,6 +1,6 @@
 """Compare two checkouts of this repository and write a ``BENCH_<topic>.json``.
 
-    python3 scripts/bench_compare.py --base /path/to/parent --head . --out BENCH_tape_memory.json
+    python3 scripts/bench_compare.py --base /path/to/parent --head . --out BENCH_<topic>.json
 
 Two measurements, each run in fresh processes with BLAS held to one thread:
 
@@ -11,11 +11,12 @@ Two measurements, each run in fresh processes with BLAS held to one thread:
   better.
 * Minor page faults and user/system CPU time from ``getrusage`` around a
   bare loop of training steps (forward, backward and AdamW at the recipe's
-  schedule, no timing hooks; ``WARMUP_STEPS``, then ``MEASURED_STEPS``
-  counted) at perfbench's ``finetune_grouped`` and ``finetune_mixed``
-  recipes, and around one whole ``verify.run_gradient_suite``; each probe
-  runs alone in a fresh process, ``RUSAGE_REPEATS`` times per checkout,
-  alternating between the checkouts.
+  schedule, in the dtype ``fine_tune`` trains in, no timing hooks;
+  ``WARMUP_STEPS``, then ``MEASURED_STEPS`` counted) at perfbench's
+  ``finetune_grouped`` and ``finetune_mixed`` recipes, and around one
+  whole ``verify.run_gradient_suite``; each probe runs alone in a fresh
+  process, ``RUSAGE_REPEATS`` times per checkout, alternating between the
+  checkouts.
 
 A fresh process has freed nothing yet, so glibc's heap thresholds sit at
 their start values, as in a ``contextvit train`` run; perfbench's worker
@@ -70,6 +71,9 @@ def rusage_probe(root: str, probe: str) -> dict:
     recipe = getattr(workloads, STEP_LOOPS[probe])
     dataset = data.generate_dataset(data.SyntheticShiftSpec(**recipe.spec), 0)
     model = context.ContextViT.create(vit.ViTConfig(), context.ContextKind.from_name(recipe.kind), seed=0)
+    # the cast ``train.fine_tune`` makes, so the loop times the step training
+    # runs; a checkout that predates float32 training has none and runs float64
+    getattr(model, "to_float32", lambda: None)()
     config = train.TrainConfig(epochs=recipe.epochs, warmup_epochs=1, batch_size=recipe.batch_size,
                                sampler=recipe.sampler, seed=0, context_kind=recipe.kind)
     steps_per_epoch = data.batches_per_epoch(dataset.train, recipe.batch_size, recipe.sampler)

@@ -1,12 +1,20 @@
-"""Binary checkpoints: named float64 entries, byte-identical round trips.
+"""Binary checkpoints: named float32 or float64 entries, byte-identical round trips.
 
-Layout (all integers little-endian):
+Layout, version 2 (all integers little-endian):
   magic "CVCK" | u32 version | u32 hash_len | config-hash utf8
   | u32 n_params | entries | u8 optimizer flag, always 0 (any other
   value is rejected) | u32 n_state | state entries (ema values keyed
   "ema.<group>")
 
-Entry: u32 name_len | name utf8 | u32 ndim | u64 dims... | f8 payload.
+Entry: u32 name_len | name utf8 | u8 dtype code | u32 ndim | u64 dims...
+| payload.  The dtype code is the payload's byte width: 4 for
+little-endian float32, 8 for float64; any other code is rejected with an
+error naming the entry.  A float32 array is stored as float32 and anything
+else as float64, the rule ``Tensor`` applies, and ``load_checkpoint``
+returns each entry in its stored dtype, so a model restored from a
+checkpoint computes in the dtype it was saved in.  Version 1 files, whose
+entries have no dtype code and a float64 payload, still load, as float64.
+
 Entries are written in insertion order of the source dicts, so loading
 and re-saving reproduces the file byte for byte.  Every size read from the
 file is checked against the bytes left in it before anything is read, so
@@ -22,12 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, as_float_array
 
 __all__ = ["CheckpointData", "save_checkpoint", "load_checkpoint", "restore_into"]
 
 _MAGIC = b"CVCK"
-_VERSION = 1
+_VERSION = 2
+_VERSIONS = (1, 2)  # version 1: every entry float64, no dtype code
+_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # dtype code (byte width) -> payload dtype
 
 
 def _write_u32(f, value: int) -> None:
@@ -55,19 +65,27 @@ def _write_entry(f, name: str, array: np.ndarray) -> None:
     raw = name.encode("utf-8")
     _write_u32(f, len(raw))
     f.write(raw)
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    code = as_float_array(array).itemsize
+    arr = np.ascontiguousarray(array, dtype=_DTYPES[code])
+    f.write(bytes([code]))
     _write_u32(f, arr.ndim)
     for dim in arr.shape:
         _write_u64(f, dim)
     f.write(arr.tobytes())
 
 
-def _read_entry(f) -> tuple[str, np.ndarray]:
+def _read_entry(f, version: int) -> tuple[str, np.ndarray]:
     name = _read_exact(f, _read_u32(f, "entry name length"), "entry name").decode("utf-8")
+    dtype = _DTYPES[8]
+    if version >= 2:
+        code = _read_exact(f, 1, f"entry {name!r} dtype code")[0]
+        if code not in _DTYPES:
+            raise ValueError(f"corrupt checkpoint: entry {name!r} has unknown dtype code {code}")
+        dtype = _DTYPES[code]
     ndim = _read_u32(f, f"entry {name!r} rank")
     shape = tuple(int(d) for d in np.frombuffer(_read_exact(f, 8 * ndim, f"entry {name!r} dims"), dtype="<u8"))
-    payload = _read_exact(f, 8 * math.prod(shape), f"entry {name!r} of shape {shape}")
-    return name, np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    payload = _read_exact(f, dtype.itemsize * math.prod(shape), f"entry {name!r} of shape {shape}")
+    return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 @dataclass
@@ -118,13 +136,13 @@ def load_checkpoint(path: str) -> CheckpointData:
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r}) at {path}")
         version = _read_u32(f, "version")
-        if version != _VERSION:
-            raise ValueError(f"checkpoint format version {version} unsupported (expected {_VERSION})")
+        if version not in _VERSIONS:
+            raise ValueError(f"checkpoint format version {version} unsupported (expected one of {_VERSIONS})")
         config_hash = _read_exact(f, _read_u32(f, "config hash length"), "config hash").decode("utf-8")
-        params = dict(_read_entry(f) for _ in range(_read_u32(f, "parameter count")))
+        params = dict(_read_entry(f, version) for _ in range(_read_u32(f, "parameter count")))
         if _read_exact(f, 1, "optimizer flag") != b"\x00":
             raise ValueError("corrupt checkpoint: bad optimizer flag byte")
-        state = dict(_read_entry(f) for _ in range(_read_u32(f, "state count")))
+        state = dict(_read_entry(f, version) for _ in range(_read_u32(f, "state count")))
         if f.read(1):
             raise ValueError("trailing bytes after checkpoint payload; file corrupt")
     return CheckpointData(config_hash=config_hash, params=params, state=state)
@@ -134,7 +152,9 @@ def restore_into(model_params: dict[str, Tensor], ckpt: CheckpointData) -> None:
     """Copy checkpoint entries into a parameter dict of the same architecture.
 
     The name sets must match exactly; the first mismatching entry (missing,
-    unexpected, or mis-shaped) is named in the error.
+    unexpected, or mis-shaped) is named in the error.  Each parameter takes
+    the stored entry's dtype, so the model computes in the dtype it was
+    saved in.
     """
     for name in model_params:
         if name not in ckpt.params:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .rng import child_seed, generator, randn
-from .tensor import Tensor
+from .tensor import Tensor, as_float_array
 from .vit import (
     ViTConfig,
     _assemble,
@@ -288,11 +288,12 @@ def oracle_lookup(groups: Sequence[int], params: dict[str, Tensor]) -> Tensor:
 
 
 def ema_update(state: dict[int, np.ndarray], group: int, batch_mean: np.ndarray, lam: float) -> np.ndarray:
-    """state <- lam*state + (1-lam)*batch_mean; first sighting adopts the mean."""
+    """state <- lam*state + (1-lam)*batch_mean; first sighting adopts the mean.
+    A float32 mean keeps the state float32 (``tensor.as_float_array``)."""
     if not (0.0 < lam < 1.0):
         raise ValueError(f"ema lambda must lie in (0,1), got {lam}")
     g = int(group)
-    mean = np.asarray(batch_mean, dtype=np.float64)
+    mean = as_float_array(batch_mean)
     if g in state:
         state[g] = lam * state[g] + (1.0 - lam) * mean
     else:
@@ -436,7 +437,7 @@ def contextvit_forward(
         return vit_forward(batch.images, backbone, config)
 
     io = _ContextIO(capture=capture_context_inputs, override=context_input_override)
-    patches = T.constant(patchify_batch(batch.images, config.patch))
+    patches = T.constant(patchify_batch(batch.images, config.patch, backbone["patch_projection"].data.dtype))
     patch_tokens = embed_patches(patches, backbone)  # pre-positional, pooled from
     b, n, d = patch_tokens.shape
     slots = batch.slots
@@ -509,6 +510,20 @@ class ContextViT:
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.parameters().items() if v.requires_grad}
+
+    def to_float32(self) -> None:
+        """Cast the trainable parameters and the ema state to float32, in
+        place: the one place that sets the dtype fine-tuning computes in.
+
+        Every op follows its inputs' dtype, so the forward, the backward and
+        the optimizer state of this model then run in float32.
+        ``oracle_groups`` needs no gradient and stays float64: it is an id
+        table, and float32 would corrupt ids above 2**24.
+        """
+        for p in self.trainable_parameters().values():
+            p.data = p.data.astype(np.float32)
+        for gid, value in self.ema_state.items():
+            self.ema_state[gid] = value.astype(np.float32)
 
     def forward(
         self,

@@ -36,10 +36,15 @@ def finite_diff_errors(
 
     ``f`` must be deterministic and read each parameter's current ``.data``.
     With ``max_coords`` set, at most that many coordinates per parameter are
-    probed (chosen by a seeded draw) instead of all of them.
+    probed (chosen by a seeded draw) instead of all of them.  Every parameter
+    must be float64: at float32's ~1e-7 resolution a central difference at a
+    step near 1e-4 measures rounding, not the gradient.
     """
     if step <= 0:
         raise ValueError(f"finite_diff step must be > 0, got {step}")
+    for name, p in params.items():
+        if p.data.dtype != np.float64:
+            raise TypeError(f"parameter {name!r} is {p.data.dtype}; finite differences need float64")
 
     with Tape() as tape:
         loss = f()

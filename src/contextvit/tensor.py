@@ -1,13 +1,17 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray plus a ``requires_grad`` flag.  An op
-whose inputs need gradients records itself on the active ``Tape`` when
-one exists, and only computes when none does, so forward-only passes
-(evaluation, finite differences) keep no graph; the values are the same
-either way.  ``backward`` replays the tape in reverse and accumulates
-vector-Jacobian products; a grad-enabled loss that is not the output of
-a node on that tape (its forward ran outside the tape) is an error.  The
-accumulation order is the fixed reverse tape order, which makes
+A ``Tensor`` wraps a float32 or float64 ndarray plus a ``requires_grad``
+flag; float32 data stays float32 and anything else becomes float64
+(``as_float_array``).  Every op computes in its inputs' dtype and every vjp
+returns each input's gradient in that input's dtype, so a graph built from
+float32 parameters runs in float32 end to end.  An op whose inputs need
+gradients records itself on the active ``Tape`` when one exists, and only
+computes when none does, so forward-only passes (evaluation, finite
+differences) keep no graph; the values are the same either way.
+``backward`` replays the tape in reverse and accumulates vector-Jacobian
+products; a grad-enabled loss that is not the output of a node on that
+tape (its forward ran outside the tape) is an error.  The accumulation
+order is the fixed reverse tape order, which makes
 gradients bitwise reproducible for a given forward pass.  Only leaves
 (inputs no node on the tape produced) receive ``.grad``; an intermediate
 gradient is freed as soon as the vjp of the node that produced it has
@@ -27,6 +31,7 @@ identical gradient bytes.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence
 
@@ -69,13 +74,20 @@ class NonFiniteError(FloatingPointError, ValueError):
         super().__init__(f"{op}: non-finite {what} of shape {self.shape}")
 
 
+def as_float_array(data) -> np.ndarray:
+    """``data`` as an ndarray: float32 stays float32, anything else becomes
+    float64.  Kept out of ``__all__`` (not an op), like ``NonFiniteError``."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
+
+
 class Tensor:
-    """Double-precision array with an optional gradient buffer."""
+    """Float32 or float64 array with an optional gradient buffer."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = as_float_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
 
@@ -366,8 +378,9 @@ def group_pool(a: Tensor, members, mean: bool = True) -> Tensor:
     axes = tuple(range(a.data.ndim - 1))
     reduce = np.mean if mean else np.sum
     out = np.stack([reduce(rows[s:e], axis=axes) for s, e in zip(bounds[:-1], bounds[1:])])
-    # elements behind each pooled value: member rows times the inner positions
-    count = (sizes * (a.data[0].size // a.data.shape[-1]))[:, None]
+    # elements behind each pooled value: member rows times the inner positions,
+    # in a's dtype so that dividing by it keeps g's
+    count = (sizes * (a.data[0].size // a.data.shape[-1]))[:, None].astype(a.data.dtype)
 
     def vjp(g):
         per_row = np.repeat(g / count if mean else g, sizes, axis=0)
@@ -378,10 +391,19 @@ def group_pool(a: Tensor, members, mean: bool = True) -> Tensor:
     return _record(out, (a,), vjp)
 
 
+def _basic_index(k) -> bool:
+    return (k is None or k is Ellipsis or isinstance(k, slice)
+            or (isinstance(k, (int, np.integer)) and not isinstance(k, bool)))
+
+
 def _getitem(a: Tensor, key) -> Tensor:
-    out = a.data[key]
-    if np.isscalar(out) or out.ndim == 0:
-        out = np.asarray(out, dtype=np.float64)
+    """Basic indexing (ints, slices, None, ...) only: an integer-array, list or
+    boolean key can repeat an element, which the buffered ``ga[key] += g``
+    of the vjp would count once."""
+    if not all(_basic_index(k) for k in (key if isinstance(key, tuple) else (key,))):
+        raise TypeError(f"Tensor indexing takes ints and slices only, got {key!r}; "
+                        "gather rows with tensor.index_rows")
+    out = np.asarray(a.data[key])
 
     def vjp(g):
         ga = np.zeros_like(a.data)
@@ -417,7 +439,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         np.add.at(gx, (rows, labels), -per_row)
         return (gx + per_row[:, None] * (e / s),)
 
-    return _record(np.asarray(out, dtype=np.float64), (logits,), vjp)
+    return _record(np.asarray(out), (logits,), vjp)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
@@ -455,7 +477,7 @@ def relu(a: Tensor) -> Tensor:
     return _record(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-_GELU_C = np.sqrt(2.0 / np.pi)
+_GELU_C = math.sqrt(2.0 / math.pi)  # a Python float, so float32 arithmetic stays float32
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -559,4 +581,4 @@ def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
                 continue
             produced.add(key)  # each leaf once
             g = grads.pop(key, None)
-            t.grad = np.array(g, dtype=np.float64, copy=True) if g is not None else np.zeros_like(t.data)
+            t.grad = np.array(g, dtype=t.data.dtype, copy=True) if g is not None else np.zeros_like(t.data)

@@ -7,6 +7,12 @@ a cosine; weight decay rises on a cosine from its start to its end
 value.  Decay is decoupled and skipped for biases, norm parameters, the
 CLS token, and context tokens.  Everything is seeded, so a fixed config
 reproduces the exact trajectory.
+
+Fine-tuning computes in float32: ``fine_tune`` casts the model's trainable
+parameters and ema state once, on entry (``ContextViT.to_float32``), and
+every op, gradient and optimizer moment follows that dtype.  Probing and
+evaluation run in whatever dtype the model holds, so a freshly created
+model (float64, as the gradient checks use) stays float64.
 """
 
 from __future__ import annotations
@@ -281,7 +287,9 @@ def _train_epochs(model: ContextViT, params: dict[str, Tensor], data: DatasetSpl
 
 def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> TrainResult:
     """Joint AdamW training of backbone + context + head with per-epoch
-    validation and best-validation model selection."""
+    validation and best-validation model selection, in float32: the model
+    is cast in place before the first step."""
+    model.to_float32()
     params = model.trainable_parameters()
     state = AdamWState.init(params)
     return _train_epochs(model, params, data, config, lambda lr, wd: adamw_step(params, state, lr, wd),
@@ -305,8 +313,9 @@ def linear_probe(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> 
         ema_state={k: v.copy() for k, v in model.ema_state.items()},
     )
     d, k = model.config.dim, model.config.num_classes
-    probe.backbone["head.w"] = Tensor(np.zeros((d, k)), requires_grad=True)
-    probe.backbone["head.b"] = Tensor(np.zeros(k), requires_grad=True)
+    dtype = model.backbone["patch_projection"].data.dtype  # the head computes in the backbone's dtype
+    probe.backbone["head.w"] = Tensor(np.zeros((d, k), dtype), requires_grad=True)
+    probe.backbone["head.b"] = Tensor(np.zeros(k, dtype), requires_grad=True)
     params = {"head.w": probe.backbone["head.w"], "head.b": probe.backbone["head.b"]}
     state = SGDState.init(params)
     return _train_epochs(probe, params, data, config,

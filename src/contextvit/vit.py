@@ -112,10 +112,12 @@ def init_backbone_params(config: ViTConfig, seed: int) -> dict[str, Tensor]:
     return params
 
 
-def patchify_batch(images: np.ndarray, patch: int) -> np.ndarray:
-    """[B, H, W, C] -> [B, N, patch*patch*C] rows in row-major grid order;
-    pure data prep, no gradients."""
-    images = np.asarray(images, dtype=np.float64)
+def patchify_batch(images: np.ndarray, patch: int, dtype=np.float64) -> np.ndarray:
+    """[B, H, W, C] -> [B, N, patch*patch*C] rows of ``dtype`` in row-major
+    grid order; pure data prep, no gradients.  The forward passes
+    ``patch_projection``'s dtype, so the patches meet the model in the dtype
+    it computes in."""
+    images = np.asarray(images, dtype=dtype)
     if images.ndim != 4:
         raise ValueError(f"expected [B, H, W, C] images, got shape {images.shape}")
     b, h, w, c = images.shape
@@ -189,7 +191,7 @@ def encode_tokens(
 
 def vit_forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig):
     """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes])."""
-    patches = T.constant(patchify_batch(images, config.patch))
+    patches = T.constant(patchify_batch(images, config.patch, params["patch_projection"].data.dtype))
     tokens = _assemble(embed_patches(patches, params), params)
     encoded = encode_tokens(tokens, params, config)
     cls = encoded[:, 0]

@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, architecture checks, corruption."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -154,10 +155,60 @@ def test_truncation_at_any_offset_rejected(tmp_path, toy_model, keep):
 def test_corrupt_dim_field_names_entry(tmp_path, toy_model, dim):
     path, ckpt = _save_and_load(tmp_path, toy_model, config_hash="h")
     first = next(iter(ckpt.params))
-    # magic, version, hash length, hash, entry count, name length, name, rank
-    offset = 4 + 4 + 4 + 1 + 4 + 4 + len(first.encode()) + 4
+    # magic, version, hash length, hash, entry count, name length, name, dtype code, rank
+    offset = 4 + 4 + 4 + 1 + 4 + 4 + len(first.encode()) + 1 + 4
     blob = bytearray(open(path, "rb").read())
     blob[offset:offset + 8] = dim.to_bytes(8, "little")
     open(path, "wb").write(bytes(blob))
     with pytest.raises(ValueError, match=f"entry '{first}'"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("code", [0, 2, 16, 255])
+def test_unknown_dtype_code_names_entry(tmp_path, toy_model, code):
+    path, ckpt = _save_and_load(tmp_path, toy_model, config_hash="h")
+    first = next(iter(ckpt.params))
+    # magic, version, hash length, hash, entry count, name length, name
+    offset = 4 + 4 + 4 + 1 + 4 + 4 + len(first.encode())
+    blob = bytearray(open(path, "rb").read())
+    assert blob[offset] == 8  # float64
+    blob[offset] = code
+    open(path, "wb").write(bytes(blob))
+    with pytest.raises(ValueError, match=f"entry '{first}' has unknown dtype code {code}"):
+        load_checkpoint(path)
+
+
+def test_float32_model_restores_bitwise_into_a_fresh_float64_model(tmp_path, toy_model, toy_config, train_batch):
+    """Entries keep their dtype through save, load and ``restore_into``, so the
+    restored model computes the saved model's logits bit for bit."""
+    toy_model.to_float32()
+    for p in toy_model.context.values():  # zero-initialized heads would hide the context path
+        p.data += np.float32(0.1)
+    path, ckpt = _save_and_load(tmp_path, toy_model)
+    fresh = ContextViT.create(toy_config, toy_model.kind, seed=99)
+    restore_into(fresh.parameters(), ckpt)
+    for name, p in fresh.parameters().items():
+        assert p.data.dtype == np.float32, name
+    want = toy_model.forward(train_batch)[1].data
+    got = fresh.forward(train_batch)[1].data
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
+def _version_1_file(arrays: dict, config_hash: str = "h") -> bytes:
+    """A version-1 checkpoint: float64 payloads and no dtype codes."""
+    out = [b"CVCK", struct.pack("<II", 1, len(config_hash)), config_hash.encode(), struct.pack("<I", len(arrays))]
+    for name, a in arrays.items():
+        out += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", a.ndim),
+                struct.pack(f"<{a.ndim}Q", *a.shape), a.astype("<f8").tobytes()]
+    out += [b"\x00", struct.pack("<I", 0)]
+    return b"".join(out)
+
+
+def test_version_1_file_loads_as_float64(tmp_path):
+    arrays = {"w": np.arange(6.0).reshape(2, 3) / 7.0, "b": np.array([0.25, -1.5])}
+    path = tmp_path / "v1.cvck"
+    path.write_bytes(_version_1_file(arrays))
+    ckpt = load_checkpoint(str(path))
+    assert ckpt.config_hash == "h" and ckpt.state == {}
+    for name, a in arrays.items():
+        assert ckpt.params[name].dtype == np.float64 and np.array_equal(ckpt.params[name], a), name

@@ -32,6 +32,13 @@ def test_step_must_be_positive():
         finite_diff_check(lambda: dot(x), {"x": x}, step=0.0)
 
 
+def test_float32_parameters_rejected():
+    # a 1e-4 central difference of float32 values measures rounding
+    x = tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    with pytest.raises(TypeError, match="'x' is float32"):
+        finite_diff_check(lambda: dot(x, np.ones(3, dtype=np.float32)), {"x": x})
+
+
 def test_detached_path_needs_subgraph_comparison():
     """f(x) = x . stop_gradient(x): the analytic gradient is x (the
     detached factor is a constant), while a naive directional difference sees

@@ -207,3 +207,52 @@ def test_cross_entropy_is_bitwise_the_unfused_composition(b, k, scale, seed):
     want_loss, want_gx = _unfused_cross_entropy(x.data, labels)
     assert loss.data.tobytes() == np.asarray(want_loss).tobytes()
     assert x.grad.tobytes() == want_gx.tobytes()
+
+
+def _dtype_cases(new, n: int) -> dict:
+    """One application of every op (and of Tensor indexing) to leaves made by
+    ``new(*shape)``; ``n`` varies the leading size."""
+    return {
+        "add": lambda: T.add(new(n, 3), new(3)),
+        "matmul": lambda: T.matmul(new(n, 2, 3), new(3, 4)),
+        "linear": lambda: T.linear(new(n, 2, 3), new(3, 4), new(4)),
+        "attention_core": lambda: T.attention_core(new(n, 3, 4), new(n, 5, 4), new(n, 5, 6), heads=2),
+        "reshape": lambda: T.reshape(new(n, 6), (6, n)),
+        "broadcast_to": lambda: T.broadcast_to(new(1, 3), (n, 3)),
+        "concat": lambda: T.concat([new(n, 3), new(2, 3)], axis=0),
+        "index_rows": lambda: T.index_rows(new(n, 2), [0] * (n + 1)),
+        "group_pool": lambda: T.add(T.group_pool(new(n + 1, 2, 4), [[n], range(n)]),
+                                    T.group_pool(new(n + 1, 4), [range(n + 1)], mean=False)),
+        "cross_entropy": lambda: T.cross_entropy(new(n, 4), [3] * n),
+        "layer_norm": lambda: T.layer_norm(new(n, 4), new(4), new(4)),
+        "relu": lambda: T.relu(new(n, 3)),
+        "gelu": lambda: T.gelu(new(n, 3)),
+        "stop_gradient": lambda: T.add(T.stop_gradient(new(n, 3)), new(n, 3)),
+        "getitem": lambda: new(n, 4)[:, 1:3],
+    }
+
+
+def test_dtype_cases_cover_every_op():
+    not_ops = {"Tensor", "Tape", "active_tape", "tensor", "constant", "backward"}
+    assert set(_dtype_cases(None, 1)) == set(T.__all__) - not_ops | {"getitem"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from(sorted(_dtype_cases(None, 1))), n=st.integers(1, 4),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=SEEDS)
+def test_ops_compute_and_differentiate_in_their_inputs_dtype(op, n, dtype, seed):
+    """float32 inputs give a float32 output and float32 gradients, and float64
+    stays float64, on the forward and through every vjp of the tape."""
+    rng = np.random.default_rng(seed)
+    leaves = []
+
+    def new(*shape):
+        leaves.append(tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True))
+        return leaves[-1]
+
+    with Tape() as tape:
+        out = _dtype_cases(new, n)[op]()
+        backward(dot(out, rng.standard_normal(out.size).astype(dtype)), tape)
+    assert out.data.dtype == dtype
+    assert {node.output.data.dtype for node in tape.nodes} == {np.dtype(dtype)}
+    assert [leaf.grad.dtype for leaf in leaves] == [np.dtype(dtype)] * len(leaves)

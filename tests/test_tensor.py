@@ -23,6 +23,40 @@ def test_tensor_is_double_precision_row_major():
     assert t.data.shape == (2, 2)
 
 
+def test_tensor_keeps_float32_and_makes_everything_else_float64():
+    assert tensor(np.ones(2, dtype=np.float32)).data.dtype == np.float32
+    for data in ([1, 2], np.arange(2), np.ones(2, dtype=np.float16), 3.0):
+        assert tensor(data).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("key", [
+    [1, 1, 2],
+    np.array([1, 1, 2]),
+    np.array([True, False, True, False]),
+    (slice(None), [0, 0]),
+    True,
+])
+def test_getitem_rejects_keys_that_can_repeat_elements(key):
+    """x[[1, 1, 2]] would need the gradient of row 1 counted twice; the
+    buffered ``ga[key] += g`` counts it once, so such keys are refused."""
+    x = tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    with pytest.raises(TypeError, match="index_rows"):
+        x[key]
+
+
+def test_getitem_basic_keys_route_gradient_to_their_elements():
+    x = tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    with Tape() as tape:
+        picked = T.concat([x[:, 0], x[np.int64(1)], x[1:3, 2], x[..., -1]], axis=0)
+        backward(dot(picked), tape)
+    want = np.zeros((4, 3))
+    want[:, 0] += 1
+    want[1] += 1
+    want[1:3, 2] += 1
+    want[:, -1] += 1
+    assert np.array_equal(x.grad, want)
+
+
 def test_grad_buffer_matches_shape_after_backward():
     x = tensor(np.ones((2, 3)), requires_grad=True)
     with Tape() as tape:
