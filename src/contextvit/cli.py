@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import os
 import sys
@@ -39,8 +40,6 @@ from .train import fine_tune, linear_probe, write_metrics_csv, write_summary_jso
 from .verify import TOLERANCE, run_gradient_suite
 
 __all__ = ["main"]
-
-_COMMANDS = ("generate-data", "train", "probe", "ablate", "sweep", "export-context", "grad-check")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -72,27 +71,23 @@ def _load_or_generate(cfg: RunConfig) -> DatasetSplit:
     return generate_dataset(cfg.shift_spec(), cfg.seed)
 
 
-def _build_model(cfg: RunConfig, data: Optional[DatasetSplit]) -> ContextViT:
+def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointData] = None) -> ContextViT:
+    """A fresh model of ``cfg``, or one holding ``ckpt``'s parameters and ema
+    state.  The oracle table registers the training groups of ``data``, or
+    the groups ``ckpt`` stores."""
     kind = cfg.kind()
     group_ids = None
-    if kind.base == "oracle":
-        if data is None:
-            raise ValueError("oracle kind needs a dataset to enumerate training groups")
+    if kind.base == "oracle" and ckpt is None:
         group_ids = sorted(data.train.partition)
-    return ContextViT.create(cfg.vit_config(), kind, seed=cfg.seed, group_ids=group_ids)
-
-
-def _model_from_checkpoint(cfg: RunConfig, ckpt: CheckpointData) -> ContextViT:
-    kind = cfg.kind()
-    group_ids = None
-    if kind.base == "oracle":
+    elif kind.base == "oracle":
         stored = ckpt.params.get("context.oracle_groups")
         if stored is None:
             raise ValueError("checkpoint is missing parameter 'context.oracle_groups'")
         group_ids = [int(g) for g in stored]
     model = ContextViT.create(cfg.vit_config(), kind, seed=cfg.seed, group_ids=group_ids)
-    restore_into(model.parameters(), ckpt)
-    model.ema_state = ckpt.ema_state()
+    if ckpt is not None:
+        restore_into(model.parameters(), ckpt)
+        model.ema_state = ckpt.ema_state()
     return model
 
 
@@ -145,7 +140,7 @@ def _cmd_probe(cfg: RunConfig, run_dir: str) -> int:
     train_config = cfg.train_config()
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
-    result = linear_probe(_model_from_checkpoint(cfg, ckpt), data, train_config)
+    result = linear_probe(_build_model(cfg, data, ckpt), data, train_config)
     return _write_trained(cfg, run_dir, data, result, "probe", "probe_",
                           source_checkpoint=cfg.checkpoint_path)
 
@@ -199,18 +194,7 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
             "command": "ablate",
             "config_hash": config_hash(cfg),
             "seeds": cfg.seed_list(),
-            "rows": [
-                {
-                    "kind": r.kind,
-                    "ood_accuracy": r.ood_accuracy,
-                    "id_accuracy": r.id_accuracy,
-                    "seconds": r.seconds,
-                    "per_seed_ood": r.per_seed_ood,
-                    "per_seed_id": r.per_seed_id,
-                    "error": r.error,
-                }
-                for r in rows
-            ],
+            "rows": [dataclasses.asdict(r) for r in rows],
         },
         os.path.join(run_dir, "summary.json"),
     )
@@ -231,7 +215,7 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
 def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
-    model = _model_from_checkpoint(cfg, ckpt)
+    model = _build_model(cfg, data, ckpt)
     accuracies = batch_size_sweep(model, data.ood_test, cfg.size_list())
     sweep_path = os.path.join(run_dir, "sweep.csv")
     _write_csv(sweep_path, ["eval_batch_size", "ood_accuracy"],
@@ -255,7 +239,7 @@ def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
 def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
-    model = _model_from_checkpoint(cfg, ckpt)
+    model = _build_model(cfg, data, ckpt)
     if cfg.analysis_split == "all":
         subset = GroupedBatch.concat([data.id_test, data.ood_test])
     elif cfg.analysis_split in ("train", "val", "id_test", "ood_test"):
@@ -333,7 +317,7 @@ def main(argv=None) -> int:
         description="Group-conditioned vision transformer on a synthetic shift benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")

@@ -112,35 +112,29 @@ _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _DEFAULTS = RunConfig()
 
 
-def _parse_value(key: str, raw: str):
+def _parse_assignment(item: str, where: str) -> tuple:
+    """``key=value`` -> (key, value typed as the key's default); ``where``
+    names the config line or the override in errors."""
+    if "=" not in item:
+        raise ValueError(f"{where}: expected key=value, got {item!r}")
+    key, raw = (part.strip() for part in item.split("=", 1))
+    if key not in _FIELDS:
+        raise ValueError(f"{where}: unknown config key {key!r}")
     kind = type(getattr(_DEFAULTS, key))
-    raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return key, kind(raw) if kind in (int, float) else raw
     except ValueError as exc:
-        raise ValueError(f"config key {key!r} expects {kind.__name__}, got {raw!r}") from exc
+        raise ValueError(f"{where}: config key {key!r} expects {kind.__name__}, got {raw!r}") from exc
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """key = value lines; blank lines and #-comments allowed; unknown keys rejected."""
-    cfg = base or RunConfig()
-    updates = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        updates[key] = _parse_value(key, raw)
-    return replace(cfg, **updates)
+    updates = dict(
+        _parse_assignment(stripped, f"config line {lineno}")
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if (stripped := line.split("#", 1)[0].strip())
+    )
+    return replace(base or RunConfig(), **updates)
 
 
 def parse_config_file(path: str, base: RunConfig | None = None) -> RunConfig:
@@ -154,16 +148,7 @@ def parse_config_file(path: str, base: RunConfig | None = None) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """CLI-style key=value overrides on top of a parsed config."""
-    updates = {}
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override must be key=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, raw)
-    return replace(cfg, **updates)
+    return replace(cfg, **dict(_parse_assignment(item, "override") for item in overrides))
 
 
 def config_to_text(cfg: RunConfig) -> str:

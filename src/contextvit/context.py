@@ -1,13 +1,16 @@
-"""Context tokens inferred per group, plus the conditioned forward pass.
+"""Context tokens inferred per group, plus the one conditioned forward pass.
 
-A context token occupies slot 1 of the sequence (slot 0 is CLS, patch
-tokens start at slot 2).  It can come from a trainable per-group table
-(``oracle``), from mean-pooled patch embeddings of the group's batch
-members with an optional linear head and optional stop-gradient
-(``mean``, ``mean_linear``, ``mean_linear_detach``, also per-layer), from
-a deep-sets network over member patches, from an exponential moving
-average of batch means, or the sequence can instead be extended with
-raw patches sampled from the group (``in_context_patches``).
+Every kind runs the same shared ViT through ``contextvit_forward``; a kind
+changes only what joins CLS and the patch tokens, and kind ``none`` adds
+nothing, which makes it the plain ViT.  A context token occupies slot 1
+of the sequence (slot 0 is CLS, patch tokens start at slot 2).  It can
+come from a trainable per-group table (``oracle``), from mean-pooled
+patch embeddings of the group's batch members with an optional linear
+head and optional stop-gradient (``mean``, ``mean_linear``,
+``mean_linear_detach``, also per-layer), from a deep-sets network over
+member patches, from an exponential moving average of batch means, or
+the sequence can instead be extended with raw patches sampled from the
+group (``in_context_patches``).
 
 Every kind infers the tokens of all of a batch's G groups at once, so a
 forward records the same tape nodes for one group as for sixteen: one
@@ -40,7 +43,6 @@ from .vit import (
     encode_tokens,
     init_backbone_params,
     patchify_batch,
-    vit_forward,
 )
 
 __all__ = [
@@ -340,127 +342,102 @@ def _patch_rows(members, n: int) -> np.ndarray:
     return (np.asarray(members, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
 
 
-class _ContextIO:
-    """Plumbing for gradient verification of the non-differentiable paths.
+def _frozen_input(layer: int, computed: Tensor, capture: Optional[dict], override: Optional[dict]) -> Tensor:
+    """The array entering layer ``layer``'s frozen boundary: the pooled
+    [G, d] stack, the [B*N, d] patch rows or the [G, d] ema state.
 
-    ``capture`` records the value entering each frozen boundary (detached
-    pooled vector, detached patch rows, or ema state), keyed by
-    (head_layer, group).  ``override`` replays recorded values as constants
-    so finite differences only see the declared-differentiable subgraph.
+    For gradient verification, ``override[layer]`` replaces it as a
+    constant, so finite differences see only the declared-differentiable
+    subgraph, and ``capture[layer]`` records the array that goes on.
     """
-
-    def __init__(self, capture: Optional[dict] = None, override: Optional[dict] = None):
-        self.capture = capture
-        self.override = override
-
-    def boundary(self, layer: int, groups, computed: Tensor, parts) -> Tensor:
-        """``parts[i]`` indexes the rows of ``computed`` that belong to ``groups[i]``."""
-        keys = [(layer, gid) for gid in groups]
-        out = computed
-        if self.override is not None:
-            found = [key in self.override for key in keys]
-            if all(found):
-                data = computed.data.copy()
-                for key, part in zip(keys, parts):
-                    data[part] = self.override[key]
-                out = T.constant(data)
-            elif any(found):
-                raise KeyError(f"context override covers only some of the groups at layer {layer}")
-        if self.capture is not None:
-            for key, part in zip(keys, parts):
-                self.capture[key] = np.array(out.data[part], copy=True)
-        return out
+    out = computed
+    if override is not None:
+        value = override[layer]
+        if np.shape(value) != computed.shape:
+            raise ValueError(f"context input override for layer {layer} has shape {np.shape(value)}, "
+                             f"the boundary has {computed.shape}")
+        out = T.constant(np.array(value, dtype=computed.data.dtype))
+    if capture is not None:
+        capture[layer] = out.data.copy()
+    return out
 
 
-def _group_tokens(
-    patch_tokens: Tensor,
-    batch: GroupedBatch,
-    layer: int,
-    kind: ContextKind,
-    ctx_params: dict[str, Tensor],
-    ema_state: Optional[dict[int, np.ndarray]],
-    train: bool,
-    io: _ContextIO,
-) -> Tensor:
+def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: "ContextViT", train: bool,
+                  capture: Optional[dict], override: Optional[dict]) -> Tensor:
     """Context tokens [G, d] of the batch's groups, in partition order, from
-    patch tokens [B, N, d]."""
+    patch tokens [B, N, d]; evaluation updates a copy of the ema state."""
+    kind, params = model.kind, model.context
     groups = list(batch.partition)
     members = list(batch.partition.values())
     if kind.base == "oracle":
-        return oracle_lookup(groups, ctx_params)
+        return oracle_lookup(groups, params)
     if kind.base == "deep_sets":
         b, n, d = patch_tokens.shape
-        parts = [_patch_rows(m, n) for m in members]
-        rows = io.boundary(layer, groups, T.reshape(patch_tokens, (b * n, d)), parts)
-        return deep_sets_infer(rows, ctx_params, kind.detach, parts)
+        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), capture, override)
+        return deep_sets_infer(rows, params, kind.detach, [_patch_rows(m, n) for m in members])
     pooled = infer_context_mean(patch_tokens, members)
     if kind.base == "mean":
         return pooled
-    slots = range(len(groups))
     if kind.base == "ema":
-        if ema_state is None:
-            raise ValueError("ema kind requires an ema_state dict")
+        state = model.ema_state if train else dict(model.ema_state)
         for gid, batch_mean in zip(groups, pooled.data):
-            if train or gid not in ema_state:
-                ema_update(ema_state, gid, batch_mean, kind.ema_lambda)
-        src = io.boundary(layer, groups, T.constant(np.stack([ema_state[g] for g in groups])), slots)
-        return apply_linear_head(src, ctx_params["ctx_head0.w"], ctx_params["ctx_head0.b"])
-    if kind.base == "mean_linear":
-        src = io.boundary(layer, groups, pooled, slots)
-        w, b = ctx_params[f"ctx_head{layer}.w"], ctx_params[f"ctx_head{layer}.b"]
-        return apply_linear_head(src, w, b, detach=kind.detach)
-    raise ValueError(f"kind {kind.base!r} does not produce a context token")
+            if train or gid not in state:
+                ema_update(state, gid, batch_mean, kind.ema_lambda)
+        src = _frozen_input(layer, T.constant(np.stack([state[g] for g in groups])), capture, override)
+        return apply_linear_head(src, params["ctx_head0.w"], params["ctx_head0.b"])
+    src = _frozen_input(layer, pooled, capture, override)
+    w, b = params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"]
+    return apply_linear_head(src, w, b, detach=kind.detach)
 
 
 def contextvit_forward(
     batch: GroupedBatch,
-    backbone: dict[str, Tensor],
-    ctx_params: dict[str, Tensor],
-    config: ViTConfig,
-    kind: ContextKind,
-    ema_state: Optional[dict[int, np.ndarray]] = None,
+    model: "ContextViT",
     train: bool = False,
     sample_seed: int = 0,
     capture_context_inputs: Optional[dict] = None,
     context_input_override: Optional[dict] = None,
     capture_context_tokens: Optional[dict] = None,
 ):
-    """Group-conditioned forward pass: batch -> (CLS embeddings, logits).
+    """Group-conditioned forward pass of ``model``: batch -> (CLS embeddings, logits).
 
     Sequence layout per image: [CLS, context, patch+pos ...] (length N+2)
     for token-producing kinds; [CLS, patch+pos ..., K sampled patches]
     (length N+1+K) for in_context_patches; and plain [CLS, patch+pos ...]
-    for kind none, which routes through the unconditioned forward and is
-    bit-identical to it.
-    """
-    if kind.base == "none":
-        return vit_forward(batch.images, backbone, config)
+    for kind none, which is the plain ViT (``vit.vit_forward``) bit for bit.
 
-    io = _ContextIO(capture=capture_context_inputs, override=context_input_override)
+    ``train`` lets the ema kind update the model's state (evaluation
+    updates a copy); ``sample_seed`` seeds the in-context patch draws.
+    ``capture_context_inputs`` and ``context_input_override`` map a layer to
+    the array at its frozen boundary (``_frozen_input``), and
+    ``capture_context_tokens`` maps (layer, group) to the group's token.
+    """
+    backbone, config, kind = model.backbone, model.config, model.kind
     patches = T.constant(patchify_batch(batch.images, config.patch, backbone["patch_projection"].data.dtype))
     patch_tokens = embed_patches(patches, backbone)  # pre-positional, pooled from
     b, n, d = patch_tokens.shape
-    slots = batch.slots
-    layer_hook = None
+    prefix, suffix, layer_hook = (), (), None
 
     if kind.base == "in_context_patches":
         drawn = [
             sample_context_patches(_patch_rows(members, n), kind.patches, child_seed(sample_seed, "in_context", gid))
             for gid, members in batch.partition.items()
         ]
-        picked = T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[slots].ravel())
-        tokens = _assemble(patch_tokens, backbone, suffix_tokens=(T.reshape(picked, (b, kind.patches, d)),))
-    else:
+        picked = T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[batch.slots].ravel())
+        suffix = (T.reshape(picked, (b, kind.patches, d)),)
+    elif kind.has_token_slot:
+        slots = batch.slots
 
         def column(x: Tensor, layer: int) -> Tensor:
             """[B, 1, d] context slot contents: each image gets its group's token."""
-            group_tokens = _group_tokens(x, batch, layer, kind, ctx_params, ema_state, train, io)
+            group_tokens = _group_tokens(x, batch, layer, model, train, capture_context_inputs,
+                                         context_input_override)
             if capture_context_tokens is not None:
                 for gid, token in zip(batch.partition, group_tokens.data):
                     capture_context_tokens[(layer, gid)] = token.copy()
             return T.reshape(T.index_rows(group_tokens, slots), (b, 1, d))
 
-        tokens = _assemble(patch_tokens, backbone, prefix_tokens=(column(patch_tokens, 0),))
+        prefix = (column(patch_tokens, 0),)
         if kind.layerwise:
 
             def layer_hook(l: int, x: Tensor) -> Tensor:
@@ -471,6 +448,7 @@ def contextvit_forward(
                 hidden = x[:, 2:]
                 return T.concat([x[:, 0:1], column(hidden, l + 1), hidden], axis=1)
 
+    tokens = _assemble(patch_tokens, backbone, prefix_tokens=prefix, suffix_tokens=suffix)
     encoded = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
     cls_out = encoded[:, 0]
     logits = T.linear(cls_out, backbone["head.w"], backbone["head.b"])
@@ -525,26 +503,7 @@ class ContextViT:
         for gid, value in self.ema_state.items():
             self.ema_state[gid] = value.astype(np.float32)
 
-    def forward(
-        self,
-        batch: GroupedBatch,
-        train: bool = False,
-        sample_seed: int = 0,
-        capture_context_inputs: Optional[dict] = None,
-        context_input_override: Optional[dict] = None,
-        capture_context_tokens: Optional[dict] = None,
-    ):
-        state = self.ema_state if train else dict(self.ema_state)
-        return contextvit_forward(
-            batch,
-            self.backbone,
-            self.context,
-            self.config,
-            self.kind,
-            ema_state=state if self.kind.base == "ema" else None,
-            train=train,
-            sample_seed=sample_seed,
-            capture_context_inputs=capture_context_inputs,
-            context_input_override=context_input_override,
-            capture_context_tokens=capture_context_tokens,
-        )
+    def forward(self, batch: GroupedBatch, train: bool = False, sample_seed: int = 0, **capture):
+        """``contextvit_forward`` of this model; ``capture`` takes its capture
+        and override keywords."""
+        return contextvit_forward(batch, self, train, sample_seed, **capture)

@@ -45,6 +45,8 @@ __all__ = [
 
 _MAGIC = b"CVDS"
 _VERSION = 1
+# the order of ``DatasetSplit.splits()`` and of the splits in a dataset file
+_SPLIT_NAMES = ("train", "val", "id_test", "ood_test")
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class DatasetSplit:
     seed: int
 
     def splits(self) -> dict[str, GroupedBatch]:
-        return {"train": self.train, "val": self.val, "id_test": self.id_test, "ood_test": self.ood_test}
+        return {name: getattr(self, name) for name in _SPLIT_NAMES}
 
 
 # Spatially constant share of each template's energy.  This is the part a
@@ -249,10 +251,6 @@ def batches_per_epoch(subset: GroupedBatch, batch_size: int, sampler: str) -> in
     return sum(1 for _ in _sampler(sampler)(subset, batch_size, 0))
 
 
-def _spec_to_dict(spec: SyntheticShiftSpec) -> dict:
-    return asdict(spec)
-
-
 def save_dataset(split: DatasetSplit, path: str) -> str:
     """Single self-describing binary file plus a JSON manifest alongside.
 
@@ -260,12 +258,11 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
     split (train, val, id_test, ood_test): images, labels, groups as
     little-endian float64/int64 in C order.
     """
-    order = ["train", "val", "id_test", "ood_test"]
     splits = split.splits()
     header = {
-        "spec": _spec_to_dict(split.spec),
+        "spec": asdict(split.spec),
         "seed": split.seed,
-        "splits": {name: splits[name].size for name in order},
+        "splits": {name: sub.size for name, sub in splits.items()},
         "image_shape": [split.spec.image_h, split.spec.image_w, split.spec.channels],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -274,8 +271,7 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
         _write_u32(f, _VERSION)
         _write_u32(f, len(header_bytes))
         f.write(header_bytes)
-        for name in order:
-            sub = splits[name]
+        for sub in splits.values():
             f.write(np.ascontiguousarray(sub.images, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(sub.labels, dtype="<i8").tobytes())
             f.write(np.ascontiguousarray(sub.groups, dtype="<i8").tobytes())
@@ -287,13 +283,10 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
         "file": path,
         "sha256": digest,
         "seed": split.seed,
-        "spec": _spec_to_dict(split.spec),
+        "spec": asdict(split.spec),
         "splits": {
-            name: {
-                "size": splits[name].size,
-                "group_ids": sorted(splits[name].partition),
-            }
-            for name in order
+            name: {"size": sub.size, "group_ids": sorted(sub.partition)}
+            for name, sub in splits.items()
         },
     }
     with open(manifest_path, "w", encoding="utf-8") as f:
@@ -305,7 +298,6 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
 def load_dataset(path: str) -> DatasetSplit:
     """Read a ``save_dataset`` file; a truncated or corrupt one raises a
     ``ValueError`` that names the part that is wrong."""
-    order = ["train", "val", "id_test", "ood_test"]
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -319,14 +311,14 @@ def load_dataset(path: str) -> DatasetSplit:
             header = json.loads(raw.decode("utf-8"))
             spec = SyntheticShiftSpec(**header["spec"])
             seed = int(header["seed"])
-            sizes = {name: int(header["splits"][name]) for name in order}
+            sizes = {name: int(header["splits"][name]) for name in _SPLIT_NAMES}
             h, w, c = header["image_shape"]
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"corrupt dataset header in {path}: {exc!r}") from None
         if (h, w, c) != (spec.image_h, spec.image_w, spec.channels):
             raise ValueError(f"corrupt dataset header in {path}: image shape {[h, w, c]} disagrees with the spec")
         subsets = {}
-        for name in order:
+        for name in _SPLIT_NAMES:
             n = sizes[name]
             what = f"dataset split {name!r}"
             images = np.frombuffer(_read_exact(f, n * h * w * c * 8, what + " images"), dtype="<f8")

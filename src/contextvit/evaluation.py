@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -111,7 +111,7 @@ def run_ablation(
             kind = ContextKind.from_name(kind_name)
             for seed in seeds:
                 model = ContextViT.create(vit_config, kind, seed=seed, group_ids=group_ids)
-                cfg = TrainConfig(**{**train_config.__dict__, "seed": seed, "context_kind": kind_name})
+                cfg = replace(train_config, seed=seed, context_kind=kind_name)
                 result = fine_tune(model, data, cfg)
                 row.per_seed_id.append(compute_metrics(result.model, data.id_test, eval_bs).accuracy)
                 if kind.base == "oracle":

@@ -190,7 +190,8 @@ def encode_tokens(
 
 
 def vit_forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig):
-    """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes])."""
+    """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes]).
+    The reference that ``context.contextvit_forward`` of kind none matches bit for bit."""
     patches = T.constant(patchify_batch(images, config.patch, params["patch_projection"].data.dtype))
     tokens = _assemble(embed_patches(patches, params), params)
     encoded = encode_tokens(tokens, params, config)

@@ -190,3 +190,22 @@ def test_console_script_is_installed(tmp_path):
                                 capture_output=True, text=True)
         assert failed.returncode == 1, (launcher, failed.stderr)
         assert "absent.cfg" in failed.stderr, (launcher, failed.stderr)
+
+
+def test_oracle_model_from_checkpoint_without_its_groups_is_rejected(cli_env, capsys):
+    """The shared checkpoint was trained as mean_linear_detach, so it stores no oracle ids."""
+    rc = main(["sweep", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+               f"checkpoint_path={cli_env['train_dir'] / 'checkpoint.cvck'}", "context_kind=oracle"])
+    assert rc == 1
+    assert "'context.oracle_groups'" in capsys.readouterr().err
+
+
+def test_ablate_summary_rows_hold_every_row_field(cli_env):
+    rc = main(["ablate", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+               "ablate_kinds=none", "ablate_seeds=0"])
+    assert rc == 0
+    ablate_dir = next(d for d in (cli_env["root"] / "runs").iterdir() if (d / "ablation.csv").exists())
+    (row,) = json.loads((ablate_dir / "summary.json").read_text())["rows"]
+    assert set(row) == {"kind", "ood_accuracy", "id_accuracy", "seconds", "per_seed_ood", "per_seed_id", "error"}
+    assert row["kind"] == "none" and row["error"] is None
+    assert row["per_seed_id"] == [row["id_accuracy"]] and row["per_seed_ood"] == [row["ood_accuracy"]]

@@ -588,6 +588,61 @@ def test_detach_gradients_match_frozen_constant_exactly(small_data, toy_config):
     assert any(not np.array_equal(live[k], frozen_live[k]) for k in live)
 
 
+def _frozen_layers(name, depth):
+    kind = ContextKind.from_name(name)
+    if kind.layerwise:
+        return set(range(depth))
+    return {0} if kind.base in ("mean_linear", "deep_sets", "ema") else set()
+
+
+@pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
+def test_captured_context_inputs_are_keyed_by_frozen_layer(small_data, toy_config, name):
+    """One whole array per layer with a frozen boundary: the pooled [G, d]
+    stack or ema state, or deep sets' [B*N, d] patch rows."""
+    model = _model(toy_config, name)
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41])  # groups 0, 0, 1, 0, 1
+    assert len(batch.partition) == 2
+    captured = {}
+    with Tape():
+        model.forward(batch, capture_context_inputs=captured)
+    assert set(captured) == _frozen_layers(name, toy_config.depth)
+    rows = batch.size * toy_config.num_patches if model.kind.base == "deep_sets" else 2
+    for value in captured.values():
+        assert value.shape == (rows, toy_config.dim)
+
+
+@pytest.mark.parametrize("name", ["mean_linear_detach", "layerwise_mean_linear_detach", "deep_sets_detach", "ema"])
+def test_context_input_override_of_wrong_shape_names_the_layer(small_data, toy_config, name):
+    model = _model(toy_config, name)
+    captured = {}
+    with Tape():
+        model.forward(make_batch(small_data.train, np.arange(4)), capture_context_inputs=captured)
+    layer = max(captured)
+    override = {**captured, layer: captured[layer][:-1]}
+    with pytest.raises(ValueError, match=f"layer {layer}"):
+        with Tape():
+            model.forward(make_batch(small_data.train, np.arange(4)), context_input_override=override)
+
+
+def test_kind_none_records_the_plain_vit_tape_and_gradients(small_data, toy_config):
+    model = _model(toy_config, "none")
+    batch = make_batch(small_data.train, np.arange(5))
+
+    def step(forward):
+        with Tape() as tape:
+            _, logits = forward()
+            backward(batch_cross_entropy(logits, batch.labels), tape)
+        grads = {k: p.grad for k, p in model.backbone.items()}
+        for p in model.backbone.values():
+            p.grad = None
+        return len(tape), grads
+
+    nodes, grads = step(lambda: model.forward(batch, train=True))
+    plain_nodes, plain_grads = step(lambda: vit_forward(batch.images, model.backbone, toy_config))
+    assert nodes == plain_nodes
+    assert all(np.array_equal(grads[k], plain_grads[k]) for k in plain_grads)
+
+
 # ------------------------------------------------------------------ kinds API
 
 
