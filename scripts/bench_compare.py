@@ -7,8 +7,10 @@ Two measurements, each run in fresh processes with BLAS held to one thread:
 * ``perfbench/run.py`` of each checkout on every workload, in ``PAIRS``
   alternating pairs (base first in even pairs, head first in odd ones), at
   seeds ``SEED0 + pair``.  For every end-to-end metric the file records each
-  side's values, median and quartiles, and the pairs in which head was
-  better.
+  side's values, median and quartiles, the pairs in which head was better,
+  and a ``verdict``: those wins out of the pairs run, whether the medians
+  differ by more than base's interquartile range, and whether head's median
+  is worse than base's by more than the metric's ``BENCHMARK.json`` bound.
 * Minor page faults and user/system CPU time from ``getrusage`` around a
   bare loop of training steps (forward, backward and AdamW at the recipe's
   schedule, in the dtype ``fine_tune`` trains in, no timing hooks;
@@ -110,6 +112,15 @@ def summary(values: list) -> dict:
     return {"values": values, "median": med, "q1": q1, "q3": q3}
 
 
+def verdict(base: dict, head: dict, wins: int, lower: bool, bound: float) -> dict:
+    """The gate's reading of one metric from the two sides' ``summary``:
+    ``bound`` is the largest relative worsening of head's median allowed."""
+    worse = head["median"] - base["median"] if lower else base["median"] - head["median"]
+    return {"wins": wins, "pairs": len(base["values"]), "bound": bound,
+            "medians_differ_beyond_base_iqr": abs(head["median"] - base["median"]) > base["q3"] - base["q1"],
+            "head_worse_beyond_bound": worse > bound * abs(base["median"])}
+
+
 def machine() -> dict:
     import numpy as np
 
@@ -150,8 +161,10 @@ def main(argv=None) -> int:
             base = [r[name] for r in runs["base"]]
             head = [r[name] for r in runs["head"]]
             wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
-            metrics[name] = {"unit": entry["unit"], "better": entry["better"], "base": summary(base),
-                             "head": summary(head), "head_better_pairs": wins}
+            base_summary, head_summary = summary(base), summary(head)
+            metrics[name] = {"unit": entry["unit"], "better": entry["better"], "base": base_summary,
+                             "head": head_summary, "head_better_pairs": wins,
+                             "verdict": verdict(base_summary, head_summary, wins, lower, entry["bound"])}
         report["workloads"][workload] = metrics
     script = os.path.abspath(__file__)
     for probe in ("run_gradient_suite", *STEP_LOOPS):

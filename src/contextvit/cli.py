@@ -110,6 +110,7 @@ def _report_dict(report) -> dict:
         "splits": {
             name: {
                 "accuracy": m.accuracy,
+                "applicable": m.applicable,
                 "worst_group": m.worst_group,
                 "per_group": {str(k): v for k, v in m.per_group.items()},
             }
@@ -240,8 +241,8 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)
-    if cfg.analysis_split == "all":
-        subset = GroupedBatch.concat([data.id_test, data.ood_test])
+    if cfg.analysis_split == "all":  # the held-out splits the model can infer context for
+        subset = GroupedBatch.concat([sub for sub in (data.id_test, data.ood_test) if model.can_evaluate(sub)])
     elif cfg.analysis_split in ("train", "val", "id_test", "ood_test"):
         subset = data.splits()[cfg.analysis_split]
     else:

@@ -274,18 +274,24 @@ def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor, detach: bool = False
     return T.reshape(out, lead + (w.shape[1],))
 
 
+def _oracle_row(ids: np.ndarray, group: int) -> Optional[int]:
+    """Row of ``group`` in the oracle table with ids ``ids``; None if unregistered."""
+    # beyond 2**53 float(group) rounds onto a neighbouring id
+    hits = np.nonzero(ids == float(int(group)))[0] if abs(int(group)) <= _MAX_ORACLE_ID else ()
+    return int(hits[0]) if len(hits) else None
+
+
 def oracle_lookup(groups: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     """Trainable tokens [G, d] of registered groups; an unknown group is an error."""
     ids = params["oracle_groups"].data
     rows = []
     for group in groups:
-        # beyond 2**53 float(group) rounds onto a neighbouring id
-        hits = np.nonzero(ids == float(int(group)))[0] if abs(int(group)) <= _MAX_ORACLE_ID else ()
-        if len(hits) == 0:
+        row = _oracle_row(ids, group)
+        if row is None:
             raise UnknownGroupError(
                 f"unknown context: group {group} was never registered with the oracle table"
             )
-        rows.append(int(hits[0]))
+        rows.append(row)
     return T.index_rows(params["oracle_table"], rows)
 
 
@@ -488,6 +494,15 @@ class ContextViT:
 
     def trainable_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self.parameters().items() if v.requires_grad}
+
+    def can_evaluate(self, subset: GroupedBatch) -> bool:
+        """Whether this model infers a context for every group of ``subset``:
+        every kind does, except the oracle for groups its table never
+        registered (held-out groups, by design)."""
+        if self.kind.base != "oracle":
+            return True
+        ids = self.context["oracle_groups"].data
+        return all(_oracle_row(ids, group) is not None for group in subset.partition)
 
     def to_float32(self) -> None:
         """Cast the trainable parameters and the ema state to float32, in

@@ -45,18 +45,23 @@ class SplitMetrics:
     accuracy: float
     per_group: dict[int, float]
     worst_group: float
+    applicable: bool = True  # False: the model cannot infer context for the split's groups; accuracies NaN
 
 
 @dataclass
 class MetricsReport:
     splits: dict[str, SplitMetrics]
-    ood_gap: float  # id_test accuracy minus ood_test accuracy
+    ood_gap: float  # id_test accuracy minus ood_test accuracy; NaN where either is not applicable
 
 
 def compute_metrics(model: ContextViT, subset: GroupedBatch, eval_batch_size: int) -> SplitMetrics:
-    """Accuracy, per-group accuracy, and worst-group accuracy on one split."""
+    """Accuracy, per-group accuracy, and worst-group accuracy on one split;
+    NaN and not applicable where ``model.can_evaluate`` says no (an oracle
+    on held-out groups)."""
     if subset.size == 0:
         raise ValueError("metrics over an empty split")
+    if not model.can_evaluate(subset):
+        return SplitMetrics(accuracy=math.nan, per_group={}, worst_group=math.nan, applicable=False)
     preds = predictions(model, subset, eval_batch_size)
     hits = preds == subset.labels
     per_group = {gid: float(hits[members].mean()) for gid, members in subset.partition.items()}
@@ -114,11 +119,7 @@ def run_ablation(
                 cfg = replace(train_config, seed=seed, context_kind=kind_name)
                 result = fine_tune(model, data, cfg)
                 row.per_seed_id.append(compute_metrics(result.model, data.id_test, eval_bs).accuracy)
-                if kind.base == "oracle":
-                    # held-out groups are unknown to the table by contract
-                    row.per_seed_ood.append(math.nan)
-                else:
-                    row.per_seed_ood.append(compute_metrics(result.model, data.ood_test, eval_bs).accuracy)
+                row.per_seed_ood.append(compute_metrics(result.model, data.ood_test, eval_bs).accuracy)
         except Exception as exc:  # record and keep going: the table must come out
             row.error = f"{type(exc).__name__}: {exc}"
         row.seconds = time.perf_counter() - start

@@ -13,6 +13,17 @@ parameters and ema state once, on entry (``ContextViT.to_float32``), and
 every op, gradient and optimizer moment follows that dtype.  Probing and
 evaluation run in whatever dtype the model holds, so a freshly created
 model (float64, as the gradient checks use) stays float64.
+
+Both optimizers keep their parameters in one flat arena.  ``AdamWState.init``
+and ``SGDState.init`` copy every parameter into a slice of one contiguous
+vector, decayed parameters first, and rebind each ``.data`` to a view of
+its slice; all parameters of one state share one dtype (a mixed set is a
+``TypeError`` naming the parameter).  A step gathers the gradients into a
+second vector, checks them all before anything moves, runs the update as
+a few whole-vector ops in place, and never rebinds ``.data``.  A parameter
+whose ``.data`` was rebound after ``init`` (a checkpoint restore, a dtype
+cast) no longer reads its slice, so the next step raises
+``StaleParameterError`` naming it; build a new state after such a change.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ __all__ = [
     "TrainConfig",
     "AdamWState",
     "SGDState",
+    "StaleParameterError",
     "batch_cross_entropy",
     "is_decay_exempt",
     "adamw_step",
@@ -102,67 +114,156 @@ def is_decay_exempt(name: str) -> bool:
     return False
 
 
-@dataclass
+class StaleParameterError(RuntimeError):
+    """A parameter's ``.data`` was rebound after its optimizer state was
+    built: a step would update an arena slice that no forward reads."""
+
+    def __init__(self, name: str):
+        super().__init__(f"parameter {name!r} no longer views its optimizer arena (its .data was rebound "
+                         "after the optimizer state was built); build a new optimizer state")
+        self.name = name
+
+
+class _ParamArena:
+    """Every parameter of one optimizer as a view of one contiguous vector.
+
+    ``values`` holds the parameters decayed-first (``is_decay_exempt`` is
+    decided here, once: the first ``decayed`` values take weight decay), and
+    each parameter's ``.data`` is rebound to its slice.  ``grad`` receives a
+    step's gradients and ``scratch`` is the one temporary an update needs.
+    """
+
+    def __init__(self, params: dict[str, Tensor]):
+        first = next(iter(params), None)
+        dtype = params[first].data.dtype if first is not None else np.dtype(np.float64)
+        for name, p in params.items():
+            if p.data.dtype != dtype:
+                raise TypeError(f"parameter {name!r} is {p.data.dtype}, but {first!r} is {dtype}: "
+                                "one optimizer state holds one dtype")
+        order = sorted(params, key=is_decay_exempt)  # stable: decayed first, each in the dict's order
+        self.decayed = sum(params[name].data.size for name in order if not is_decay_exempt(name))
+        self._slots, start = {}, 0  # name -> (slice of the vector, shape)
+        for name in order:
+            data = params[name].data
+            self._slots[name] = (slice(start, start + data.size), data.shape)
+            start += data.size
+        self.values = np.empty(start, dtype)
+        self.grad = np.empty_like(self.values)
+        self.scratch = np.empty_like(self.values)
+        self._entries = []  # (view, gradient's view) of each parameter, in the dict's order
+        for name, p in params.items():
+            view = self._view(self.values, name)
+            view[...] = p.data
+            p.data = view
+            self._entries.append((view, self._view(self.grad, name)))
+
+    def _view(self, vector: np.ndarray, name: str) -> np.ndarray:
+        sl, shape = self._slots[name]
+        return vector[sl].reshape(shape)
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """A vector laid out like ``values``, as one writable view per parameter."""
+        return {name: self._view(vector, name) for name in self._slots}
+
+    def gather(self, params: dict[str, Tensor], caller: str) -> np.ndarray:
+        """``grad`` filled from every ``.grad`` (zeros where a grad is missing)
+        and checked, before anything moves."""
+        if len(params) != len(self._entries):
+            raise ValueError(f"{caller}: {len(params)} parameters, but the optimizer state holds "
+                             f"{len(self._entries)}")
+        for (name, p), (view, grad) in zip(params.items(), self._entries):
+            if p.data is not view:
+                raise StaleParameterError(name)
+            if p.grad is None:
+                grad.fill(0)
+            else:
+                grad[...] = p.grad
+        if not np.isfinite(self.grad).all():
+            name, p = next((name, p) for (name, p), (_, grad) in zip(params.items(), self._entries)
+                           if not np.isfinite(grad).all())
+            raise NonFiniteError(caller, p.grad.shape, f"gradient of parameter {name!r}")
+        return self.grad
+
+
 class AdamWState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
+    """First and second moments over a ``_ParamArena``.
+
+    ``init`` copies the parameters into one vector, decayed ones first, and
+    rebinds each ``.data`` to a view of its slice; they must share one dtype
+    (else ``TypeError`` naming the parameter).  Steps write the parameters in
+    place and must find every ``.data`` still that view (else
+    ``StaleParameterError``).  ``moments`` holds m and v in the arena's
+    layout; ``m`` and ``v`` map each name to a writable view of them, which
+    the next step reads.  ``step`` counts the updates made.
+    """
+
+    def __init__(self, arena: _ParamArena):
+        self.arena = arena
+        self.moments = np.zeros((2, arena.values.size), arena.values.dtype)
+        self.m = arena.views(self.moments[0])
+        self.v = arena.views(self.moments[1])
+        self.step = 0
 
     @classmethod
     def init(cls, params: dict[str, Tensor]) -> "AdamWState":
-        return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
-        )
+        return cls(_ParamArena(params))
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: float) -> None:
     """One decoupled-decay Adam update; reads each parameter's ``.grad``
-    (missing grads count as zero, which happens for unused context heads)."""
+    (missing grads count as zero, which happens for unused context heads).
+
+    The per-parameter formula runs as whole-vector ops in its own order,
+    so each value rounds as it would tensor by tensor.  A non-finite
+    gradient or a rebound parameter raises before anything moves.
+    """
     if lr < 0:  # 0 is legitimate: warmup starts there (moments still advance)
         raise ValueError("lr must be >= 0")
     if wd < 0:
         raise ValueError("wd must be >= 0")
+    arena = state.arena
+    g = arena.gather(params, "adamw_step")
     state.step += 1
     t = state.step
     bc1 = 1.0 - _BETA1 ** t
     bc2 = 1.0 - _BETA2 ** t
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise NonFiniteError("adamw_step", g.shape, f"gradient of parameter {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= _BETA1
-        m += (1.0 - _BETA1) * g
-        v *= _BETA2
-        v += (1.0 - _BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + _EPS)
-        if not is_decay_exempt(name):
-            update = update + wd * p.data
-        p.data = p.data - lr * update
+    m, v = state.moments
+    tmp, p, nd = arena.scratch, arena.values, arena.decayed
+    m *= _BETA1
+    m += np.multiply(g, 1.0 - _BETA1, out=tmp)
+    v *= _BETA2
+    v += np.multiply(np.multiply(g, 1.0 - _BETA2, out=tmp), g, out=tmp)
+    update = np.divide(m, bc1, out=g)  # the gradient is spent: its buffer takes the update
+    update /= np.add(np.sqrt(np.divide(v, bc2, out=tmp), out=tmp), _EPS, out=tmp)
+    update[:nd] += np.multiply(p[:nd], wd, out=tmp[:nd])
+    p -= np.multiply(update, lr, out=update)
 
 
-@dataclass
 class SGDState:
-    velocity: dict[str, np.ndarray]
+    """Momentum velocity over a ``_ParamArena``, laid out as its ``values``.
+
+    ``init`` lays out and rebinds the parameters as ``AdamWState.init``
+    does, with the same contract: one dtype, views, no rebinding after it.
+    """
+
+    def __init__(self, arena: _ParamArena):
+        self.arena = arena
+        self.velocity = np.zeros_like(arena.values)
 
     @classmethod
     def init(cls, params: dict[str, Tensor]) -> "SGDState":
-        return cls(velocity={k: np.zeros_like(p.data) for k, p in params.items()})
+        return cls(_ParamArena(params))
 
 
 def sgd_momentum_step(params: dict[str, Tensor], state: SGDState, lr: float, momentum: float = 0.9) -> None:
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.isfinite(g).all():
-            raise NonFiniteError("sgd_momentum_step", g.shape, f"gradient of parameter {name!r}")
-        vel = state.velocity[name]
-        vel *= momentum
-        vel += g
-        p.data = p.data - lr * vel
+    arena = state.arena
+    g = arena.gather(params, "sgd_momentum_step")
+    vel = state.velocity
+    vel *= momentum
+    vel += g
+    arena.values -= np.multiply(vel, lr, out=arena.scratch)
 
 
 def schedules(step: int, total_steps: int, warmup_steps: int, config: TrainConfig) -> tuple[float, float]:
@@ -203,15 +304,6 @@ def predictions(model: ContextViT, subset: GroupedBatch, batch_size: int) -> np.
     return preds
 
 
-def _snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: p.data.copy() for k, p in params.items()}
-
-
-def _restore(params: dict[str, Tensor], snapshot: dict[str, np.ndarray]) -> None:
-    for k, p in params.items():
-        p.data = snapshot[k].copy()
-
-
 @dataclass
 class TrainResult:
     model: ContextViT
@@ -222,14 +314,14 @@ class TrainResult:
     step_losses: list = field(default_factory=list)  # one entry per optimizer step
 
 
-def _train_epochs(model: ContextViT, params: dict[str, Tensor], data: DatasetSplit, config: TrainConfig,
+def _train_epochs(model: ContextViT, arena: _ParamArena, data: DatasetSplit, config: TrainConfig,
                   update, prefix: str, train: bool) -> TrainResult:
     """The epoch loop both trainers share.
 
     Each seeded batch runs forward and backward, then ``update(lr, wd)``;
     validation follows every epoch and the best validation epoch's
-    parameters and ema state (earliest epoch wins ties) are restored at
-    the end.  ``prefix`` names the seed streams and the metric rows.
+    parameters (one copy of the arena's values) and ema state (earliest
+    epoch wins ties) are restored at the end, in place.  ``prefix`` names the seed streams and the metric rows.
     """
     steps_per_epoch = batches_per_epoch(data.train, config.batch_size, config.sampler)
     total_steps = config.epochs * steps_per_epoch
@@ -270,10 +362,10 @@ def _train_epochs(model: ContextViT, params: dict[str, Tensor], data: DatasetSpl
         rows.append((epoch, "val", prefix + "accuracy", val_acc, config.seed, kind_name))
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
-            best_params = _snapshot(params)
+            best_params = arena.values.copy()
             best_ema = {k: v.copy() for k, v in model.ema_state.items()}
 
-    _restore(params, best_params)
+    arena.values[...] = best_params
     model.ema_state = best_ema
     return TrainResult(
         model=model,
@@ -292,7 +384,7 @@ def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> Tra
     model.to_float32()
     params = model.trainable_parameters()
     state = AdamWState.init(params)
-    return _train_epochs(model, params, data, config, lambda lr, wd: adamw_step(params, state, lr, wd),
+    return _train_epochs(model, state.arena, data, config, lambda lr, wd: adamw_step(params, state, lr, wd),
                          prefix="", train=True)
 
 
@@ -318,7 +410,7 @@ def linear_probe(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> 
     probe.backbone["head.b"] = Tensor(np.zeros(k, dtype), requires_grad=True)
     params = {"head.w": probe.backbone["head.w"], "head.b": probe.backbone["head.b"]}
     state = SGDState.init(params)
-    return _train_epochs(probe, params, data, config,
+    return _train_epochs(probe, state.arena, data, config,
                          lambda lr, wd: sgd_momentum_step(params, state, lr, config.momentum),
                          prefix="probe_", train=False)
 

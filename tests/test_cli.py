@@ -1,6 +1,7 @@
 """Command-line entry point: artifact layout, exit codes, error hygiene."""
 
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -198,6 +199,55 @@ def test_oracle_model_from_checkpoint_without_its_groups_is_rejected(cli_env, ca
                f"checkpoint_path={cli_env['train_dir'] / 'checkpoint.cvck'}", "context_kind=oracle"])
     assert rc == 1
     assert "'context.oracle_groups'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def oracle_train_dir(cli_env):
+    """A ``train`` run with the oracle, whose table never registers the held-out groups."""
+    runs = cli_env["root"] / "runs"
+    before = set(runs.iterdir())
+    rc = main(["train", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+               "context_kind=oracle"])
+    assert rc == 0
+    (run_dir,) = set(runs.iterdir()) - before
+    return run_dir
+
+
+def _held_out_split_not_applicable(summary: dict) -> None:
+    ood = summary["report"]["splits"]["ood_test"]
+    assert ood["applicable"] is False and math.isnan(ood["accuracy"])
+    assert summary["report"]["splits"]["id_test"]["applicable"] is True
+    assert math.isnan(summary["report"]["ood_gap"])
+
+
+def test_oracle_train_exits_zero_and_writes_summary(oracle_train_dir):
+    summary = json.loads((oracle_train_dir / "summary.json").read_text())
+    assert summary["command"] == "train" and summary["kind"] == "oracle"
+    _held_out_split_not_applicable(summary)
+
+
+def test_oracle_probe_exits_zero_and_writes_summary(cli_env, oracle_train_dir):
+    runs = cli_env["root"] / "runs"
+    before = set(runs.iterdir())
+    rc = main(["probe", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+               f"checkpoint_path={oracle_train_dir / 'checkpoint.cvck'}", "context_kind=oracle"])
+    assert rc == 0
+    (run_dir,) = set(runs.iterdir()) - before
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["command"] == "probe"
+    _held_out_split_not_applicable(summary)
+
+
+def test_oracle_export_context_covers_the_registered_groups(cli_env, oracle_train_dir):
+    runs = cli_env["root"] / "runs"
+    before = set(runs.iterdir())
+    rc = main(["export-context", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+               f"checkpoint_path={oracle_train_dir / 'checkpoint.cvck'}", "context_kind=oracle",
+               "collect_batches=2"])
+    assert rc == 0
+    (run_dir,) = set(runs.iterdir()) - before
+    groups = {line.split(",")[0] for line in (run_dir / "context_tokens.csv").read_text().splitlines()[1:]}
+    assert groups == {"0", "1"}  # id_test's groups; the held-out group 2 has no oracle token
 
 
 def test_ablate_summary_rows_hold_every_row_field(cli_env):

@@ -29,6 +29,9 @@ class _FakeModel:
         self.num_classes = num_classes
         self._predict = predict
 
+    def can_evaluate(self, subset):
+        return True
+
     def forward(self, batch, train=False, **kw):
         preds = self._predict(batch)
         logits = np.eye(self.num_classes)[preds] * 10.0
@@ -73,6 +76,19 @@ def test_metric_determinism(small_data, toy_model):
     b = compute_metrics(toy_model, small_data.id_test, eval_batch_size=8)
     assert a.accuracy == b.accuracy
     assert a.per_group == b.per_group
+
+
+def test_oracle_report_marks_held_out_split_not_applicable(small_data, toy_config):
+    """The oracle table registers only the training groups, so the held-out
+    split reads NaN, flagged, where evaluating it would raise."""
+    model = ContextViT.create(toy_config, ContextKind.from_name("oracle"), seed=0,
+                              group_ids=sorted(small_data.train.partition))
+    assert model.can_evaluate(small_data.id_test) and not model.can_evaluate(small_data.ood_test)
+    report = compute_report(model, small_data, eval_batch_size=16)
+    assert report.splits["id_test"].applicable and 0.0 <= report.splits["id_test"].accuracy <= 1.0
+    ood = report.splits["ood_test"]
+    assert not ood.applicable and math.isnan(ood.accuracy) and math.isnan(ood.worst_group)
+    assert math.isnan(report.ood_gap)
 
 
 def test_empty_split_rejected(small_data, toy_model):
