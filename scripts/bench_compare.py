@@ -18,7 +18,12 @@ Two measurements, each run in fresh processes with BLAS held to one thread:
   ``finetune_grouped`` and ``finetune_mixed`` recipes, and around one
   whole ``verify.run_gradient_suite``; each probe runs alone in a fresh
   process, ``RUSAGE_REPEATS`` times per checkout, alternating between the
-  checkouts.
+  checkouts.  Every probe starts in one temporary working directory
+  (recorded as ``rusage_cwd``) with the same environment and reaches its
+  checkout through a link there, ``base`` or ``head``.  The gradient suite's
+  fault count moves with the length of the path its code is imported from
+  (two copies of one commit at paths of different lengths read 133,003 and
+  187,983 faults), so both sides use paths of one length.
 
 A fresh process has freed nothing yet, so glibc's heap thresholds sit at
 their start values, as in a ``contextvit train`` run; perfbench's worker
@@ -35,6 +40,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 WORKLOADS = ("finetune_grouped", "finetune_mixed", "gradcheck")
@@ -167,18 +173,26 @@ def main(argv=None) -> int:
                              "verdict": verdict(base_summary, head_summary, wins, lower, entry["bound"])}
         report["workloads"][workload] = metrics
     script = os.path.abspath(__file__)
-    for probe in ("run_gradient_suite", *STEP_LOOPS):
-        repeats = {"base": [], "head": []}
-        for i in range(RUSAGE_REPEATS):
-            for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                last = _run([sys.executable, script, "--rusage-of", sides[side], probe], sides[side])
-                repeats[side].append(json.loads(last.strip().splitlines()[-1]))
-                print(f"{probe} repeat {i} {side}: {repeats[side][-1]}", file=sys.stderr, flush=True)
-        report["rusage"][probe] = {
-            side: {key: summary([r[key] for r in runs]) for key in runs[0] if key != "units"}
-            | {"units": runs[0]["units"]}
-            for side, runs in repeats.items()
-        }
+    with tempfile.TemporaryDirectory(prefix="bench_compare_") as cwd:
+        # each side's probes import its checkout through a link in one
+        # neutral directory; "base" and "head" have one length, so where a
+        # checkout lives does not change the path strings a probe allocates
+        roots = {side: os.path.join(cwd, side) for side in sides}
+        for side, root in roots.items():
+            os.symlink(sides[side], root)
+        report["rusage_cwd"] = cwd
+        for probe in ("run_gradient_suite", *STEP_LOOPS):
+            repeats = {"base": [], "head": []}
+            for i in range(RUSAGE_REPEATS):
+                for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+                    last = _run([sys.executable, script, "--rusage-of", roots[side], probe], cwd)
+                    repeats[side].append(json.loads(last.strip().splitlines()[-1]))
+                    print(f"{probe} repeat {i} {side}: {repeats[side][-1]}", file=sys.stderr, flush=True)
+            report["rusage"][probe] = {
+                side: {key: summary([r[key] for r in runs]) for key in runs[0] if key != "units"}
+                | {"units": runs[0]["units"]}
+                for side, runs in repeats.items()
+            }
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -21,6 +21,16 @@ compute nothing for inputs that need no gradient.  ``linear``,
 ``attention_core`` and ``cross_entropy`` (the whole softmax loss) are each
 one node.
 
+Short-axis reductions run as BLAS products, one call over every row, with
+each ones, ``1/d`` or weight operand built in the input's dtype: the sums
+over leading axes in ``_unbroadcast`` (every bias gradient) are a GEMV
+against ones; a weight gradient of a [..., k] input against a [k, n] matrix
+is one 2-D GEMM over all leading rows; ``layer_norm``'s row means are GEMVs
+against ``1/d``; the softmax row sum of ``attention_core`` and its vjp's
+rowsum(dP * P) are GEMVs against ones (the row max stays ``max``); and
+``group_pool`` is one GEMM against a pooling-weight matrix.  They equal
+numpy's reductions to rounding, not bitwise: BLAS sums in its own order.
+
 ``stop_gradient`` is the one deliberately odd primitive: forward is the
 identity (it shares the input's storage) while the reverse pass sends
 exactly zero into the detached subgraph, because the op is simply never
@@ -194,11 +204,17 @@ def _record(out_data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Te
     return out
 
 
+def _row_sums(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``x @ v`` over every row of ``x`` [..., n] as one GEMV -> [..., 1]."""
+    return (x.reshape(math.prod(x.shape[:-1]), x.shape[-1]) @ v).reshape(x.shape[:-1] + (1,))
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to ``shape`` after numpy broadcasting."""
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+    if extra > 0:  # the leading axes as one GEMV: ones(rows) @ g[rows, rest]
+        rows, rest = math.prod(g.shape[:extra]), g.shape[extra:]
+        g = (np.ones(rows, g.dtype) @ g.reshape(rows, math.prod(rest))).reshape(rest)
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -227,7 +243,13 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 
 def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
     ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
-    gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape) if b.requires_grad else None
+    if not b.requires_grad:
+        gb = None
+    elif b.data.ndim == 2 and a.data.ndim > 2:  # one GEMM over every leading row of a
+        rows = math.prod(a.data.shape[:-1])
+        gb = a.data.reshape(rows, b.data.shape[0]).T @ g.reshape(rows, b.data.shape[1])
+    else:
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
     return ga, gb
 
 
@@ -281,10 +303,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     p *= scale
     if not np.isfinite(p).all():
         raise NonFiniteError("attention_core", p.shape, "score")
-    # softmax in place on the score buffer
+    # softmax in place on the score buffer; the row max stays a reduction
+    # (no GEMV computes one), the row sum is a GEMV
+    ones = np.ones(p.shape[-1], p.dtype)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    p /= _row_sums(p, ones)
     out = merge(p @ vh)
 
     def vjp(g):
@@ -293,7 +317,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
         gs = g @ vh.swapaxes(-1, -2)
-        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs -= _row_sums(gs * p, ones)
         gs *= p
         gs *= scale
         gq = merge(gs @ kh) if q.requires_grad else None
@@ -356,9 +380,12 @@ def group_pool(a: Tensor, members, mean: bool = True) -> Tensor:
     """Pool each group's rows: out[g] reduces ``a[members[g]]`` over every
     axis but the last, by a mean (or a sum with ``mean=False``).
 
-    [R, ..., d] -> [G, d]; member lists must be non-empty and disjoint.
-    Each group is reduced as one contiguous slice of the gathered rows, so
-    its value is bit-identical to reducing ``a[members[g]]`` on its own.
+    [R, ..., d] -> [G, d]; member lists must be non-empty and disjoint.  The
+    pooling is one GEMM, ``w @ a`` with ``a`` viewed as [R * inner, d], where
+    inner counts the positions between the first and the last axis: ``w``
+    [G, R * inner] holds 1 / (|members[g]| * inner) (or 1 for sums) at each of
+    group g's positions and 0 elsewhere, and the vjp is ``w.T @ g``.  Each
+    value equals reducing ``a[members[g]]`` on its own to rounding, not bitwise.
     """
     parts = [np.asarray(m, dtype=np.int64) for m in members]
     if a.data.ndim < 2:
@@ -371,24 +398,14 @@ def group_pool(a: Tensor, members, mean: bool = True) -> Tensor:
     if np.bincount(order).max() > 1:
         raise ValueError("group_pool member lists overlap")
     sizes = np.array([p.size for p in parts])
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    # members already in row order (one group, or groups sorted): no gather
-    in_order = np.array_equal(order, np.arange(a.data.shape[0]))
-    rows = np.ascontiguousarray(a.data) if in_order else a.data[order]
-    axes = tuple(range(a.data.ndim - 1))
-    reduce = np.mean if mean else np.sum
-    out = np.stack([reduce(rows[s:e], axis=axes) for s, e in zip(bounds[:-1], bounds[1:])])
-    # elements behind each pooled value: member rows times the inner positions,
-    # in a's dtype so that dividing by it keeps g's
-    count = (sizes * (a.data[0].size // a.data.shape[-1]))[:, None].astype(a.data.dtype)
-
-    def vjp(g):
-        per_row = np.repeat(g / count if mean else g, sizes, axis=0)
-        ga = np.zeros_like(a.data)
-        ga[order] = per_row.reshape((order.size,) + (1,) * (len(axes) - 1) + per_row.shape[-1:])
-        return (ga,)
-
-    return _record(out, (a,), vjp)
+    inner, d = math.prod(a.data.shape[1:-1]), a.data.shape[-1]
+    # w is built in a's dtype, so the products stay in it
+    w = np.zeros((len(parts), a.data.shape[0], inner), a.data.dtype)
+    group_of = np.repeat(np.arange(len(parts)), sizes)
+    w[group_of, order] = (1.0 / (sizes * inner))[group_of, None] if mean else 1.0
+    w = w.reshape(len(parts), -1)
+    out = w @ a.data.reshape(w.shape[1], d)
+    return _record(out, (a,), lambda g: ((w.T @ g).reshape(a.data.shape),))
 
 
 def _basic_index(k) -> bool:
@@ -449,25 +466,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last dimension")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    inv_d = np.full(d, 1.0 / d, a.data.dtype)  # row means as GEMVs
+    mu = _row_sums(a.data, inv_d)
     centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _row_sums(centered * centered, inv_d)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = gain.data * xhat + bias.data
 
     def vjp(g):
-        lead = tuple(range(g.ndim - 1))
-        ggain = (g * xhat).sum(axis=lead)
-        gbias = g.sum(axis=lead)
         gx_hat = g * gain.data
         # d/dx of (x - mu) * inv with mu, var both functions of x
-        gx = inv * (
-            gx_hat
-            - gx_hat.mean(axis=-1, keepdims=True)
-            - xhat * (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, ggain, gbias
+        gx = inv * (gx_hat - _row_sums(gx_hat, inv_d) - xhat * _row_sums(gx_hat * xhat, inv_d))
+        return gx, _unbroadcast(g * xhat, (d,)), _unbroadcast(g, (d,))
 
     return _record(out, (a, gain, bias), vjp)
 

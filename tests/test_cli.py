@@ -1,7 +1,6 @@
 """Command-line entry point: artifact layout, exit codes, error hygiene."""
 
 import json
-import math
 import os
 import pathlib
 import shutil
@@ -215,9 +214,9 @@ def oracle_train_dir(cli_env):
 
 def _held_out_split_not_applicable(summary: dict) -> None:
     ood = summary["report"]["splits"]["ood_test"]
-    assert ood["applicable"] is False and math.isnan(ood["accuracy"])
+    assert ood["applicable"] is False and ood["accuracy"] is None
     assert summary["report"]["splits"]["id_test"]["applicable"] is True
-    assert math.isnan(summary["report"]["ood_gap"])
+    assert summary["report"]["ood_gap"] is None
 
 
 def test_oracle_train_exits_zero_and_writes_summary(oracle_train_dir):
@@ -259,3 +258,16 @@ def test_ablate_summary_rows_hold_every_row_field(cli_env):
     assert set(row) == {"kind", "ood_accuracy", "id_accuracy", "seconds", "per_seed_ood", "per_seed_id", "error"}
     assert row["kind"] == "none" and row["error"] is None
     assert row["per_seed_id"] == [row["id_accuracy"]] and row["per_seed_ood"] == [row["ood_accuracy"]]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_summary_is_strict_json(cli_env, oracle_train_dir):
+    """Every summary the commands above wrote parses with NaN and Infinity
+    refused; the oracle run's held-out split is among them."""
+    paths = sorted((cli_env["root"] / "runs").glob("*/summary.json"))
+    assert oracle_train_dir / "summary.json" in paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -144,18 +144,20 @@ def _joined(x):
 
 def _unfused_attention(q, k, v, heads, g):
     """The op sequence the attention core replaced: head split, matmul,
-    scale, softmax, matmul, head merge, and the reverse of each; returns
+    scale, softmax, matmul, head merge, and the reverse of each, with both
+    row sums as one GEMV against ones over every row; returns
     (out, gq, gk, gv)."""
     scale = (q.shape[-1] // heads) ** -0.5
     q, k, v, g = _heads(q, heads), _heads(k, heads), _heads(v, heads), _heads(g, heads)
     scores = q @ np.transpose(k, (0, 1, 3, 2)) * np.asarray(scale)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    ones = np.ones(e.shape[-1])
+    p = e / (e.reshape(-1, e.shape[-1]) @ ones).reshape(e.shape[:-1] + (1,))
     out = p @ v
     gp = g @ v.swapaxes(-1, -2)
     gv = p.swapaxes(-1, -2) @ g
-    gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    gs = p * (gp - ((gp * p).reshape(-1, e.shape[-1]) @ ones).reshape(e.shape[:-1] + (1,)))
     gs = gs * np.asarray(scale)
     gq = gs @ np.transpose(k, (0, 1, 3, 2)).swapaxes(-1, -2)
     gk = np.transpose(q.swapaxes(-1, -2) @ gs, (0, 1, 3, 2))

@@ -205,13 +205,14 @@ def test_cross_entropy_rejects_what_it_cannot_index(logits, labels, error):
 
 
 @pytest.mark.parametrize("members", [[[4, 0], [1], [5, 2, 3]], [[0, 1], [2, 3, 4], [5]]])
-def test_group_pool_matches_per_group_reductions_bitwise(members):
+def test_group_pool_matches_per_group_reductions(members):
+    """One GEMM equals reducing each group on its own to float64 rounding."""
     x = np.random.default_rng(7).normal(size=(6, 6, 3))[:, 1:5]  # a strided view
     means = T.group_pool(constant(x), members).data
     sums = T.group_pool(constant(x), members, mean=False).data
     for g, rows in enumerate(members):
-        assert np.array_equal(means[g], x[rows].mean(axis=(0, 1)))
-        assert np.array_equal(sums[g], x[rows].sum(axis=(0, 1)))
+        np.testing.assert_allclose(means[g], x[rows].mean(axis=(0, 1)), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sums[g], x[rows].sum(axis=(0, 1)), rtol=1e-13, atol=1e-14)
 
 
 def test_group_pool_gradient_reaches_members_only():

@@ -2,6 +2,7 @@
 overfit sanity, frozen-backbone probing, and metric serialization."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from contextvit.train import (
     schedules,
     sgd_momentum_step,
     write_metrics_csv,
+    write_summary_json,
 )
 from contextvit.vit import ViTConfig, vit_forward
 
@@ -387,3 +389,15 @@ def test_metrics_csv_round_trip(tmp_path):
         parsed = list(reader)
     assert header == ["epoch", "split", "metric", "value", "seed", "kind"]
     assert float(parsed[0][3]) == 1.2345678901234567  # repr round-trips exactly
+
+
+def test_summary_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "summary.json"
+    write_summary_json({"gap": math.nan, "score": np.float32(np.inf), "finite": np.float32(0.5),
+                        "rows": [{"ood": -math.inf, "per_seed": (math.nan, 0.25)}]}, str(path))
+
+    def refuse(token):
+        raise ValueError(token)
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "gap": None, "score": None, "finite": 0.5, "rows": [{"ood": None, "per_seed": [None, 0.25]}]}
