@@ -14,11 +14,12 @@ group (``in_context_patches``).
 
 Every kind infers the tokens of all of a batch's G groups at once, so a
 forward records the same tape nodes for one group as for sixteen: one
-``group_pool`` pools each group's member rows into a [G, d] stack, the
-kind maps that stack to G tokens (a table gather, a [G, 1, d] head, the
-deep-sets networks), and one ``index_rows`` hands every image its
-group's token.  ``in_context_patches`` draws each group's rows with its
-own seed and gathers every image's draws in one ``index_rows``.
+product with the batch's pooling matrix (built from ``GroupedBatch.slots``)
+pools each group's member rows into a [G, d] stack, the kind maps that
+stack to G tokens (a table gather, a [G, 1, d] head, the deep-sets
+networks), and one ``index_rows`` hands every image its group's token.
+``in_context_patches`` draws each group's rows with its own seed and
+gathers every image's draws in one ``index_rows``.
 
 The pooled kinds work for any group, including ones never seen in
 training and groups with a single member; the oracle table raises for
@@ -28,6 +29,7 @@ unknown groups.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -190,7 +192,7 @@ class GroupedBatch:
             np.concatenate([p.groups for p in parts]),
         )
 
-    @property
+    @functools.cached_property
     def slots(self) -> np.ndarray:
         """Each image's group slot: its group's position in ``partition``."""
         out = np.empty(self.size, dtype=np.int64)
@@ -255,10 +257,32 @@ def init_context_params(
     return params
 
 
-def infer_context_mean(patch_embeds: Tensor, members: Sequence) -> Tensor:
+def _pooling_weights(slots, rows: int, inner: int, dtype, mean: bool = True) -> np.ndarray:
+    """[G, rows * inner] pooling matrix: ``slots[r]`` is row r's group g,
+    and row g of the matrix holds 1 / (|g| * inner) (1 for sums,
+    ``mean=False``) at each of row r's ``inner`` positions, 0 elsewhere.
+    Built in ``dtype``, so the product stays in the pooled input's dtype."""
+    slots = np.asarray(slots, dtype=np.int64)
+    if slots.ndim != 1 or slots.size == 0:
+        raise ValueError(f"pooling needs a non-empty 1-D slot vector, got shape {slots.shape}")
+    if slots.size != rows:
+        raise ValueError(f"slot vector has {slots.size} entries for {rows} rows")
+    if slots.min() < 0:
+        raise ValueError(f"slot vector holds a negative slot {slots.min()}")
+    sizes = np.bincount(slots)
+    if not sizes.all():
+        raise ValueError(f"slot vector leaves groups {np.flatnonzero(sizes == 0).tolist()} empty")
+    w = np.zeros((sizes.size, rows, inner), dtype)
+    w[slots, np.arange(rows)] = (1.0 / (sizes * inner))[slots, None] if mean else 1.0
+    return w.reshape(sizes.size, rows * inner)
+
+
+def infer_context_mean(patch_embeds: Tensor, slots) -> Tensor:
     """Mean over each group's member images and patches: [B, N, d] -> [G, d],
-    where ``members[g]`` lists the batch rows of group g."""
-    return T.group_pool(patch_embeds, members)
+    where ``slots[i]`` is image i's group; one product with the pooling matrix."""
+    b, d = patch_embeds.shape[0], patch_embeds.shape[-1]
+    w = _pooling_weights(slots, b, math.prod(patch_embeds.shape[1:-1]), patch_embeds.data.dtype)
+    return T.matmul(T.constant(w), T.reshape(patch_embeds, (w.shape[1], d)))
 
 
 def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor, detach: bool = False) -> Tensor:
@@ -318,15 +342,16 @@ def _mlp_residual(x: Tensor, params: dict[str, Tensor], net: str, final_residual
     return out + h if final_residual else out
 
 
-def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], detach: bool, parts: Sequence) -> Tensor:
+def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], detach: bool, slots) -> Tensor:
     """rho(sum_i phi(t_i)) over each group's patch rows: [R, d] -> [G, d],
-    where ``parts[g]`` lists the rows of group g."""
+    where ``slots[r]`` is row r's group."""
     if patch_embeds.ndim != 2:
         raise ValueError(f"expected [rows, d] patch tokens, got {patch_embeds.shape}")
     if detach:
         patch_embeds = T.stop_gradient(patch_embeds)
     phi = _mlp_residual(patch_embeds, params, "phi", final_residual=True)
-    summed = T.group_pool(phi, parts, mean=False)
+    w = _pooling_weights(slots, phi.shape[0], 1, phi.data.dtype, mean=False)
+    summed = T.matmul(T.constant(w), phi)
     g, d = summed.shape
     # rho runs on [G, 1, d] so each group's products match a lone [1, d] row
     out = _mlp_residual(T.reshape(summed, (g, 1, d)), params, "rho", final_residual=False)
@@ -374,14 +399,13 @@ def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: 
     patch tokens [B, N, d]; evaluation updates a copy of the ema state."""
     kind, params = model.kind, model.context
     groups = list(batch.partition)
-    members = list(batch.partition.values())
     if kind.base == "oracle":
         return oracle_lookup(groups, params)
     if kind.base == "deep_sets":
         b, n, d = patch_tokens.shape
         rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), capture, override)
-        return deep_sets_infer(rows, params, kind.detach, [_patch_rows(m, n) for m in members])
-    pooled = infer_context_mean(patch_tokens, members)
+        return deep_sets_infer(rows, params, kind.detach, np.repeat(batch.slots, n))
+    pooled = infer_context_mean(patch_tokens, batch.slots)
     if kind.base == "mean":
         return pooled
     if kind.base == "ema":
@@ -410,7 +434,8 @@ def contextvit_forward(
     Sequence layout per image: [CLS, context, patch+pos ...] (length N+2)
     for token-producing kinds; [CLS, patch+pos ..., K sampled patches]
     (length N+1+K) for in_context_patches; and plain [CLS, patch+pos ...]
-    for kind none, which is the plain ViT (``vit.vit_forward``) bit for bit.
+    for kind none, which is the plain ViT bit for bit (the tests' reference
+    ``vit_forward`` in ``tests/conftest.py`` checks this).
 
     ``train`` lets the ema kind update the model's state (evaluation
     updates a copy); ``sample_seed`` seeds the in-context patch draws.

@@ -27,8 +27,7 @@ over leading axes in ``_unbroadcast`` (every bias gradient) are a GEMV
 against ones; a weight gradient of a [..., k] input against a [k, n] matrix
 is one 2-D GEMM over all leading rows; ``layer_norm``'s row means are GEMVs
 against ``1/d``; the softmax row sum of ``attention_core`` and its vjp's
-rowsum(dP * P) are GEMVs against ones (the row max stays ``max``); and
-``group_pool`` is one GEMM against a pooling-weight matrix.  They equal
+rowsum(dP * P) are GEMVs against ones (the row max stays ``max``).  They equal
 numpy's reductions to rounding, not bitwise: BLAS sums in its own order.
 
 ``stop_gradient`` is the one deliberately odd primitive: forward is the
@@ -61,7 +60,6 @@ __all__ = [
     "broadcast_to",
     "concat",
     "index_rows",
-    "group_pool",
     "cross_entropy",
     "layer_norm",
     "relu",
@@ -112,9 +110,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         grad = ", grad" if self.grad is not None else ""
@@ -376,38 +371,6 @@ def index_rows(a: Tensor, indices) -> Tensor:
     return _record(out, (a,), vjp)
 
 
-def group_pool(a: Tensor, members, mean: bool = True) -> Tensor:
-    """Pool each group's rows: out[g] reduces ``a[members[g]]`` over every
-    axis but the last, by a mean (or a sum with ``mean=False``).
-
-    [R, ..., d] -> [G, d]; member lists must be non-empty and disjoint.  The
-    pooling is one GEMM, ``w @ a`` with ``a`` viewed as [R * inner, d], where
-    inner counts the positions between the first and the last axis: ``w``
-    [G, R * inner] holds 1 / (|members[g]| * inner) (or 1 for sums) at each of
-    group g's positions and 0 elsewhere, and the vjp is ``w.T @ g``.  Each
-    value equals reducing ``a[members[g]]`` on its own to rounding, not bitwise.
-    """
-    parts = [np.asarray(m, dtype=np.int64) for m in members]
-    if a.data.ndim < 2:
-        raise ValueError(f"group_pool expects [rows, ..., d], got shape {a.data.shape}")
-    if not parts or any(p.ndim != 1 or p.size == 0 for p in parts):
-        raise ValueError("group_pool needs one non-empty 1-D member list per group")
-    order = np.concatenate(parts)
-    if order.min() < 0 or order.max() >= a.data.shape[0]:
-        raise IndexError(f"member index out of range for axis of length {a.data.shape[0]}")
-    if np.bincount(order).max() > 1:
-        raise ValueError("group_pool member lists overlap")
-    sizes = np.array([p.size for p in parts])
-    inner, d = math.prod(a.data.shape[1:-1]), a.data.shape[-1]
-    # w is built in a's dtype, so the products stay in it
-    w = np.zeros((len(parts), a.data.shape[0], inner), a.data.dtype)
-    group_of = np.repeat(np.arange(len(parts)), sizes)
-    w[group_of, order] = (1.0 / (sizes * inner))[group_of, None] if mean else 1.0
-    w = w.reshape(len(parts), -1)
-    out = w @ a.data.reshape(w.shape[1], d)
-    return _record(out, (a,), lambda g: ((w.T @ g).reshape(a.data.shape),))
-
-
 def _basic_index(k) -> bool:
     return (k is None or k is Ellipsis or isinstance(k, slice)
             or (isinstance(k, (int, np.integer)) and not isinstance(k, bool)))
@@ -548,7 +511,7 @@ def stop_gradient(a: Tensor) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
+def backward(loss: Tensor, tape: Tape) -> None:
     """Set ``.grad`` = d(loss)/d(leaf) on every grad-enabled leaf of the tape.
 
     A leaf is an input that no node on the tape produced; recorded leaves
@@ -558,10 +521,6 @@ def backward(loss: Tensor, tape: Optional[Tape] = None) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    if tape is None:  # not ``tape or ...``: an empty Tape is falsy
-        tape = active_tape()
-    if tape is None:
-        raise RuntimeError("backward requires an active (or explicitly passed) Tape")
     if loss.requires_grad and not any(node.output is loss for node in reversed(tape.nodes)):
         raise RuntimeError(
             "loss is not the output of an op on this tape; "

@@ -118,18 +118,6 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
 
     check("index_rows", make_index_rows)
 
-    def make_group_pool():
-        m, k, n = dims(None, None, None)
-        a = Tensor(_rand(rng, m + 3, k, n), requires_grad=True)
-        # three groups in shuffled row order; one row belongs to none
-        rows = rng.permutation(m + 3)[:-1]
-        members = np.split(rows, np.sort(rng.choice(np.arange(1, rows.size), 2, replace=False)))
-        c_mean, c_sum = _rand(rng, 3, n), _rand(rng, 3, n)
-        return {"a": a}, lambda: (_weighted(T.group_pool(a, members), c_mean)
-                                  + _weighted(T.group_pool(a, members, mean=False), c_sum))
-
-    check("group_pool", make_group_pool)
-
     check("getitem", unary(lambda a: a[1:3], 4, None))
 
     def make_cross_entropy():

@@ -34,7 +34,6 @@ __all__ = [
     "attention",
     "transformer_layer",
     "encode_tokens",
-    "vit_forward",
 ]
 
 
@@ -175,26 +174,14 @@ def encode_tokens(
 ) -> Tensor:
     """Run all transformer layers plus the final norm.
 
-    ``layer_hook(l, x)`` is called after layer ``l`` (0-indexed); if it
-    returns a tensor that sequence replaces ``x`` (context conditioning uses
-    this to overwrite the context slot), and a ``None`` return observes only.
+    ``layer_hook(l, x)`` is called after layer ``l`` (0-indexed) and the
+    sequence it returns replaces ``x`` (context conditioning uses this to
+    overwrite the context slot).
     """
     x = tokens
     for l in range(config.depth):
         x = transformer_layer(x, params, l, config)
         if layer_hook is not None:
-            replaced = layer_hook(l, x)
-            if replaced is not None:
-                x = replaced
+            x = layer_hook(l, x)
     return T.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])
 
-
-def vit_forward(images: np.ndarray, params: dict[str, Tensor], config: ViTConfig):
-    """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes]).
-    The reference that ``context.contextvit_forward`` of kind none matches bit for bit."""
-    patches = T.constant(patchify_batch(images, config.patch, params["patch_projection"].data.dtype))
-    tokens = _assemble(embed_patches(patches, params), params)
-    encoded = encode_tokens(tokens, params, config)
-    cls = encoded[:, 0]
-    logits = T.linear(cls, params["head.w"], params["head.b"])
-    return cls, logits

@@ -13,7 +13,7 @@ from contextvit import tensor as T
 from contextvit.context import ContextKind, ContextViT, GroupedBatch
 from contextvit.data import SyntheticShiftSpec, generate_dataset
 from contextvit.tensor import Tensor, constant
-from contextvit.vit import ViTConfig
+from contextvit.vit import ViTConfig, _assemble, embed_patches, encode_tokens, patchify_batch
 
 
 def dot(a: Tensor, b=None) -> Tensor:
@@ -23,6 +23,26 @@ def dot(a: Tensor, b=None) -> Tensor:
     n = a.size
     b = constant(np.ones(n)) if b is None else b if isinstance(b, Tensor) else constant(b)
     return T.reshape(T.matmul(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
+
+
+def vit_forward(images: np.ndarray, params: dict, config: ViTConfig):
+    """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes]).
+    The reference that ``context.contextvit_forward`` of kind none matches bit for bit."""
+    patches = constant(patchify_batch(images, config.patch, params["patch_projection"].data.dtype))
+    tokens = _assemble(embed_patches(patches, params), params)
+    encoded = encode_tokens(tokens, params, config)
+    cls = encoded[:, 0]
+    logits = T.linear(cls, params["head.w"], params["head.b"])
+    return cls, logits
+
+
+def summing_deep_sets_params(d: int, dtype=np.float64) -> dict:
+    """Deep-sets parameters of width ``d`` under which phi and rho are both
+    the identity, so ``deep_sets_infer`` returns each group's plain sum."""
+    params = {f"ctx_{net}.{k}": constant(np.zeros((d, d) if k[0] == "w" else d, dtype))
+              for net in ("phi", "rho") for k in ("w1", "w2", "w3", "b1", "b2", "b3")}
+    params["ctx_rho.w3"] = constant(np.eye(d, dtype=dtype))
+    return params
 
 
 @pytest.fixture(scope="session")

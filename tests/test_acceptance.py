@@ -44,7 +44,9 @@ from contextvit.train import (
     write_metrics_csv,
 )
 from contextvit.verify import TOLERANCE, run_gradient_suite
-from contextvit.vit import ViTConfig, vit_forward
+from contextvit.vit import ViTConfig
+
+from conftest import vit_forward
 
 # ---------------------------------------------------------------------------
 # shared scaffolding
@@ -244,13 +246,13 @@ def test_criterion_04_permutation_invariance():
     # (one group owning every row; row 0 of the [G, d] result is its token)
     member = rng.normal(size=(3, 8, TOY.dim))
     patch_perm, member_perm = rng.permutation(8), rng.permutation(3)
-    mean_a = infer_context_mean(T.constant(member), [np.arange(3)]).data[0]
-    mean_b = infer_context_mean(T.constant(member[member_perm][:, patch_perm]), [np.arange(3)]).data[0]
+    mean_a = infer_context_mean(T.constant(member), np.zeros(3, np.int64)).data[0]
+    mean_b = infer_context_mean(T.constant(member[member_perm][:, patch_perm]), np.zeros(3, np.int64)).data[0]
     worst = max(worst, float(np.max(np.abs(mean_a - mean_b))))
 
     ds_model = _make_model("deep_sets")
     flat = member.reshape(-1, TOY.dim)
-    rows = [np.arange(flat.shape[0])]
+    rows = np.zeros(flat.shape[0], np.int64)
     ds_a = deep_sets_infer(T.constant(flat), ds_model.context, False, rows).data[0]
     ds_b = deep_sets_infer(T.constant(flat[rng.permutation(flat.shape[0])]),
                            ds_model.context, False, rows).data[0]

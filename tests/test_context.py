@@ -25,9 +25,9 @@ from contextvit.context import (
 from contextvit.rng import generator
 from contextvit.tensor import Tape, backward, constant, tensor
 from contextvit.train import batch_cross_entropy
-from contextvit.vit import patchify_batch, vit_forward
+from contextvit.vit import patchify_batch
 
-from conftest import dot, make_batch
+from conftest import dot, make_batch, summing_deep_sets_params, vit_forward
 
 AMORTIZED = [n for n in CONTEXT_KIND_NAMES if ContextKind.from_name(n).amortized]
 TOKEN_KINDS = [n for n in CONTEXT_KIND_NAMES if ContextKind.from_name(n).has_token_slot]
@@ -62,9 +62,9 @@ def test_partition_disjoint_cover_property():
 # ----------------------------------------------------------------- mean pool
 
 
-def _one_group(rows: int) -> list:
-    """Member list of a single group that owns all ``rows`` rows."""
-    return [np.arange(rows)]
+def _one_group(rows: int) -> np.ndarray:
+    """Slot vector of a single group that owns all ``rows`` rows."""
+    return np.zeros(rows, dtype=np.int64)
 
 
 def test_mean_two_single_patch_members():
@@ -88,6 +88,46 @@ def test_mean_permutation_invariant():
 def test_mean_empty_member_set_rejected():
     with pytest.raises(ValueError):
         infer_context_mean(constant(np.zeros((0, 4, 3))), _one_group(0))
+
+
+@pytest.mark.parametrize("slots", [[0, 1, 2, 2, 0, 2], [0, 0, 1, 1, 1, 2]])
+def test_pooling_matches_per_group_reductions(slots):
+    """One product with the pooling matrix equals reducing each group on its
+    own to float64 rounding: means by ``infer_context_mean``, sums by the
+    pooling of ``deep_sets_infer`` (with identity networks)."""
+    x = np.random.default_rng(7).normal(size=(6, 6, 3))[:, 1:5]  # a strided view
+    means = infer_context_mean(constant(x), slots).data
+    sums = deep_sets_infer(constant(x.reshape(24, 3)), summing_deep_sets_params(3), False, np.repeat(slots, 4)).data
+    for g in range(3):
+        rows = np.flatnonzero(np.asarray(slots) == g)
+        np.testing.assert_allclose(means[g], x[rows].mean(axis=(0, 1)), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sums[g], x[rows].sum(axis=(0, 1)), rtol=1e-13, atol=1e-14)
+
+
+def test_pooling_gradient_reaches_members_only():
+    """A group whose output the loss ignores sends its members nothing; the
+    others' members get 1 / (|g| * patches) of a mean and all of a sum."""
+    slots, c = [1, 2, 0, 1], np.array([[1.0] * 3, [1.0] * 3, [0.0] * 3])
+    x = tensor(np.ones((4, 2, 3)), requires_grad=True)
+    with Tape() as tape:
+        backward(dot(infer_context_mean(x, slots), c), tape)
+    assert np.array_equal(x.grad[1], np.zeros((2, 3)))
+    assert np.array_equal(x.grad[2], np.full((2, 3), 1 / 2))
+    assert np.array_equal(x.grad[0], np.full((2, 3), 1 / 4))
+    rows = tensor(np.ones((4, 3)), requires_grad=True)
+    with Tape() as tape:
+        backward(dot(deep_sets_infer(rows, summing_deep_sets_params(3), False, slots), c), tape)
+    assert np.array_equal(rows.grad, c[slots])
+
+
+def test_pooling_rejects_malformed_slot_vectors():
+    """Four rows each need one slot, and every slot up to the largest needs a member."""
+    for slots, problem in [([], "non-empty"), ([[0, 0], [0, 1]], "1-D"), ([0, -1, 0, 1], "negative"),
+                           ([0, 2, 0, 2], r"groups \[1\] empty"), ([0, 0, 1], "3 entries for 4 rows")]:
+        with pytest.raises(ValueError, match=problem):
+            infer_context_mean(constant(np.zeros((4, 2, 3))), slots)
+        with pytest.raises(ValueError, match=problem):
+            deep_sets_infer(constant(np.zeros((4, 3))), summing_deep_sets_params(3), False, slots)
 
 
 # ---------------------------------------------------------------- linear head

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextvit import tensor as T
+from contextvit.context import deep_sets_infer, infer_context_mean
 from contextvit.tensor import Tape, backward, tensor
 
-from conftest import dot
+from conftest import dot, summing_deep_sets_params
 
 SEEDS = st.integers(0, 2**16)
 DTYPES = st.sampled_from([np.float32, np.float64])
@@ -133,33 +134,41 @@ def test_attention_core_matches_reference(b, sq, sk, heads, dh, dv, strided, dty
 
 
 @st.composite
-def partitions(draw):
-    """(rows, members): disjoint, non-empty, unsorted member lists over some
-    of ``rows`` row indices, singletons included."""
+def slot_vectors(draw) -> np.ndarray:
+    """Each row's group slot for 1-9 rows: every group non-empty, members
+    unsorted, singletons included."""
     rows = draw(st.integers(1, 9))
     order = draw(st.permutations(range(rows)))
-    used = draw(st.integers(1, rows))
-    cuts = sorted(draw(st.sets(st.integers(1, used - 1), max_size=used - 1))) if used > 1 else []
-    bounds = [0, *cuts, used]
-    return rows, [list(order[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
+    cuts = sorted(draw(st.sets(st.integers(1, rows - 1), max_size=rows - 1))) if rows > 1 else []
+    slots = np.empty(rows, np.int64)
+    for g, (start, stop) in enumerate(zip([0, *cuts], [*cuts, rows])):
+        slots[list(order[start:stop])] = g
+    return slots
 
 
 @settings(max_examples=80, deadline=None)
-@given(part=partitions(), inner=st.lists(st.integers(1, 3), max_size=2), d=st.integers(1, 4),
+@given(slots=slot_vectors(), inner=st.lists(st.integers(1, 3), max_size=2), d=st.integers(1, 4),
        mean=st.booleans(), strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
-def test_group_pool_matches_reference(part, inner, d, mean, strided, dtype, seed):
-    """One GEMM against the pooling weights equals each group's own numpy
-    reduction; the vjp spreads each group's gradient over its members only."""
-    rows, members = part
+def test_pooled_context_matches_reference(slots, inner, d, mean, strided, dtype, seed):
+    """One product with the pooling matrix equals each group's own numpy
+    reduction, and the vjp spreads each group's gradient over its members
+    only: means through ``infer_context_mean``, sums (``mean=False``) through
+    ``deep_sets_infer`` with identity networks over the flattened rows."""
+    rows, count = slots.size, int(np.prod(inner, dtype=np.int64))
     rng = np.random.default_rng(seed)
     a = _leaf(rng, (rows, *inner, d), dtype, strided)
-    out, c = _run(lambda: T.group_pool(a, members, mean=mean), rng, dtype)
+    if mean:
+        out, c = _run(lambda: infer_context_mean(a, slots), rng, dtype)
+    else:
+        params = summing_deep_sets_params(d, dtype)
+        out, c = _run(lambda: deep_sets_infer(T.reshape(a, (rows * count, d)), params, False,
+                                              np.repeat(slots, count)), rng, dtype)
     a64, c64 = _f64(a), c.astype(np.float64)
     axes = tuple(range(a64.ndim - 1))
-    want = np.stack([(a64[m].mean if mean else a64[m].sum)(axis=axes) for m in members])
-    count = np.prod(inner, dtype=np.int64)
+    groups = [np.flatnonzero(slots == g) for g in range(slots.max() + 1)]
+    want = np.stack([(a64[m].mean if mean else a64[m].sum)(axis=axes) for m in groups])
     want_grad = np.zeros_like(a64)
-    for g, m in enumerate(members):
+    for g, m in enumerate(groups):
         want_grad[m] = c64[g] / (len(m) * count) if mean else c64[g]
     _close(out.data, want, dtype)
     _close(a.grad, want_grad, dtype)

@@ -223,8 +223,6 @@ def _dtype_cases(new, n: int) -> dict:
         "broadcast_to": lambda: T.broadcast_to(new(1, 3), (n, 3)),
         "concat": lambda: T.concat([new(n, 3), new(2, 3)], axis=0),
         "index_rows": lambda: T.index_rows(new(n, 2), [0] * (n + 1)),
-        "group_pool": lambda: T.add(T.group_pool(new(n + 1, 2, 4), [[n], range(n)]),
-                                    T.group_pool(new(n + 1, 4), [range(n + 1)], mean=False)),
         "cross_entropy": lambda: T.cross_entropy(new(n, 4), [3] * n),
         "layer_norm": lambda: T.layer_norm(new(n, 4), new(4), new(4)),
         "relu": lambda: T.relu(new(n, 3)),

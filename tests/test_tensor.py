@@ -201,39 +201,6 @@ def test_cross_entropy_rejects_what_it_cannot_index(logits, labels, error):
         T.cross_entropy(constant(logits), labels)
 
 
-# ----------------------------------------------------------------- reductions
-
-
-@pytest.mark.parametrize("members", [[[4, 0], [1], [5, 2, 3]], [[0, 1], [2, 3, 4], [5]]])
-def test_group_pool_matches_per_group_reductions(members):
-    """One GEMM equals reducing each group on its own to float64 rounding."""
-    x = np.random.default_rng(7).normal(size=(6, 6, 3))[:, 1:5]  # a strided view
-    means = T.group_pool(constant(x), members).data
-    sums = T.group_pool(constant(x), members, mean=False).data
-    for g, rows in enumerate(members):
-        np.testing.assert_allclose(means[g], x[rows].mean(axis=(0, 1)), rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(sums[g], x[rows].sum(axis=(0, 1)), rtol=1e-13, atol=1e-14)
-
-
-def test_group_pool_gradient_reaches_members_only():
-    x = tensor(np.ones((4, 2, 3)), requires_grad=True)
-    with Tape() as tape:
-        backward(dot(T.group_pool(x, [[2], [0, 3]])), tape)
-    assert np.array_equal(x.grad[1], np.zeros((2, 3)))
-    assert np.array_equal(x.grad[2], np.full((2, 3), 1 / 2))
-    assert np.array_equal(x.grad[0], np.full((2, 3), 1 / 4))
-
-
-def test_group_pool_rejects_empty_and_overlapping_groups():
-    x = constant(np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        T.group_pool(x, [[0], []])
-    with pytest.raises(ValueError):
-        T.group_pool(x, [[0, 1], [1]])
-    with pytest.raises(IndexError):
-        T.group_pool(x, [[3]])
-
-
 # -------------------------------------------------------------- stop_gradient
 
 

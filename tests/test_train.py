@@ -25,9 +25,9 @@ from contextvit.train import (
     write_metrics_csv,
     write_summary_json,
 )
-from contextvit.vit import ViTConfig, vit_forward
+from contextvit.vit import ViTConfig
 
-from conftest import make_batch
+from conftest import make_batch, vit_forward
 
 
 # ------------------------------------------------------------- cross entropy

@@ -18,10 +18,9 @@ from contextvit.vit import (
     init_backbone_params,
     patchify_batch,
     transformer_layer,
-    vit_forward,
 )
 
-from conftest import dot
+from conftest import dot, vit_forward
 
 
 # ------------------------------------------------------------------- patchify
@@ -192,7 +191,12 @@ def test_sequence_length_processed_is_n_plus_one(toy_config):
     seen = []
     image = generator(32).uniform(size=(16, 16, 3))
     tokens = _tokens(image, params, toy_config)
-    encode_tokens(tokens, params, toy_config, layer_hook=lambda layer, x: seen.append(x.data.shape))
+
+    def hook(layer, x):
+        seen.append(x.data.shape)
+        return x
+
+    encode_tokens(tokens, params, toy_config, layer_hook=hook)
     assert all(s[-2] == toy_config.num_patches + 1 for s in seen)
     assert len(seen) == toy_config.depth
 
