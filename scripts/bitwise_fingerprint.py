@@ -1,0 +1,124 @@
+"""Print one SHA-256 per section of a checkout's numerics, to compare two builds bit for bit.
+
+    python3 scripts/bitwise_fingerprint.py <checkout> [<checkout> ...]
+
+Each checkout's ``src`` is imported in a fresh process; the sections are:
+
+* ``training``: for every context kind in float64 and float32, the training
+  logits and every parameter gradient of two training steps (AdamW between
+  them), then the eval logits, on a mixed-group batch of a depth-3 model;
+* ``gradient_suite``: every value of ``verify.run_gradient_suite()``;
+* ``op_checks``: every value of ``verify.op_gradient_checks`` at seeds
+  0-199, names in the order returned.
+
+Only interfaces that have long been stable are used (``ContextViT.create``,
+``forward``, ``to_float32``, ``backward``, ``adamw_step``), so one command
+compares a change with its parent.  BLAS runs on one thread, as in the
+benchmark.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+OP_SEEDS = range(200)
+GROUPS = [0, 1, 0, 2, 1, 0, 2, 2]
+
+
+def _feed(h, array) -> None:
+    import numpy as np
+
+    array = np.ascontiguousarray(array)
+    h.update(f"{array.dtype.str}{array.shape}".encode())
+    h.update(array.tobytes())
+
+
+def training_section(cv, h) -> None:
+    import numpy as np
+
+    config = cv.vit.ViTConfig(image_h=16, image_w=16, channels=3, patch=4, dim=16, depth=3, heads=2,
+                              num_classes=4)
+    rng = np.random.default_rng(0)
+    batches = [cv.context.GroupedBatch(rng.uniform(0.0, 1.0, (len(GROUPS), 16, 16, 3)),
+                                       rng.integers(0, 4, len(GROUPS)), GROUPS) for _ in range(3)]
+    for kind_name in cv.context.CONTEXT_KIND_NAMES:
+        for dtype in ("float64", "float32"):
+            h.update(f"{kind_name}/{dtype}".encode())
+            kind = cv.context.ContextKind.from_name(kind_name, patches=6)
+            model = cv.context.ContextViT.create(config, kind, seed=3, group_ids=sorted(set(GROUPS)))
+            for name, p in sorted(model.trainable_parameters().items()):
+                # off the zero init, so the context heads shape the logits
+                p.data = p.data + 0.05 * np.random.default_rng(len(name)).standard_normal(p.data.shape)
+            if dtype == "float32":
+                model.to_float32()
+            params = model.trainable_parameters()
+            state = cv.train.AdamWState.init(params)
+            for batch in batches[:2]:
+                with cv.tensor.Tape() as tape:
+                    _, logits = model.forward(batch, train=True, sample_seed=5)
+                    cv.tensor.backward(cv.train.batch_cross_entropy(logits, batch.labels), tape)
+                _feed(h, logits.data)
+                for name, p in sorted(params.items()):
+                    h.update(name.encode())
+                    _feed(h, p.grad if p.grad is not None else np.zeros(0))
+                cv.train.adamw_step(params, state, 1e-3, 0.05)
+                for p in params.values():
+                    p.grad = None
+            with cv.tensor.Tape():
+                _, logits = model.forward(batches[2], train=False, sample_seed=5)
+            _feed(h, logits.data)
+
+
+def gradient_suite_section(cv, h) -> None:
+    for name, value in cv.verify.run_gradient_suite().items():
+        h.update(f"{name}={float(value).hex()};".encode())
+
+
+def op_checks_section(cv, h) -> None:
+    for seed in OP_SEEDS:
+        for name, value in cv.verify.op_gradient_checks(seed=seed).items():
+            h.update(f"{seed}:{name}={float(value).hex()};".encode())
+
+
+SECTIONS = {"training": training_section, "gradient_suite": gradient_suite_section,
+            "op_checks": op_checks_section}
+
+
+def fingerprint(checkout: str) -> dict[str, str]:
+    """Section name -> SHA-256 hex digest, computed with ``checkout``'s code."""
+    sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
+    import importlib
+    import types
+
+    cv = types.SimpleNamespace(**{m: importlib.import_module(f"contextvit.{m}")
+                                  for m in ("context", "tensor", "train", "verify", "vit")})
+    digests = {}
+    for name, section in SECTIONS.items():
+        h = hashlib.sha256()
+        section(cv, h)
+        digests[name] = h.hexdigest()
+    return digests
+
+
+def main(argv: list[str]) -> int:
+    if not argv:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    if len(argv) > 1:  # one fresh process per checkout, so no module is shared
+        for checkout in argv:
+            subprocess.run([sys.executable, __file__, checkout], check=True)
+        return 0
+    print(f"checkout {os.path.abspath(argv[0])}")
+    for name, digest in fingerprint(argv[0]).items():
+        print(f"{name:15s} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

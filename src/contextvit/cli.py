@@ -175,13 +175,14 @@ def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, com
 
 
 def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
+    kinds, seeds = cfg.kind_list(), cfg.seed_list()  # rejected before the data is made
     data = _load_or_generate(cfg)
     rows = run_ablation(
         data,
         cfg.vit_config(),
         cfg.train_config(),
-        kinds=cfg.kind_list(),
-        seeds=cfg.seed_list(),
+        kinds=kinds,
+        seeds=seeds,
         eval_batch_size=cfg.eval_batch_size,
     )
     table_path = os.path.join(run_dir, "ablation.csv")
@@ -194,7 +195,7 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
         {
             "command": "ablate",
             "config_hash": config_hash(cfg),
-            "seeds": cfg.seed_list(),
+            "seeds": seeds,
             "rows": [dataclasses.asdict(r) for r in rows],
         },
         os.path.join(run_dir, "summary.json"),
@@ -214,10 +215,11 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
+    sizes = cfg.size_list()  # rejected before the checkpoint and data are read
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)
-    accuracies = batch_size_sweep(model, data.ood_test, cfg.size_list())
+    accuracies = batch_size_sweep(model, data.ood_test, sizes)
     sweep_path = os.path.join(run_dir, "sweep.csv")
     _write_csv(sweep_path, ["eval_batch_size", "ood_accuracy"],
                ([size, repr(accuracies[size])] for size in sorted(accuracies)))

@@ -99,13 +99,27 @@ class RunConfig:
         )
 
     def kind_list(self) -> list[str]:
-        return [k.strip() for k in self.ablate_kinds.split(",") if k.strip()]
+        return _split_list("ablate_kinds", self.ablate_kinds, str)
 
     def seed_list(self) -> list[int]:
-        return [int(s) for s in self.ablate_seeds.split(",") if s.strip()]
+        return _split_list("ablate_seeds", self.ablate_seeds, int)
 
     def size_list(self) -> list[int]:
-        return [int(s) for s in self.sweep_sizes.split(",") if s.strip()]
+        return _split_list("sweep_sizes", self.sweep_sizes, int)
+
+
+def _split_list(key: str, text: str, parse) -> list:
+    """The comma-separated entries of config key ``key``, each read by
+    ``parse``; blank entries are skipped, and an empty list or a malformed
+    entry is an error that names the key."""
+    try:
+        values = [parse(item.strip()) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects a comma-separated list of {parse.__name__}, "
+                         f"got {text!r}") from None
+    if not values:
+        raise ValueError(f"config key {key!r} lists no values")
+    return values
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

@@ -97,7 +97,9 @@ class ContextKind:
 
     name: the kind, which fixes the read-only properties
       base: none | mean | mean_linear | deep_sets | oracle | ema | in_context_patches
-      detach: pass pooled inputs through stop_gradient (mean_linear, deep_sets)
+      detach: stop the gradient at the frozen boundary (``_frozen_input``):
+        the pooled stack before the head (mean_linear) or the patch rows
+        before phi (deep_sets)
       layerwise: re-infer the context token after every layer (mean family only)
     patches: K for in_context_patches
     ema_lambda: decay for the ema kind
@@ -285,16 +287,14 @@ def infer_context_mean(patch_embeds: Tensor, slots) -> Tensor:
     return T.matmul(T.constant(w), T.reshape(patch_embeds, (w.shape[1], d)))
 
 
-def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor, detach: bool = False) -> Tensor:
-    """Affine head b + row @ w for each [d] row of ``pooled`` ([d] or [G, d]),
-    optionally detaching the input.
+def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine head b + row @ w for each [d] row of ``pooled`` ([d] or [G, d]).
 
     Rows are multiplied as a [G, 1, d] stack, which gives each row the same
     bits as multiplying it on its own.
     """
-    src = T.stop_gradient(pooled) if detach else pooled
-    lead = src.shape[:-1]
-    out = T.linear(T.reshape(src, lead + (1, src.shape[-1])), w, b)
+    lead = pooled.shape[:-1]
+    out = T.linear(T.reshape(pooled, lead + (1, pooled.shape[-1])), w, b)
     return T.reshape(out, lead + (w.shape[1],))
 
 
@@ -342,13 +342,11 @@ def _mlp_residual(x: Tensor, params: dict[str, Tensor], net: str, final_residual
     return out + h if final_residual else out
 
 
-def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], detach: bool, slots) -> Tensor:
+def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], slots) -> Tensor:
     """rho(sum_i phi(t_i)) over each group's patch rows: [R, d] -> [G, d],
     where ``slots[r]`` is row r's group."""
     if patch_embeds.ndim != 2:
         raise ValueError(f"expected [rows, d] patch tokens, got {patch_embeds.shape}")
-    if detach:
-        patch_embeds = T.stop_gradient(patch_embeds)
     phi = _mlp_residual(patch_embeds, params, "phi", final_residual=True)
     w = _pooling_weights(slots, phi.shape[0], 1, phi.data.dtype, mean=False)
     summed = T.matmul(T.constant(w), phi)
@@ -373,28 +371,30 @@ def _patch_rows(members, n: int) -> np.ndarray:
     return (np.asarray(members, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
 
 
-def _frozen_input(layer: int, computed: Tensor, capture: Optional[dict], override: Optional[dict]) -> Tensor:
+def _frozen_input(layer: int, computed: Tensor, kind: ContextKind, frozen: Optional[dict]) -> Tensor:
     """The array entering layer ``layer``'s frozen boundary: the pooled
-    [G, d] stack, the [B*N, d] patch rows or the [G, d] ema state.
+    [G, d] stack, the [B*N, d] patch rows or the [G, d] ema state, passed
+    through ``stop_gradient`` when ``kind.detach`` is set.
 
-    For gradient verification, ``override[layer]`` replaces it as a
-    constant, so finite differences see only the declared-differentiable
-    subgraph, and ``capture[layer]`` records the array that goes on.
+    With a ``frozen`` dict, a layer it lacks records its array there and
+    goes on, and a layer it holds is replayed as a constant of that value:
+    gradient verification freezes the boundary this way, so finite
+    differences see only the declared-differentiable subgraph.
     """
     out = computed
-    if override is not None:
-        value = override[layer]
+    if frozen is not None and layer in frozen:
+        value = frozen[layer]
         if np.shape(value) != computed.shape:
-            raise ValueError(f"context input override for layer {layer} has shape {np.shape(value)}, "
+            raise ValueError(f"frozen context input for layer {layer} has shape {np.shape(value)}, "
                              f"the boundary has {computed.shape}")
         out = T.constant(np.array(value, dtype=computed.data.dtype))
-    if capture is not None:
-        capture[layer] = out.data.copy()
-    return out
+    elif frozen is not None:
+        frozen[layer] = computed.data.copy()
+    return T.stop_gradient(out) if kind.detach else out
 
 
 def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: "ContextViT", train: bool,
-                  capture: Optional[dict], override: Optional[dict]) -> Tensor:
+                  frozen: Optional[dict]) -> Tensor:
     """Context tokens [G, d] of the batch's groups, in partition order, from
     patch tokens [B, N, d]; evaluation updates a copy of the ema state."""
     kind, params = model.kind, model.context
@@ -403,8 +403,8 @@ def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: 
         return oracle_lookup(groups, params)
     if kind.base == "deep_sets":
         b, n, d = patch_tokens.shape
-        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), capture, override)
-        return deep_sets_infer(rows, params, kind.detach, np.repeat(batch.slots, n))
+        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), kind, frozen)
+        return deep_sets_infer(rows, params, np.repeat(batch.slots, n))
     pooled = infer_context_mean(patch_tokens, batch.slots)
     if kind.base == "mean":
         return pooled
@@ -413,11 +413,10 @@ def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: 
         for gid, batch_mean in zip(groups, pooled.data):
             if train or gid not in state:
                 ema_update(state, gid, batch_mean, kind.ema_lambda)
-        src = _frozen_input(layer, T.constant(np.stack([state[g] for g in groups])), capture, override)
+        src = _frozen_input(layer, T.constant(np.stack([state[g] for g in groups])), kind, frozen)
         return apply_linear_head(src, params["ctx_head0.w"], params["ctx_head0.b"])
-    src = _frozen_input(layer, pooled, capture, override)
-    w, b = params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"]
-    return apply_linear_head(src, w, b, detach=kind.detach)
+    src = _frozen_input(layer, pooled, kind, frozen)
+    return apply_linear_head(src, params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"])
 
 
 def contextvit_forward(
@@ -425,8 +424,7 @@ def contextvit_forward(
     model: "ContextViT",
     train: bool = False,
     sample_seed: int = 0,
-    capture_context_inputs: Optional[dict] = None,
-    context_input_override: Optional[dict] = None,
+    frozen_context_inputs: Optional[dict] = None,
     capture_context_tokens: Optional[dict] = None,
 ):
     """Group-conditioned forward pass of ``model``: batch -> (CLS embeddings, logits).
@@ -439,9 +437,10 @@ def contextvit_forward(
 
     ``train`` lets the ema kind update the model's state (evaluation
     updates a copy); ``sample_seed`` seeds the in-context patch draws.
-    ``capture_context_inputs`` and ``context_input_override`` map a layer to
-    the array at its frozen boundary (``_frozen_input``), and
-    ``capture_context_tokens`` maps (layer, group) to the group's token.
+    ``frozen_context_inputs`` maps a layer to the array at its frozen
+    boundary (``_frozen_input``): layers it lacks are recorded into it and
+    layers it holds are replayed as constants.  ``capture_context_tokens``
+    maps (layer, group) to the group's token.
     """
     backbone, config, kind = model.backbone, model.config, model.kind
     patches = T.constant(patchify_batch(batch.images, config.patch, backbone["patch_projection"].data.dtype))
@@ -461,8 +460,7 @@ def contextvit_forward(
 
         def column(x: Tensor, layer: int) -> Tensor:
             """[B, 1, d] context slot contents: each image gets its group's token."""
-            group_tokens = _group_tokens(x, batch, layer, model, train, capture_context_inputs,
-                                         context_input_override)
+            group_tokens = _group_tokens(x, batch, layer, model, train, frozen_context_inputs)
             if capture_context_tokens is not None:
                 for gid, token in zip(batch.partition, group_tokens.data):
                     capture_context_tokens[(layer, gid)] = token.copy()
@@ -544,6 +542,6 @@ class ContextViT:
             self.ema_state[gid] = value.astype(np.float32)
 
     def forward(self, batch: GroupedBatch, train: bool = False, sample_seed: int = 0, **capture):
-        """``contextvit_forward`` of this model; ``capture`` takes its capture
-        and override keywords."""
+        """``contextvit_forward`` of this model; ``capture`` takes its
+        ``frozen_context_inputs`` and ``capture_context_tokens`` keywords."""
         return contextvit_forward(batch, self, train, sample_seed, **capture)

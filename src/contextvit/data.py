@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -76,8 +77,9 @@ class SyntheticShiftSpec:
         if not (0.0 <= self.contrast_jitter < 1.0):
             raise ValueError("contrast_jitter must lie in [0, 1)")
         for name in ("signal_amplitude", "bias_max", "texture_std", "noise_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (0 < self.train_fraction < 1) or not (0 < self.val_fraction < 1):
             raise ValueError("split fractions must lie in (0, 1)")
         if self.train_fraction + self.val_fraction >= 1:

@@ -106,6 +106,8 @@ def run_ablation(
     """
     if not kinds:
         raise ValueError("ablation needs at least one kind")
+    if not seeds:
+        raise ValueError("ablation needs at least one seed")
     eval_bs = eval_batch_size or train_config.batch_size
     group_ids = sorted(data.train.partition)
     rows = []

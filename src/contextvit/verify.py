@@ -4,13 +4,16 @@ Used by the ``grad-check`` CLI command and the test suite.  Op checks
 probe every differentiable primitive on small random shapes against
 central finite differences; model checks run the complete conditioned
 forward pass (16x16 images, patch 4, d=16, depth 2) for each context
-kind.  Detached and EMA paths are frozen to recorded constants first,
-so the oracle compares only the declared-differentiable subgraph.
+kind.  Detached and EMA kinds freeze their context inputs: the analytic
+pass records the array at each frozen boundary
+(``contextvit_forward(..., frozen_context_inputs=...)``) and every
+finite-difference forward replays it as a constant, so the oracle
+compares only the declared-differentiable subgraph.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +29,9 @@ __all__ = ["op_gradient_checks", "toy_model_gradient_check", "run_gradient_suite
 
 TOLERANCE = 1e-4
 STEP = 1e-4
-
-
-def _rand(rng, *shape) -> np.ndarray:
-    return rng.standard_normal(shape)
+OP_SEEDS = (0, 1, 2)
+MODEL_SEED = 0
+MAX_COORDS = 4  # probed coordinates per parameter in a model check
 
 
 def _weighted(out: Tensor, coeff: np.ndarray) -> Tensor:
@@ -40,126 +42,62 @@ def _weighted(out: Tensor, coeff: np.ndarray) -> Tensor:
 
 
 def op_gradient_checks(seed: int = 0) -> dict[str, float]:
-    """Worst finite-difference relative error per differentiable op."""
+    """Worst finite-difference relative error per differentiable op.
+
+    Each check draws its dims, then its inputs in argument order, then any
+    extra draws (indices, labels), and ``check`` draws the functional last,
+    so every check reads the shared random stream in a fixed order.
+    """
     rng = generator(child_seed(seed, "opcheck"))
     dims = lambda *s: tuple(int(rng.integers(1, 8)) if d is None else d for d in s)
+    rand = lambda *shape: rng.standard_normal(shape)
     errors: dict[str, float] = {}
 
-    def check(name: str, make):
-        params, f = make()
+    def check(name: str, op, *inputs: np.ndarray) -> None:
+        """Error of ``op`` on ``inputs`` under a random functional shaped like
+        its output; a scalar output is checked as it is."""
+        params = {f"x{i}": Tensor(x, requires_grad=True) for i, x in enumerate(inputs)}
+        shape = op(*map(T.constant, inputs)).shape
+        c = rand(*shape) if shape else None
+
+        def f():
+            out = op(*params.values())
+            return _weighted(out, c) if shape else out
+
         errors[name] = finite_diff_check(f, params, step=STEP)
 
-    def unary(op, *shape, margin: float = 0.0):
-        """One random input of ``shape`` (None: a random length), each coordinate ``margin`` off zero."""
-
-        def make():
-            x = _rand(rng, *dims(*shape))
-            a = Tensor(x + np.copysign(margin, x), requires_grad=True)
-            c = _rand(rng, *op(T.constant(a.data)).shape)
-            return {"a": a}, lambda: _weighted(op(a), c)
-
-        return make
-
-    def make_add():
-        shape = dims(None, None)
-        a = Tensor(_rand(rng, *shape), requires_grad=True)
-        b = Tensor(_rand(rng, *shape), requires_grad=True)
-        c = _rand(rng, *shape)
-        return {"a": a, "b": b}, lambda: _weighted(T.add(a, b), c)
-
-    check("add", make_add)
+    m, n = dims(None, None)
+    check("add", T.add, rand(m, n), rand(m, n))
     # coordinates within one step of the kink would make the central difference straddle it
-    check("relu", unary(T.relu, None, None, margin=100 * STEP))
-    check("gelu", unary(T.gelu, None, None))
-
-    def make_matmul():
-        m, k, n = dims(None, None, None)
-        a = Tensor(_rand(rng, m, k), requires_grad=True)
-        b = Tensor(_rand(rng, k, n), requires_grad=True)
-        c = _rand(rng, m, n)
-        return {"a": a, "b": b}, lambda: _weighted(T.matmul(a, b), c)
-
-    check("matmul", make_matmul)
-
-    def make_matmul_batched():
-        bsz, m, k, n = dims(None, None, None, None)
-        a = Tensor(_rand(rng, bsz, m, k), requires_grad=True)
-        b = Tensor(_rand(rng, k, n), requires_grad=True)
-        c = _rand(rng, bsz, m, n)
-        return {"a": a, "b": b}, lambda: _weighted(T.matmul(a, b), c)
-
-    check("matmul_batched", make_matmul_batched)
-
-    check("reshape", unary(lambda a: T.reshape(a, (a.size,)), None, None))
-
-    def make_broadcast():
-        b, n = dims(None, None)
-        a = Tensor(_rand(rng, 1, n), requires_grad=True)
-        c = _rand(rng, b, n)
-        return {"a": a}, lambda: _weighted(T.broadcast_to(a, (b, n)), c)
-
-    check("broadcast_to", make_broadcast)
-
-    def make_concat():
-        m1, m2, n = dims(None, None, None)
-        a = Tensor(_rand(rng, m1, n), requires_grad=True)
-        b = Tensor(_rand(rng, m2, n), requires_grad=True)
-        c = _rand(rng, m1 + m2, n)
-        return {"a": a, "b": b}, lambda: _weighted(T.concat([a, b], axis=0), c)
-
-    check("concat", make_concat)
-
-    def make_index_rows():
-        m, n = dims(None, None)
-        a = Tensor(_rand(rng, m, n), requires_grad=True)
-        idx = rng.integers(0, m, size=m + 2)  # duplicates exercise accumulation
-        c = _rand(rng, m + 2, n)
-        return {"a": a}, lambda: _weighted(T.index_rows(a, idx), c)
-
-    check("index_rows", make_index_rows)
-
-    check("getitem", unary(lambda a: a[1:3], 4, None))
-
-    def make_cross_entropy():
-        m, n = dims(None, None)
-        a = Tensor(_rand(rng, m, n) * 3.0, requires_grad=True)
-        labels = rng.integers(0, n, m)
-        return {"a": a}, lambda: T.cross_entropy(a, labels)
-
-    check("cross_entropy", make_cross_entropy)
-
-    def make_layer_norm():
-        m, n = dims(None, 6)
-        a = Tensor(_rand(rng, m, n), requires_grad=True)
-        gain = Tensor(1.0 + 0.1 * _rand(rng, n), requires_grad=True)
-        bias = Tensor(0.1 * _rand(rng, n), requires_grad=True)
-        c = _rand(rng, m, n)
-        return {"a": a, "gain": gain, "bias": bias}, lambda: _weighted(
-            T.layer_norm(a, gain, bias, 1e-6), c
-        )
-
-    check("layer_norm", make_layer_norm)
-
-    def make_linear():
-        bsz, m, k, n = dims(None, None, None, None)
-        x = Tensor(_rand(rng, bsz, m, k), requires_grad=True)
-        w = Tensor(_rand(rng, k, n), requires_grad=True)
-        b = Tensor(_rand(rng, n), requires_grad=True)
-        c = _rand(rng, bsz, m, n)
-        return {"x": x, "w": w, "b": b}, lambda: _weighted(T.linear(x, w, b), c)
-
-    check("linear", make_linear)
-
-    def make_attention_core():
-        bsz, sq, sk, dh, dv, heads = dims(None, None, None, None, None, 2)
-        q = Tensor(_rand(rng, bsz, sq, heads * dh), requires_grad=True)
-        k = Tensor(_rand(rng, bsz, sk, heads * dh), requires_grad=True)
-        v = Tensor(_rand(rng, bsz, sk, heads * dv), requires_grad=True)
-        c = _rand(rng, bsz, sq, heads * dv)
-        return {"q": q, "k": k, "v": v}, lambda: _weighted(T.attention_core(q, k, v, heads), c)
-
-    check("attention_core", make_attention_core)
-
+    x = rand(*dims(None, None))
+    check("relu", T.relu, x + np.copysign(100 * STEP, x))
+    check("gelu", T.gelu, rand(*dims(None, None)))
+    m, k, n = dims(None, None, None)
+    check("matmul", T.matmul, rand(m, k), rand(k, n))
+    b, m, k, n = dims(None, None, None, None)
+    check("matmul_batched", T.matmul, rand(b, m, k), rand(k, n))
+    check("reshape", lambda a: T.reshape(a, (a.size,)), rand(*dims(None, None)))
+    b, n = dims(None, None)
+    check("broadcast_to", lambda a: T.broadcast_to(a, (b, n)), rand(1, n))
+    m1, m2, n = dims(None, None, None)
+    check("concat", lambda a, b: T.concat([a, b], axis=0), rand(m1, n), rand(m2, n))
+    m, n = dims(None, None)
+    a = rand(m, n)
+    idx = rng.integers(0, m, size=m + 2)  # duplicates exercise accumulation
+    check("index_rows", lambda a: T.index_rows(a, idx), a)
+    check("getitem", lambda a: a[1:3], rand(*dims(4, None)))
+    m, n = dims(None, None)
+    a = rand(m, n) * 3.0
+    labels = rng.integers(0, n, m)
+    check("cross_entropy", lambda a: T.cross_entropy(a, labels), a)
+    m, n = dims(None, 6)
+    check("layer_norm", lambda a, gain, bias: T.layer_norm(a, gain, bias, 1e-6),
+          rand(m, n), 1.0 + 0.1 * rand(n), 0.1 * rand(n))
+    b, m, k, n = dims(None, None, None, None)
+    check("linear", T.linear, rand(b, m, k), rand(k, n), rand(n))
+    b, sq, sk, dh, dv, heads = dims(None, None, None, None, None, 2)
+    check("attention_core", lambda q, k, v: T.attention_core(q, k, v, heads),
+          rand(b, sq, heads * dh), rand(b, sk, heads * dh), rand(b, sk, heads * dv))
     return errors
 
 
@@ -190,40 +128,30 @@ def _toy_setup(kind_name: str, seed: int):
     return model, batch
 
 
-def toy_model_gradient_check(kind_name: str, seed: int = 0, max_coords: Optional[int] = 4) -> float:
-    """End-to-end FD check of cross-entropy through the full forward pass."""
-    model, batch = _toy_setup(kind_name, seed)
-    params = model.trainable_parameters()
+def toy_model_gradient_check(kind_name: str, seed: int = 0) -> float:
+    """End-to-end FD check of cross-entropy through the full forward pass.
 
-    needs_freeze = model.kind.detach or model.kind.base == "ema"
-    override = None
-    if needs_freeze:
-        override = {}
-        model.forward(batch, train=False, sample_seed=7, capture_context_inputs=override)
+    Detached and ema kinds freeze their context inputs: the analytic pass
+    records them into ``frozen`` and every finite-difference forward
+    replays them as constants."""
+    model, batch = _toy_setup(kind_name, seed)
+    frozen = {} if model.kind.detach or model.kind.base == "ema" else None
 
     def f():
-        _, logits = model.forward(
-            batch, train=False, sample_seed=7, context_input_override=override
-        )
+        _, logits = model.forward(batch, train=False, sample_seed=7, frozen_context_inputs=frozen)
         return batch_cross_entropy(logits, batch.labels)
 
-    return finite_diff_check(f, params, step=STEP, max_coords=max_coords, seed=seed)
+    return finite_diff_check(f, model.trainable_parameters(), step=STEP, max_coords=MAX_COORDS, seed=seed)
 
 
-def run_gradient_suite(
-    kinds: Sequence[str] = CONTEXT_KIND_NAMES,
-    op_seeds: Sequence[int] = (0, 1, 2),
-    model_seed: int = 0,
-    max_coords: Optional[int] = 4,
-) -> dict[str, float]:
-    """All op checks plus one toy-model check per kind; name -> worst error."""
+def run_gradient_suite(kinds: Sequence[str] = CONTEXT_KIND_NAMES) -> dict[str, float]:
+    """All op checks at ``OP_SEEDS`` plus one toy-model check per kind at
+    ``MODEL_SEED``; name -> worst error."""
     results: dict[str, float] = {}
-    for s in op_seeds:
+    for s in OP_SEEDS:
         for name, err in op_gradient_checks(seed=s).items():
             key = f"op.{name}"
             results[key] = max(results.get(key, 0.0), err)
     for kind_name in kinds:
-        results[f"model.{kind_name}"] = toy_model_gradient_check(
-            kind_name, seed=model_seed, max_coords=max_coords
-        )
+        results[f"model.{kind_name}"] = toy_model_gradient_check(kind_name, seed=MODEL_SEED)
     return results

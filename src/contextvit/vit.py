@@ -17,6 +17,7 @@ which is how context conditioning plugs in without forking this code path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,6 +60,8 @@ class ViTConfig:
         for name in ("image_h", "image_w", "channels", "patch", "dim", "depth", "heads", "num_classes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not (math.isfinite(self.mlp_ratio) and self.ffn_hidden >= 1):
+            raise ValueError(f"mlp_ratio must be finite and give an FFN width >= 1, got {self.mlp_ratio}")
 
     @property
     def num_patches(self) -> int:

@@ -99,11 +99,9 @@ def _eval_logits(model: ContextViT, batch: GroupedBatch) -> np.ndarray:
         return np.array(model.forward(batch)[1].data, copy=True)
 
 
-def _backbone_grads(model: ContextViT, batch: GroupedBatch, capture=None, override=None):
+def _backbone_grads(model: ContextViT, batch: GroupedBatch, frozen=None):
     with Tape() as tape:
-        _, logits = model.forward(batch, train=True,
-                                  capture_context_inputs=capture,
-                                  context_input_override=override)
+        _, logits = model.forward(batch, train=True, frozen_context_inputs=frozen)
         loss = batch_cross_entropy(logits, batch.labels)
         backward(loss, tape)
     return {k: np.array(p.grad, copy=True)
@@ -170,9 +168,9 @@ def test_criterion_01_gradient_suite():
 
 def test_criterion_02_detach_gradient_semantics():
     batch = _toy_batch()
-    captured: dict = {}
-    g_detach = _backbone_grads(_make_model("mean_linear_detach"), batch, capture=captured)
-    g_frozen = _backbone_grads(_make_model("mean_linear"), batch, override=captured)
+    frozen: dict = {}  # recorded by the detached model, replayed into mean_linear
+    g_detach = _backbone_grads(_make_model("mean_linear_detach"), batch, frozen=frozen)
+    g_frozen = _backbone_grads(_make_model("mean_linear"), batch, frozen=frozen)
     g_flow = _backbone_grads(_make_model("mean_linear"), batch)
 
     exact = all(np.array_equal(g_detach[k], g_frozen[k]) for k in g_detach)
@@ -253,9 +251,9 @@ def test_criterion_04_permutation_invariance():
     ds_model = _make_model("deep_sets")
     flat = member.reshape(-1, TOY.dim)
     rows = np.zeros(flat.shape[0], np.int64)
-    ds_a = deep_sets_infer(T.constant(flat), ds_model.context, False, rows).data[0]
+    ds_a = deep_sets_infer(T.constant(flat), ds_model.context, rows).data[0]
     ds_b = deep_sets_infer(T.constant(flat[rng.permutation(flat.shape[0])]),
-                           ds_model.context, False, rows).data[0]
+                           ds_model.context, rows).data[0]
     worst = max(worst, float(np.max(np.abs(ds_a - ds_b))))
 
     _report(4, worst <= 1e-12,

@@ -147,6 +147,28 @@ def test_bad_train_settings_rejected_before_data_is_read(tmp_path, capsys):
         assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, setting, key", [
+    ("ablate", "ablate_seeds=", "ablate_seeds"), ("ablate", "ablate_seeds=0,x", "ablate_seeds"),
+    ("ablate", "ablate_kinds=,", "ablate_kinds"), ("sweep", "sweep_sizes=", "sweep_sizes"),
+    ("sweep", "sweep_sizes=1,two", "sweep_sizes"),
+])
+def test_bad_list_settings_rejected_before_data_is_read(tmp_path, capsys, command, setting, key):
+    ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
+    rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
+               setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and "ghost" not in err
+
+
+def test_ablate_with_no_seeds_exits_one(cli_env, capsys):
+    """An empty seed list once trained nothing and exited 0 with a table of '-' rows."""
+    rc = main(["ablate", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+               "ablate_kinds=none", "ablate_seeds= , "])
+    assert rc == 1
+    assert "ablate_seeds" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_named(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "absent.cfg")])
     assert rc == 1

@@ -154,3 +154,35 @@ def test_sub_config_fields_are_run_config_fields_with_same_defaults(sub_config):
     for f in dataclasses.fields(sub_config):
         assert f.name in run_defaults, f.name
         assert run_defaults[f.name] == f.default, f.name
+
+
+@pytest.mark.parametrize("sub_config, key, value", [
+    (SyntheticShiftSpec, "signal_amplitude", "nan"), (SyntheticShiftSpec, "bias_max", "inf"),
+    (SyntheticShiftSpec, "texture_std", "inf"), (SyntheticShiftSpec, "noise_std", "nan"),
+    (ViTConfig, "mlp_ratio", "nan"), (ViTConfig, "mlp_ratio", "inf"), (ViTConfig, "mlp_ratio", "0"),
+    (ViTConfig, "mlp_ratio", "-1"), (ViTConfig, "mlp_ratio", "0.01"),
+])
+def test_data_and_model_configs_reject_values_that_can_only_fail_later(sub_config, key, value):
+    """Each value would otherwise surface later as NaN images reported as
+    divergence, a failed int conversion or an FFN of width <= 0."""
+    with pytest.raises(ValueError, match=key):
+        sub_config(**{key: float(value)})
+    convert = {SyntheticShiftSpec: RunConfig.shift_spec, ViTConfig: RunConfig.vit_config}[sub_config]
+    with pytest.raises(ValueError, match=key):
+        convert(apply_overrides(RunConfig(), [f"{key}={value}"]))
+
+
+@pytest.mark.parametrize("key, value, parse", [
+    ("ablate_seeds", "", RunConfig.seed_list), ("ablate_seeds", " , ", RunConfig.seed_list),
+    ("ablate_seeds", "0,x", RunConfig.seed_list), ("ablate_seeds", "1.5", RunConfig.seed_list),
+    ("sweep_sizes", "", RunConfig.size_list), ("sweep_sizes", "8,,sixteen", RunConfig.size_list),
+    ("ablate_kinds", ",", RunConfig.kind_list),
+])
+def test_list_keys_reject_empty_lists_and_malformed_entries(key, value, parse):
+    with pytest.raises(ValueError, match=key):
+        parse(apply_overrides(RunConfig(), [f"{key}={value}"]))
+
+
+def test_list_keys_skip_blank_entries():
+    cfg = apply_overrides(RunConfig(), ["ablate_seeds= 3, ,4,", "sweep_sizes=2", "ablate_kinds=mean, none"])
+    assert cfg.seed_list() == [3, 4] and cfg.size_list() == [2] and cfg.kind_list() == ["mean", "none"]

@@ -97,7 +97,7 @@ def test_pooling_matches_per_group_reductions(slots):
     pooling of ``deep_sets_infer`` (with identity networks)."""
     x = np.random.default_rng(7).normal(size=(6, 6, 3))[:, 1:5]  # a strided view
     means = infer_context_mean(constant(x), slots).data
-    sums = deep_sets_infer(constant(x.reshape(24, 3)), summing_deep_sets_params(3), False, np.repeat(slots, 4)).data
+    sums = deep_sets_infer(constant(x.reshape(24, 3)), summing_deep_sets_params(3), np.repeat(slots, 4)).data
     for g in range(3):
         rows = np.flatnonzero(np.asarray(slots) == g)
         np.testing.assert_allclose(means[g], x[rows].mean(axis=(0, 1)), rtol=1e-13, atol=1e-15)
@@ -116,7 +116,7 @@ def test_pooling_gradient_reaches_members_only():
     assert np.array_equal(x.grad[0], np.full((2, 3), 1 / 4))
     rows = tensor(np.ones((4, 3)), requires_grad=True)
     with Tape() as tape:
-        backward(dot(deep_sets_infer(rows, summing_deep_sets_params(3), False, slots), c), tape)
+        backward(dot(deep_sets_infer(rows, summing_deep_sets_params(3), slots), c), tape)
     assert np.array_equal(rows.grad, c[slots])
 
 
@@ -127,7 +127,7 @@ def test_pooling_rejects_malformed_slot_vectors():
         with pytest.raises(ValueError, match=problem):
             infer_context_mean(constant(np.zeros((4, 2, 3))), slots)
         with pytest.raises(ValueError, match=problem):
-            deep_sets_infer(constant(np.zeros((4, 3))), summing_deep_sets_params(3), False, slots)
+            deep_sets_infer(constant(np.zeros((4, 3))), summing_deep_sets_params(3), slots)
 
 
 # ---------------------------------------------------------------- linear head
@@ -135,28 +135,29 @@ def test_pooling_rejects_malformed_slot_vectors():
 
 def test_linear_head_identity():
     t = constant([1.0, -2.0, 3.0])
-    out = apply_linear_head(t, constant(np.eye(3)), constant(np.zeros(3)), detach=False)
+    out = apply_linear_head(t, constant(np.eye(3)), constant(np.zeros(3)))
     assert np.array_equal(out.data, t.data)
 
 
 def test_linear_head_zero_weight_returns_bias():
     t = constant([1.0, -2.0])
     beta = np.array([0.5, 0.7])
-    out = apply_linear_head(t, constant(np.zeros((2, 2))), constant(beta), detach=False)
+    out = apply_linear_head(t, constant(np.zeros((2, 2))), constant(beta))
     assert np.array_equal(out.data, beta)
 
 
 def test_linear_head_detach_blocks_upstream():
+    """The frozen boundary of a detached kind stops the gradient before the
+    head; the live kind's boundary passes it on."""
     src = tensor([1.0, 2.0], requires_grad=True)
     w = tensor(np.eye(2), requires_grad=True)
     b = tensor(np.zeros(2), requires_grad=True)
-    with Tape() as tape:
-        backward(dot(apply_linear_head(src, w, b, detach=True)), tape)
-    assert np.array_equal(src.grad, np.zeros(2))
-    assert np.array_equal(b.grad, np.ones(2))
-    with Tape() as tape:
-        backward(dot(apply_linear_head(src, w, b, detach=False)), tape)
-    assert np.array_equal(src.grad, np.ones(2))
+    for name, src_grad in (("mean_linear_detach", np.zeros(2)), ("mean_linear", np.ones(2))):
+        with Tape() as tape:
+            pooled = ctx_mod._frozen_input(0, src, ContextKind.from_name(name), None)
+            backward(dot(apply_linear_head(pooled, w, b)), tape)
+        assert np.array_equal(src.grad, src_grad), name
+        assert np.array_equal(b.grad, np.ones(2))
 
 
 # -------------------------------------------------------------------- oracle
@@ -252,9 +253,9 @@ def _deep_sets_params(config, seed=0):
 def test_deep_sets_permutation_invariant(toy_config):
     params = _deep_sets_params(toy_config)
     rows = generator(5).normal(size=(3, 4, toy_config.dim)).reshape(12, toy_config.dim)
-    base = deep_sets_infer(constant(rows), params, False, _one_group(12)).data[0]
+    base = deep_sets_infer(constant(rows), params, _one_group(12)).data[0]
     perm = rows[np.random.default_rng(6).permutation(12)]
-    scrambled = deep_sets_infer(constant(perm), params, False, _one_group(12)).data[0]
+    scrambled = deep_sets_infer(constant(perm), params, _one_group(12)).data[0]
     assert np.allclose(scrambled, base, atol=1e-12)
 
 
@@ -263,7 +264,7 @@ def test_deep_sets_zero_networks_give_zero_token(toy_config):
     for name, p in params.items():
         p.data = np.zeros_like(p.data)  # phi becomes identity (residuals), rho becomes 0
     rows = generator(7).normal(size=(6, toy_config.dim))
-    out = deep_sets_infer(constant(rows), params, False, _one_group(6))
+    out = deep_sets_infer(constant(rows), params, _one_group(6))
     assert np.array_equal(out.data, np.zeros((1, toy_config.dim)))
 
 
@@ -274,8 +275,8 @@ def test_deep_sets_duplicating_patches_doubles_sum(toy_config):
         p.data = np.zeros_like(p.data)
     params["ctx_rho.w3"].data = np.eye(d)  # phi identity, rho linear-identity
     embeds = generator(8).normal(size=(6, d))
-    once = deep_sets_infer(constant(embeds), params, False, _one_group(6)).data
-    twice = deep_sets_infer(constant(np.concatenate([embeds, embeds])), params, False, _one_group(12)).data
+    once = deep_sets_infer(constant(embeds), params, _one_group(6)).data
+    twice = deep_sets_infer(constant(np.concatenate([embeds, embeds])), params, _one_group(12)).data
     assert np.allclose(twice, 2.0 * once, atol=1e-12)
 
 
@@ -286,18 +287,21 @@ def test_deep_sets_detach_blocks_inputs(toy_config):
     for p in params.values():
         p.data = p.data + generator(19).normal(size=p.data.shape) * 0.1
     src = tensor(generator(9).normal(size=(6, toy_config.dim)), requires_grad=True)
-    with Tape() as tape:
-        backward(dot(deep_sets_infer(src, params, True, _one_group(6))), tape)
-    assert np.array_equal(src.grad, np.zeros_like(src.data))
-    with Tape() as tape:
-        backward(dot(deep_sets_infer(src, params, False, _one_group(6))), tape)
-    assert np.abs(src.grad).max() > 0
+
+    def src_grad(name):
+        with Tape() as tape:
+            rows = ctx_mod._frozen_input(0, src, ContextKind.from_name(name), None)
+            backward(dot(deep_sets_infer(rows, params, _one_group(6))), tape)
+        return src.grad
+
+    assert np.array_equal(src_grad("deep_sets_detach"), np.zeros_like(src.data))
+    assert np.abs(src_grad("deep_sets")).max() > 0
 
 
 def test_deep_sets_empty_set_rejected(toy_config):
     params = _deep_sets_params(toy_config)
     with pytest.raises(ValueError):
-        deep_sets_infer(constant(np.zeros((0, toy_config.dim))), params, False, _one_group(0))
+        deep_sets_infer(constant(np.zeros((0, toy_config.dim))), params, _one_group(0))
 
 
 # ------------------------------------------------------------ patch sampling
@@ -610,27 +614,25 @@ def test_detach_gradients_match_frozen_constant_exactly(small_data, toy_config):
     tolerance); mean_linear differs."""
     batch = make_batch(small_data.train, np.arange(6))
 
-    def run(name, override=None, capture=None):
+    def run(name, frozen):
         model = _model(toy_config, name, seed=2)
         for p in model.context.values():
             p.data = p.data + generator(24).normal(size=p.data.shape) * 0.25
         with Tape() as tape:
-            _, logits = model.forward(
-                batch, capture_context_inputs=capture, context_input_override=override
-            )
+            _, logits = model.forward(batch, frozen_context_inputs=frozen)
             backward(batch_cross_entropy(logits, batch.labels), tape)
         return {k: v.grad.copy() for k, v in model.backbone.items() if v.grad is not None}
 
     captured = {}
-    detached = run("mean_linear_detach", capture=captured)
-    frozen = run("mean_linear_detach", override=captured)
+    detached = run("mean_linear_detach", captured)  # records the boundary
+    frozen = run("mean_linear_detach", captured)  # replays it as a constant
     assert set(detached) == set(frozen)
     for key in detached:
         assert np.array_equal(detached[key], frozen[key]), key
 
     captured_live = {}
-    live = run("mean_linear", capture=captured_live)
-    frozen_live = run("mean_linear", override=captured_live)
+    live = run("mean_linear", captured_live)
+    frozen_live = run("mean_linear", captured_live)
     assert any(not np.array_equal(live[k], frozen_live[k]) for k in live)
 
 
@@ -650,7 +652,7 @@ def test_captured_context_inputs_are_keyed_by_frozen_layer(small_data, toy_confi
     assert len(batch.partition) == 2
     captured = {}
     with Tape():
-        model.forward(batch, capture_context_inputs=captured)
+        model.forward(batch, frozen_context_inputs=captured)
     assert set(captured) == _frozen_layers(name, toy_config.depth)
     rows = batch.size * toy_config.num_patches if model.kind.base == "deep_sets" else 2
     for value in captured.values():
@@ -662,12 +664,59 @@ def test_context_input_override_of_wrong_shape_names_the_layer(small_data, toy_c
     model = _model(toy_config, name)
     captured = {}
     with Tape():
-        model.forward(make_batch(small_data.train, np.arange(4)), capture_context_inputs=captured)
+        model.forward(make_batch(small_data.train, np.arange(4)), frozen_context_inputs=captured)
     layer = max(captured)
-    override = {**captured, layer: captured[layer][:-1]}
+    wrong = {**captured, layer: captured[layer][:-1]}
     with pytest.raises(ValueError, match=f"layer {layer}"):
         with Tape():
-            model.forward(make_batch(small_data.train, np.arange(4)), context_input_override=override)
+            model.forward(make_batch(small_data.train, np.arange(4)), frozen_context_inputs=wrong)
+
+
+def test_partly_filled_frozen_inputs_record_missing_layers_and_replay_held_ones(small_data, toy_config):
+    model = _model(toy_config, "layerwise_mean_linear_detach")
+    for p in model.context.values():
+        p.data = p.data + generator(25).normal(size=p.data.shape) * 0.3
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41])
+
+    def logits(frozen):
+        with Tape():
+            return model.forward(batch, frozen_context_inputs=frozen)[1].data
+
+    full = {}
+    recorded = logits(full)
+    assert set(full) == {0, 1}
+    partial = {0: full[0]}
+    assert np.array_equal(logits(partial), recorded)
+    assert partial[0] is full[0]  # replayed, not re-recorded
+    assert np.array_equal(partial[1], full[1])  # recorded, as the full forward did
+    shifted = {0: full[0] + 1.0}
+    assert not np.array_equal(logits(shifted), recorded)  # layer 0 came from the dict
+    assert not np.array_equal(shifted[1], full[1])  # layer 1 recorded from the shifted run
+
+
+@pytest.mark.parametrize("name", ["layerwise_mean_linear_detach", "deep_sets_detach", "ema"])
+def test_forward_with_filled_frozen_inputs_replays_bitwise(small_data, toy_config, name):
+    """Recording the frozen boundary and replaying it give the same logits
+    and backbone gradients bit for bit."""
+    model = _model(toy_config, name)
+    for p in model.context.values():
+        p.data = p.data + generator(26).normal(size=p.data.shape) * 0.3
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41, 80])
+
+    def step(frozen):
+        with Tape() as tape:
+            _, logits = model.forward(batch, train=True, frozen_context_inputs=frozen)
+            backward(batch_cross_entropy(logits, batch.labels), tape)
+        return logits.data, {k: p.grad.copy() for k, p in model.backbone.items()}
+
+    frozen = {}
+    first_logits, first_grads = step(frozen)
+    assert set(frozen) == _frozen_layers(name, toy_config.depth)
+    held = {k: v.copy() for k, v in frozen.items()}
+    logits, grads = step(frozen)
+    assert np.array_equal(logits, first_logits)
+    assert all(np.array_equal(grads[k], first_grads[k]) for k in first_grads)
+    assert all(np.array_equal(frozen[k], held[k]) for k in held)  # replayed, not overwritten
 
 
 def test_kind_none_records_the_plain_vit_tape_and_gradients(small_data, toy_config):

@@ -107,6 +107,12 @@ def _tiny_data_and_config():
     return data, vit, tc
 
 
+def test_ablation_rejects_an_empty_seed_list():
+    data, vit, tc = _tiny_data_and_config()
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_ablation(data, vit, tc, kinds=["none"], seeds=[])
+
+
 def test_ablation_rows_aggregate_kinds():
     data, vit, tc = _tiny_data_and_config()
     rows = run_ablation(data, vit, tc, kinds=["none", "mean"], seeds=[0, 1])

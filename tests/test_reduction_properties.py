@@ -161,7 +161,7 @@ def test_pooled_context_matches_reference(slots, inner, d, mean, strided, dtype,
         out, c = _run(lambda: infer_context_mean(a, slots), rng, dtype)
     else:
         params = summing_deep_sets_params(d, dtype)
-        out, c = _run(lambda: deep_sets_infer(T.reshape(a, (rows * count, d)), params, False,
+        out, c = _run(lambda: deep_sets_infer(T.reshape(a, (rows * count, d)), params,
                                               np.repeat(slots, count)), rng, dtype)
     a64, c64 = _f64(a), c.astype(np.float64)
     axes = tuple(range(a64.ndim - 1))
