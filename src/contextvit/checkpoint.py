@@ -19,12 +19,16 @@ Entries are written in insertion order of the source dicts, so loading
 and re-saving reproduces the file byte for byte.  Every size read from the
 file is checked against the bytes left in it before anything is read, so
 a truncated or corrupted file raises a ``ValueError`` naming the field.
+Names are checked the same way: the config hash and every entry name must
+be UTF-8, no section may name an entry twice, and every state entry must
+be named ``ema.<group id>`` as the writer spells it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -38,6 +42,7 @@ _MAGIC = b"CVCK"
 _VERSION = 2
 _VERSIONS = (1, 2)  # version 1: every entry float64, no dtype code
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # dtype code (byte width) -> payload dtype
+_STATE_NAME = re.compile(r"ema\.(0|-?[1-9][0-9]*)")  # f"ema.{group_id}"
 
 
 def _write_u32(f, value: int) -> None:
@@ -61,6 +66,15 @@ def _read_u32(f, what: str) -> int:
     return int(np.frombuffer(_read_exact(f, 4, what), dtype="<u4")[0])
 
 
+def _read_text(f, what: str) -> str:
+    """A u32-length-prefixed UTF-8 string; other bytes are rejected naming ``what``."""
+    raw = _read_exact(f, _read_u32(f, f"{what} length"), what)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"corrupt checkpoint: {what} {raw!r} is not UTF-8") from None
+
+
 def _write_entry(f, name: str, array: np.ndarray) -> None:
     raw = name.encode("utf-8")
     _write_u32(f, len(raw))
@@ -74,8 +88,8 @@ def _write_entry(f, name: str, array: np.ndarray) -> None:
     f.write(arr.tobytes())
 
 
-def _read_entry(f, version: int) -> tuple[str, np.ndarray]:
-    name = _read_exact(f, _read_u32(f, "entry name length"), "entry name").decode("utf-8")
+def _read_entry(f, version: int, what: str) -> tuple[str, np.ndarray]:
+    name = _read_text(f, f"{what} name")
     dtype = _DTYPES[8]
     if version >= 2:
         code = _read_exact(f, 1, f"entry {name!r} dtype code")[0]
@@ -86,6 +100,17 @@ def _read_entry(f, version: int) -> tuple[str, np.ndarray]:
     shape = tuple(int(d) for d in np.frombuffer(_read_exact(f, 8 * ndim, f"entry {name!r} dims"), dtype="<u8"))
     payload = _read_exact(f, dtype.itemsize * math.prod(shape), f"entry {name!r} of shape {shape}")
     return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+
+
+def _read_entries(f, version: int, section: str) -> dict[str, np.ndarray]:
+    """One section's count and entries; a name seen twice is rejected."""
+    entries = {}
+    for i in range(_read_u32(f, f"{section} count")):
+        name, array = _read_entry(f, version, f"{section} entry {i}")
+        if name in entries:
+            raise ValueError(f"corrupt checkpoint: {section} entry {i} repeats the name {name!r}")
+        entries[name] = array
+    return entries
 
 
 @dataclass
@@ -138,11 +163,14 @@ def load_checkpoint(path: str) -> CheckpointData:
         version = _read_u32(f, "version")
         if version not in _VERSIONS:
             raise ValueError(f"checkpoint format version {version} unsupported (expected one of {_VERSIONS})")
-        config_hash = _read_exact(f, _read_u32(f, "config hash length"), "config hash").decode("utf-8")
-        params = dict(_read_entry(f, version) for _ in range(_read_u32(f, "parameter count")))
+        config_hash = _read_text(f, "config hash")
+        params = _read_entries(f, version, "parameter")
         if _read_exact(f, 1, "optimizer flag") != b"\x00":
             raise ValueError("corrupt checkpoint: bad optimizer flag byte")
-        state = dict(_read_entry(f, version) for _ in range(_read_u32(f, "state count")))
+        state = _read_entries(f, version, "state")
+        for name in state:
+            if not _STATE_NAME.fullmatch(name):
+                raise ValueError(f"corrupt checkpoint: state entry {name!r} is not named 'ema.<group id>'")
         if f.read(1):
             raise ValueError("trailing bytes after checkpoint payload; file corrupt")
     return CheckpointData(config_hash=config_hash, params=params, state=state)

@@ -27,8 +27,16 @@ over leading axes in ``_unbroadcast`` (every bias gradient) are a GEMV
 against ones; a weight gradient of a [..., k] input against a [k, n] matrix
 is one 2-D GEMM over all leading rows; ``layer_norm``'s row means are GEMVs
 against ``1/d``; the softmax row sum of ``attention_core`` and its vjp's
-rowsum(dP * P) are GEMVs against ones (the row max stays ``max``).  They equal
-numpy's reductions to rounding, not bitwise: BLAS sums in its own order.
+rowsum(dP * P) are GEMVs against ones.  They equal numpy's reductions to
+rounding, not bitwise: BLAS sums in its own order.
+
+Hot arrays are laid out for the kernel that reads them.  The right operand
+of a batched product is unit-stride along its last axis: a transposed view
+there (a 2-D weight in the input gradient, the keys in the scores, the
+values in the attention vjp) is copied contiguous first, since numpy runs
+its per-matrix loop on a slow path for any other stride.  A maximum over
+short rows (the softmax row max) runs along the long axis of a transposed
+copy instead of row by row; a max is exact, so that one is bitwise.
 
 ``stop_gradient`` is the one deliberately odd primitive: forward is the
 identity (it shares the input's storage) while the reverse pass sends
@@ -204,6 +212,14 @@ def _row_sums(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (x.reshape(math.prod(x.shape[:-1]), x.shape[-1]) @ v).reshape(x.shape[:-1] + (1,))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` over every row of ``x`` [..., n] -> [..., 1], taken
+    along the long axis of a transposed copy; a max is exact, so the bytes
+    are numpy's own."""
+    rows = x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+    return np.ascontiguousarray(rows.T).max(axis=0).reshape(x.shape[:-1] + (1,))
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to ``shape`` after numpy broadcasting."""
     extra = g.ndim - len(shape)
@@ -237,7 +253,12 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 
 
 def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
-    ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape) if a.requires_grad else None
+    if not a.requires_grad:
+        ga = None
+    elif b.data.ndim == 2:  # a unit-stride right operand
+        ga = _unbroadcast(g @ np.ascontiguousarray(b.data.T), a.data.shape)
+    else:
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
     if not b.requires_grad:
         gb = None
     elif b.data.ndim == 2 and a.data.ndim > 2:  # one GEMM over every leading row of a
@@ -294,14 +315,13 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    p = qh @ kh.swapaxes(-1, -2)
+    p = qh @ np.ascontiguousarray(kh.swapaxes(-1, -2))
     p *= scale
     if not np.isfinite(p).all():
         raise NonFiniteError("attention_core", p.shape, "score")
-    # softmax in place on the score buffer; the row max stays a reduction
-    # (no GEMV computes one), the row sum is a GEMV
+    # softmax in place on the score buffer; the row sum is a GEMV
     ones = np.ones(p.shape[-1], p.dtype)
-    p -= p.max(axis=-1, keepdims=True)
+    p -= _row_max(p)
     np.exp(p, out=p)
     p /= _row_sums(p, ones)
     out = merge(p @ vh)
@@ -311,7 +331,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gv = merge(p.swapaxes(-1, -2) @ g) if v.requires_grad else None
         if not (q.requires_grad or k.requires_grad):
             return None, None, gv
-        gs = g @ vh.swapaxes(-1, -2)
+        gs = g @ np.ascontiguousarray(vh.swapaxes(-1, -2))
         gs -= _row_sums(gs * p, ones)
         gs *= p
         gs *= scale

@@ -1,6 +1,7 @@
 """Binary checkpoint format: round trips, architecture checks, corruption."""
 
 import os
+import re
 import struct
 
 import numpy as np
@@ -83,11 +84,11 @@ def test_optimizer_flag_byte_is_zero_and_one_is_rejected(tmp_path, toy_model):
 
 
 def test_ema_state_round_trip(tmp_path, toy_model):
-    ema = {0: np.full(16, 0.5), 3: np.arange(16.0)}
+    ema = {0: np.full(16, 0.5), 3: np.arange(16.0), -2: np.ones(16)}
     path = str(tmp_path / "e.cvck")
     save_checkpoint(path, toy_model.parameters(), ema_state=ema)
     loaded = load_checkpoint(path).ema_state()
-    assert set(loaded) == {0, 3}
+    assert set(loaded) == {0, 3, -2}
     for gid, vec in ema.items():
         assert np.array_equal(loaded[gid], vec)
 
@@ -212,3 +213,59 @@ def test_version_1_file_loads_as_float64(tmp_path):
     assert ckpt.config_hash == "h" and ckpt.state == {}
     for name, a in arrays.items():
         assert ckpt.params[name].dtype == np.float64 and np.array_equal(ckpt.params[name], a), name
+
+
+def _version_2_file(params, state=(), config_hash=b"h") -> bytes:
+    """A version-2 checkpoint from (name bytes, float64 array) pairs, so a
+    test can write names that ``save_checkpoint`` never would."""
+    def entries(pairs):
+        out = [struct.pack("<I", len(pairs))]
+        for name, a in pairs:
+            out += [struct.pack("<I", len(name)), name, b"\x08", struct.pack("<I", a.ndim),
+                    struct.pack(f"<{a.ndim}Q", *a.shape), a.astype("<f8").tobytes()]
+        return out
+
+    out = [b"CVCK", struct.pack("<II", 2, len(config_hash)), config_hash, *entries(list(params)), b"\x00",
+           *entries(list(state))]
+    return b"".join(out)
+
+
+def test_version_2_helper_writes_what_save_checkpoint_writes(tmp_path):
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.25, -1.5])}
+    ema = {3: np.ones(4)}
+    save_checkpoint(str(tmp_path / "saved.cvck"), arrays, config_hash="h", ema_state=ema)
+    want = _version_2_file([(n.encode(), a) for n, a in arrays.items()], [(b"ema.3", ema[3])])
+    assert (tmp_path / "saved.cvck").read_bytes() == want
+
+
+@pytest.mark.parametrize("section", ["parameter", "state"])
+def test_repeated_entry_name_rejected(tmp_path, section):
+    """A second entry under a name already read would silently replace the first."""
+    name = b"w" if section == "parameter" else b"ema.0"
+    pairs = [(name, np.zeros(2)), (name, np.zeros(3))]
+    path = tmp_path / "dup.cvck"
+    path.write_bytes(_version_2_file(pairs) if section == "parameter" else _version_2_file([], pairs))
+    with pytest.raises(ValueError, match=f"{section} entry 1 repeats the name '{name.decode()}'"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("field", ["config hash", "parameter entry 1 name", "state entry 0 name"])
+def test_name_that_is_not_utf8_names_the_field(tmp_path, field):
+    bad = b"w\xff"
+    params = [(b"a", np.zeros(1)), (bad if field.startswith("parameter") else b"b", np.zeros(1))]
+    state = [(bad if field.startswith("state") else b"ema.0", np.zeros(1))]
+    path = tmp_path / "utf8.cvck"
+    path.write_bytes(_version_2_file(params, state, bad if field == "config hash" else b"h"))
+    with pytest.raises(ValueError, match=f"{field} .* is not UTF-8"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("name", ["ema.abc", "ema.", "ema.03", "ema.+3", "ema.1.5", "ema. 3", "ema.-0", "mom.3"])
+def test_state_entry_not_named_by_group_id_rejected(tmp_path, name):
+    """Every state entry is ``ema.<group id>`` as ``save_checkpoint`` spells
+    it, so ``ema_state`` can read each group id back."""
+    path = tmp_path / "state.cvck"
+    state = [(b"ema.1", np.zeros(2)), (name.encode(), np.zeros(2))]
+    path.write_bytes(_version_2_file([(b"w", np.zeros(1))], state))
+    with pytest.raises(ValueError, match=f"state entry '{re.escape(name)}' is not named"):
+        load_checkpoint(str(path))

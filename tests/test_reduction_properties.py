@@ -59,9 +59,11 @@ def _f64(t):
        strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
 def test_linear_matches_reference(lead, m, k, n, strided, dtype, seed):
     """The weight gradient of a [..., m, k] input is one GEMM over every
-    leading row, the bias gradient one GEMV; both equal sums over rows."""
+    leading row, the bias gradient one GEMV; both equal sums over rows.  The
+    input gradient copies the weight contiguous first, a view included."""
     rng = np.random.default_rng(seed)
-    x, w, b = _leaf(rng, (*lead, m, k), dtype, strided), _leaf(rng, (k, n), dtype), _leaf(rng, (n,), dtype)
+    x, w = _leaf(rng, (*lead, m, k), dtype, strided), _leaf(rng, (k, n), dtype, strided)
+    b = _leaf(rng, (n,), dtype)
     out, c = _run(lambda: T.linear(x, w, b), rng, dtype)
     xs, ws, c64 = _f64(x), _f64(w), c.astype(np.float64)
     _close(out.data, xs @ ws + _f64(b), dtype)
@@ -181,7 +183,7 @@ def test_linear_is_bitwise_matmul_plus_bias_in_both_dtypes(lead, m, k, n, stride
     """``linear`` and ``add(matmul)`` share ``_matmul_vjp`` and
     ``_unbroadcast``, so every output and gradient has the same bytes."""
     rng = np.random.default_rng(seed)
-    values = (_array(rng, (*lead, m, k), dtype, strided), _array(rng, (k, n), dtype, False),
+    values = (_array(rng, (*lead, m, k), dtype, strided), _array(rng, (k, n), dtype, strided),
               _array(rng, (n,), dtype, False))
     results = []
     for fused in (True, False):

@@ -145,17 +145,18 @@ def _joined(x):
 def _unfused_attention(q, k, v, heads, g):
     """The op sequence the attention core replaced: head split, matmul,
     scale, softmax, matmul, head merge, and the reverse of each, with both
-    row sums as one GEMV against ones over every row; returns
-    (out, gq, gk, gv)."""
+    row sums as one GEMV against ones over every row and the transposed
+    right operands of the scores and of dP copied contiguous; the row max
+    stays numpy's own ``max``.  Returns (out, gq, gk, gv)."""
     scale = (q.shape[-1] // heads) ** -0.5
     q, k, v, g = _heads(q, heads), _heads(k, heads), _heads(v, heads), _heads(g, heads)
-    scores = q @ np.transpose(k, (0, 1, 3, 2)) * np.asarray(scale)
+    scores = q @ np.ascontiguousarray(np.transpose(k, (0, 1, 3, 2))) * np.asarray(scale)
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     ones = np.ones(e.shape[-1])
     p = e / (e.reshape(-1, e.shape[-1]) @ ones).reshape(e.shape[:-1] + (1,))
     out = p @ v
-    gp = g @ v.swapaxes(-1, -2)
+    gp = g @ np.ascontiguousarray(v.swapaxes(-1, -2))
     gv = p.swapaxes(-1, -2) @ g
     gs = p * (gp - ((gp * p).reshape(-1, e.shape[-1]) @ ones).reshape(e.shape[:-1] + (1,)))
     gs = gs * np.asarray(scale)
