@@ -195,47 +195,40 @@ def test_float32_model_restores_bitwise_into_a_fresh_float64_model(tmp_path, toy
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
-def _version_1_file(arrays: dict, config_hash: str = "h") -> bytes:
-    """A version-1 checkpoint: float64 payloads and no dtype codes."""
-    out = [b"CVCK", struct.pack("<II", 1, len(config_hash)), config_hash.encode(), struct.pack("<I", len(arrays))]
-    for name, a in arrays.items():
-        out += [struct.pack("<I", len(name)), name.encode(), struct.pack("<I", a.ndim),
-                struct.pack(f"<{a.ndim}Q", *a.shape), a.astype("<f8").tobytes()]
-    out += [b"\x00", struct.pack("<I", 0)]
+def _checkpoint_file(params, state=(), config_hash=b"h", version=2) -> bytes:
+    """A checkpoint from (name bytes, float64 array) pairs, so a test can
+    write names that ``save_checkpoint`` never would; version 1 has no
+    dtype codes."""
+    code = b"\x08" if version >= 2 else b""
+
+    def entries(pairs):
+        out = [struct.pack("<I", len(pairs))]
+        for name, a in pairs:
+            out += [struct.pack("<I", len(name)), name, code, struct.pack("<I", a.ndim),
+                    struct.pack(f"<{a.ndim}Q", *a.shape), a.astype("<f8").tobytes()]
+        return out
+
+    out = [b"CVCK", struct.pack("<II", version, len(config_hash)), config_hash, *entries(list(params)), b"\x00",
+           *entries(list(state))]
     return b"".join(out)
+
+
+def test_checkpoint_file_writes_what_save_checkpoint_writes(tmp_path):
+    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.25, -1.5])}
+    ema = {3: np.ones(4)}
+    save_checkpoint(str(tmp_path / "saved.cvck"), arrays, config_hash="h", ema_state=ema)
+    want = _checkpoint_file([(n.encode(), a) for n, a in arrays.items()], [(b"ema.3", ema[3])])
+    assert (tmp_path / "saved.cvck").read_bytes() == want
 
 
 def test_version_1_file_loads_as_float64(tmp_path):
     arrays = {"w": np.arange(6.0).reshape(2, 3) / 7.0, "b": np.array([0.25, -1.5])}
     path = tmp_path / "v1.cvck"
-    path.write_bytes(_version_1_file(arrays))
+    path.write_bytes(_checkpoint_file([(n.encode(), a) for n, a in arrays.items()], version=1))
     ckpt = load_checkpoint(str(path))
     assert ckpt.config_hash == "h" and ckpt.state == {}
     for name, a in arrays.items():
         assert ckpt.params[name].dtype == np.float64 and np.array_equal(ckpt.params[name], a), name
-
-
-def _version_2_file(params, state=(), config_hash=b"h") -> bytes:
-    """A version-2 checkpoint from (name bytes, float64 array) pairs, so a
-    test can write names that ``save_checkpoint`` never would."""
-    def entries(pairs):
-        out = [struct.pack("<I", len(pairs))]
-        for name, a in pairs:
-            out += [struct.pack("<I", len(name)), name, b"\x08", struct.pack("<I", a.ndim),
-                    struct.pack(f"<{a.ndim}Q", *a.shape), a.astype("<f8").tobytes()]
-        return out
-
-    out = [b"CVCK", struct.pack("<II", 2, len(config_hash)), config_hash, *entries(list(params)), b"\x00",
-           *entries(list(state))]
-    return b"".join(out)
-
-
-def test_version_2_helper_writes_what_save_checkpoint_writes(tmp_path):
-    arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.25, -1.5])}
-    ema = {3: np.ones(4)}
-    save_checkpoint(str(tmp_path / "saved.cvck"), arrays, config_hash="h", ema_state=ema)
-    want = _version_2_file([(n.encode(), a) for n, a in arrays.items()], [(b"ema.3", ema[3])])
-    assert (tmp_path / "saved.cvck").read_bytes() == want
 
 
 @pytest.mark.parametrize("section", ["parameter", "state"])
@@ -244,7 +237,7 @@ def test_repeated_entry_name_rejected(tmp_path, section):
     name = b"w" if section == "parameter" else b"ema.0"
     pairs = [(name, np.zeros(2)), (name, np.zeros(3))]
     path = tmp_path / "dup.cvck"
-    path.write_bytes(_version_2_file(pairs) if section == "parameter" else _version_2_file([], pairs))
+    path.write_bytes(_checkpoint_file(pairs) if section == "parameter" else _checkpoint_file([], pairs))
     with pytest.raises(ValueError, match=f"{section} entry 1 repeats the name '{name.decode()}'"):
         load_checkpoint(str(path))
 
@@ -255,7 +248,7 @@ def test_name_that_is_not_utf8_names_the_field(tmp_path, field):
     params = [(b"a", np.zeros(1)), (bad if field.startswith("parameter") else b"b", np.zeros(1))]
     state = [(bad if field.startswith("state") else b"ema.0", np.zeros(1))]
     path = tmp_path / "utf8.cvck"
-    path.write_bytes(_version_2_file(params, state, bad if field == "config hash" else b"h"))
+    path.write_bytes(_checkpoint_file(params, state, bad if field == "config hash" else b"h"))
     with pytest.raises(ValueError, match=f"{field} .* is not UTF-8"):
         load_checkpoint(str(path))
 
@@ -266,6 +259,6 @@ def test_state_entry_not_named_by_group_id_rejected(tmp_path, name):
     it, so ``ema_state`` can read each group id back."""
     path = tmp_path / "state.cvck"
     state = [(b"ema.1", np.zeros(2)), (name.encode(), np.zeros(2))]
-    path.write_bytes(_version_2_file([(b"w", np.zeros(1))], state))
+    path.write_bytes(_checkpoint_file([(b"w", np.zeros(1))], state))
     with pytest.raises(ValueError, match=f"state entry '{re.escape(name)}' is not named"):
         load_checkpoint(str(path))
