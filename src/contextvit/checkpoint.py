@@ -120,11 +120,7 @@ class CheckpointData:
     state: dict[str, np.ndarray] = field(default_factory=dict)
 
     def ema_state(self) -> dict[int, np.ndarray]:
-        return {
-            int(name.split(".", 1)[1]): value
-            for name, value in self.state.items()
-            if name.startswith("ema.")
-        }
+        return {int(name.split(".", 1)[1]): value for name, value in self.state.items()}
 
 
 def save_checkpoint(

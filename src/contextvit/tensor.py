@@ -32,7 +32,7 @@ rounding, not bitwise: BLAS sums in its own order.
 
 Hot arrays are laid out for the kernel that reads them.  The right operand
 of a batched product is unit-stride along its last axis: a transposed view
-there (a 2-D weight in the input gradient, the keys in the scores, the
+there (the transposed right operand in the input gradient, the keys in the scores, the
 values in the attention vjp) is copied contiguous first, since numpy runs
 its per-matrix loop on a slow path for any other stride.  A maximum over
 short rows (the softmax row max) runs along the long axis of a transposed
@@ -253,12 +253,8 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 
 
 def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
-    if not a.requires_grad:
-        ga = None
-    elif b.data.ndim == 2:  # a unit-stride right operand
-        ga = _unbroadcast(g @ np.ascontiguousarray(b.data.T), a.data.shape)
-    else:
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
+    # the transposed right operand is copied unit-stride first
+    ga = _unbroadcast(g @ np.ascontiguousarray(b.data.swapaxes(-1, -2)), a.data.shape) if a.requires_grad else None
     if not b.requires_grad:
         gb = None
     elif b.data.ndim == 2 and a.data.ndim > 2:  # one GEMM over every leading row of a

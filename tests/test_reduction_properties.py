@@ -56,13 +56,13 @@ def _f64(t):
 
 @settings(max_examples=60, deadline=None)
 @given(lead=LEAD, m=st.integers(1, 5), k=st.integers(1, 6), n=st.integers(1, 6),
-       strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
-def test_linear_matches_reference(lead, m, k, n, strided, dtype, seed):
+       strided=st.booleans(), w_strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
+def test_linear_matches_reference(lead, m, k, n, strided, w_strided, dtype, seed):
     """The weight gradient of a [..., m, k] input is one GEMM over every
     leading row, the bias gradient one GEMV; both equal sums over rows.  The
     input gradient copies the weight contiguous first, a view included."""
     rng = np.random.default_rng(seed)
-    x, w = _leaf(rng, (*lead, m, k), dtype, strided), _leaf(rng, (k, n), dtype, strided)
+    x, w = _leaf(rng, (*lead, m, k), dtype, strided), _leaf(rng, (k, n), dtype, w_strided)
     b = _leaf(rng, (n,), dtype)
     out, c = _run(lambda: T.linear(x, w, b), rng, dtype)
     xs, ws, c64 = _f64(x), _f64(w), c.astype(np.float64)
@@ -178,12 +178,12 @@ def test_pooled_context_matches_reference(slots, inner, d, mean, strided, dtype,
 
 @settings(max_examples=40, deadline=None)
 @given(lead=LEAD, m=st.integers(1, 5), k=st.integers(1, 5), n=st.integers(1, 5),
-       strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
-def test_linear_is_bitwise_matmul_plus_bias_in_both_dtypes(lead, m, k, n, strided, dtype, seed):
+       strided=st.booleans(), w_strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
+def test_linear_is_bitwise_matmul_plus_bias_in_both_dtypes(lead, m, k, n, strided, w_strided, dtype, seed):
     """``linear`` and ``add(matmul)`` share ``_matmul_vjp`` and
     ``_unbroadcast``, so every output and gradient has the same bytes."""
     rng = np.random.default_rng(seed)
-    values = (_array(rng, (*lead, m, k), dtype, strided), _array(rng, (k, n), dtype, strided),
+    values = (_array(rng, (*lead, m, k), dtype, strided), _array(rng, (k, n), dtype, w_strided),
               _array(rng, (n,), dtype, False))
     results = []
     for fused in (True, False):
