@@ -11,6 +11,12 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
 * ``op_checks``: every value of ``verify.op_gradient_checks`` at seeds
   0-199, names in the order returned.
 
+Beside the hashes, a ``tape`` line per kind and dtype gives two plain
+numbers for one training step on the training section's first batch: the
+nodes the step records, and how many of them ``backward`` never reaches
+from the loss (found by walking ``Tape.nodes`` in reverse from the loss
+through each node's ``inputs``).
+
 Only interfaces that have long been stable are used (``ContextViT.create``,
 ``forward``, ``to_float32``, ``backward``, ``adamw_step``), so one command
 compares a change with its parent.  BLAS runs on one thread, as in the
@@ -20,9 +26,11 @@ benchmark.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
+import types
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -39,24 +47,39 @@ def _feed(h, array) -> None:
     h.update(array.tobytes())
 
 
-def training_section(cv, h) -> None:
+def _batches(cv) -> list:
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    return [cv.context.GroupedBatch(rng.uniform(0.0, 1.0, (len(GROUPS), 16, 16, 3)),
+                                    rng.integers(0, 4, len(GROUPS)), GROUPS) for _ in range(3)]
+
+
+def _model(cv, kind_name: str, dtype: str):
+    """The training section's depth-3 model of ``kind_name``, nudged off its
+    init and cast to ``dtype``."""
     import numpy as np
 
     config = cv.vit.ViTConfig(image_h=16, image_w=16, channels=3, patch=4, dim=16, depth=3, heads=2,
                               num_classes=4)
-    rng = np.random.default_rng(0)
-    batches = [cv.context.GroupedBatch(rng.uniform(0.0, 1.0, (len(GROUPS), 16, 16, 3)),
-                                       rng.integers(0, 4, len(GROUPS)), GROUPS) for _ in range(3)]
+    kind = cv.context.ContextKind.from_name(kind_name, patches=6)
+    model = cv.context.ContextViT.create(config, kind, seed=3, group_ids=sorted(set(GROUPS)))
+    for name, p in sorted(model.trainable_parameters().items()):
+        # off the zero init, so the context heads shape the logits
+        p.data = p.data + 0.05 * np.random.default_rng(len(name)).standard_normal(p.data.shape)
+    if dtype == "float32":
+        model.to_float32()
+    return model
+
+
+def training_section(cv, h) -> None:
+    import numpy as np
+
+    batches = _batches(cv)
     for kind_name in cv.context.CONTEXT_KIND_NAMES:
         for dtype in ("float64", "float32"):
             h.update(f"{kind_name}/{dtype}".encode())
-            kind = cv.context.ContextKind.from_name(kind_name, patches=6)
-            model = cv.context.ContextViT.create(config, kind, seed=3, group_ids=sorted(set(GROUPS)))
-            for name, p in sorted(model.trainable_parameters().items()):
-                # off the zero init, so the context heads shape the logits
-                p.data = p.data + 0.05 * np.random.default_rng(len(name)).standard_normal(p.data.shape)
-            if dtype == "float32":
-                model.to_float32()
+            model = _model(cv, kind_name, dtype)
             params = model.trainable_parameters()
             state = cv.train.AdamWState.init(params)
             for batch in batches[:2]:
@@ -86,18 +109,41 @@ def op_checks_section(cv, h) -> None:
             h.update(f"{seed}:{name}={float(value).hex()};".encode())
 
 
+def tape_counts(cv) -> dict[str, tuple[int, int]]:
+    """``kind/dtype`` -> (nodes one training step records, nodes of them
+    that ``backward`` never reaches from the loss)."""
+    batch = _batches(cv)[0]
+    counts = {}
+    for kind_name in cv.context.CONTEXT_KIND_NAMES:
+        for dtype in ("float64", "float32"):
+            model = _model(cv, kind_name, dtype)
+            with cv.tensor.Tape() as tape:
+                _, logits = model.forward(batch, train=True, sample_seed=5)
+                loss = cv.train.batch_cross_entropy(logits, batch.labels)
+            reached = {id(loss)}
+            unreached = 0
+            for node in reversed(tape.nodes):
+                if id(node.output) in reached:
+                    reached.update(id(t) for t in node.inputs if t.requires_grad)
+                else:
+                    unreached += 1
+            counts[f"{kind_name}/{dtype}"] = (len(tape.nodes), unreached)
+    return counts
+
+
 SECTIONS = {"training": training_section, "gradient_suite": gradient_suite_section,
             "op_checks": op_checks_section}
 
 
-def fingerprint(checkout: str) -> dict[str, str]:
-    """Section name -> SHA-256 hex digest, computed with ``checkout``'s code."""
+def load(checkout: str) -> types.SimpleNamespace:
+    """``checkout``'s ``contextvit`` modules that the sections use."""
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
-    import importlib
-    import types
+    return types.SimpleNamespace(**{m: importlib.import_module(f"contextvit.{m}")
+                                    for m in ("context", "tensor", "train", "verify", "vit")})
 
-    cv = types.SimpleNamespace(**{m: importlib.import_module(f"contextvit.{m}")
-                                  for m in ("context", "tensor", "train", "verify", "vit")})
+
+def fingerprint(cv) -> dict[str, str]:
+    """Section name -> SHA-256 hex digest, computed with the modules ``cv``."""
     digests = {}
     for name, section in SECTIONS.items():
         h = hashlib.sha256()
@@ -115,8 +161,12 @@ def main(argv: list[str]) -> int:
             subprocess.run([sys.executable, __file__, checkout], check=True)
         return 0
     print(f"checkout {os.path.abspath(argv[0])}")
-    for name, digest in fingerprint(argv[0]).items():
+    cv = load(argv[0])
+    for name, digest in fingerprint(cv).items():
         print(f"{name:15s} {digest}")
+    print(f"{'tape':44s} nodes unreached")
+    for case, (nodes, unreached) in tape_counts(cv).items():
+        print(f"tape {case:39s} {nodes:5d} {unreached:9d}")
     return 0
 
 

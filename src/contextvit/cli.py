@@ -245,10 +245,8 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
     model = _build_model(cfg, data, ckpt)
     if cfg.analysis_split == "all":  # the held-out splits the model can infer context for
         subset = GroupedBatch.concat([sub for sub in (data.id_test, data.ood_test) if model.can_evaluate(sub)])
-    elif cfg.analysis_split in ("train", "val", "id_test", "ood_test"):
+    else:  # a split name, as RunConfig checks
         subset = data.splits()[cfg.analysis_split]
-    else:
-        raise ValueError(f"analysis_split must be a split name or 'all', got {cfg.analysis_split!r}")
     tokens, gids = collect_context_tokens(
         model,
         subset,

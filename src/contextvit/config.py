@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, fields, replace
 
 from .context import ContextKind
-from .data import SyntheticShiftSpec
+from .data import _SPLIT_NAMES, SyntheticShiftSpec
 from .train import TrainConfig
 from .vit import ViTConfig
 
@@ -79,6 +79,19 @@ class RunConfig:
     checkpoint_path: str = ""
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        """Reject values of run-level keys that would fail only after a
+        checkpoint or the data is read; the list keys are checked where they
+        are read (``seed_list``, ``size_list``)."""
+        _check_seed("seed", self.seed)
+        if self.eval_batch_size < 1:
+            raise ValueError(f"config key 'eval_batch_size' must be >= 1, got {self.eval_batch_size}")
+        if self.collect_batches < 2:  # a separation score needs two tokens per group
+            raise ValueError(f"config key 'collect_batches' must be >= 2, got {self.collect_batches}")
+        if self.analysis_split not in _SPLIT_NAMES + ("all",):
+            raise ValueError(f"config key 'analysis_split' must be a split name {_SPLIT_NAMES} or 'all', "
+                             f"got {self.analysis_split!r}")
+
     def _sub_config(self, cls):
         """``cls`` filled from the fields of this config with the same names;
         every field of ``cls`` must exist here."""
@@ -102,10 +115,22 @@ class RunConfig:
         return _split_list("ablate_kinds", self.ablate_kinds, str)
 
     def seed_list(self) -> list[int]:
-        return _split_list("ablate_seeds", self.ablate_seeds, int)
+        seeds = _split_list("ablate_seeds", self.ablate_seeds, int)
+        for seed in seeds:
+            _check_seed("ablate_seeds", seed)
+        return seeds
 
     def size_list(self) -> list[int]:
-        return _split_list("sweep_sizes", self.sweep_sizes, int)
+        sizes = _split_list("sweep_sizes", self.sweep_sizes, int)
+        if min(sizes) < 1:
+            raise ValueError(f"config key 'sweep_sizes' entries must be >= 1, got {self.sweep_sizes!r}")
+        return sizes
+
+
+def _check_seed(key: str, seed: int) -> None:
+    """A seed keys 64-bit random streams (``rng.child_seed``)."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"config key {key!r} must lie in [0, 2**64), got {seed}")
 
 
 def _split_list(key: str, text: str, parse) -> list:

@@ -16,8 +16,9 @@ Every kind infers the tokens of all of a batch's G groups at once, so a
 forward records the same tape nodes for one group as for sixteen: one
 product with the batch's pooling matrix (built from ``GroupedBatch.slots``)
 pools each group's member rows into a [G, d] stack, the kind maps that
-stack to G tokens (a table gather, a [G, 1, d] head, the deep-sets
-networks), and one ``index_rows`` hands every image its group's token.
+stack to a [G, 1, d] stack of tokens (a table gather, a linear head, the
+deep-sets networks), and one ``index_rows`` hands every image its group's
+token.
 ``in_context_patches`` draws each group's rows with its own seed and
 gathers every image's draws in one ``index_rows``.
 
@@ -55,7 +56,6 @@ __all__ = [
     "group_partition",
     "init_context_params",
     "infer_context_mean",
-    "apply_linear_head",
     "oracle_lookup",
     "ema_update",
     "deep_sets_infer",
@@ -74,7 +74,7 @@ _NAMED_KINDS = {
     "deep_sets": ("deep_sets", False, False),
     "deep_sets_detach": ("deep_sets", True, False),
     "oracle": ("oracle", False, False),
-    "ema": ("ema", False, False),
+    "ema": ("ema", True, False),
     "in_context_patches": ("in_context_patches", False, False),
 }
 
@@ -97,9 +97,10 @@ class ContextKind:
 
     name: the kind, which fixes the read-only properties
       base: none | mean | mean_linear | deep_sets | oracle | ema | in_context_patches
-      detach: stop the gradient at the frozen boundary (``_frozen_input``):
-        the pooled stack before the head (mean_linear) or the patch rows
-        before phi (deep_sets)
+      detach: the patch tokens enter the context path detached
+        (``stop_gradient``), so no gradient flows back through the token's
+        inference and none of it is recorded; ``ema`` is such a kind, since
+        its token reads the running state, never the live pool
       layerwise: re-infer the context token after every layer (mean family only)
     patches: K for in_context_patches
     ema_lambda: decay for the ema kind
@@ -287,17 +288,6 @@ def infer_context_mean(patch_embeds: Tensor, slots) -> Tensor:
     return T.matmul(T.constant(w), T.reshape(patch_embeds, (w.shape[1], d)))
 
 
-def apply_linear_head(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine head b + row @ w for each [d] row of ``pooled`` ([d] or [G, d]).
-
-    Rows are multiplied as a [G, 1, d] stack, which gives each row the same
-    bits as multiplying it on its own.
-    """
-    lead = pooled.shape[:-1]
-    out = T.linear(T.reshape(pooled, lead + (1, pooled.shape[-1])), w, b)
-    return T.reshape(out, lead + (w.shape[1],))
-
-
 def _oracle_row(ids: np.ndarray, group: int) -> Optional[int]:
     """Row of ``group`` in the oracle table with ids ``ids``; None if unregistered."""
     # beyond 2**53 float(group) rounds onto a neighbouring id
@@ -371,52 +361,60 @@ def _patch_rows(members, n: int) -> np.ndarray:
     return (np.asarray(members, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
 
 
-def _frozen_input(layer: int, computed: Tensor, kind: ContextKind, frozen: Optional[dict]) -> Tensor:
-    """The array entering layer ``layer``'s frozen boundary: the pooled
-    [G, d] stack, the [B*N, d] patch rows or the [G, d] ema state, passed
-    through ``stop_gradient`` when ``kind.detach`` is set.
+def _frozen_input(layer: int, computed: Tensor, frozen: Optional[dict]) -> Tensor:
+    """The array at layer ``layer``'s record/replay boundary, the input of
+    every pooled kind's token map: the pooled [G, d] stack, the [B*N, d]
+    patch rows or the [G, d] ema state.
 
-    With a ``frozen`` dict, a layer it lacks records its array there and
-    goes on, and a layer it holds is replayed as a constant of that value:
-    gradient verification freezes the boundary this way, so finite
-    differences see only the declared-differentiable subgraph.
+    With no ``frozen`` dict it is ``computed`` itself.  With one, a layer it
+    lacks records its array there and goes on, and a layer it holds is
+    replayed as a constant of that value: gradient verification freezes the
+    boundary of a detached kind this way, so finite differences see only
+    the declared-differentiable subgraph.
     """
-    out = computed
-    if frozen is not None and layer in frozen:
-        value = frozen[layer]
-        if np.shape(value) != computed.shape:
-            raise ValueError(f"frozen context input for layer {layer} has shape {np.shape(value)}, "
-                             f"the boundary has {computed.shape}")
-        out = T.constant(np.array(value, dtype=computed.data.dtype))
-    elif frozen is not None:
+    if frozen is None:
+        return computed
+    if layer not in frozen:
         frozen[layer] = computed.data.copy()
-    return T.stop_gradient(out) if kind.detach else out
+        return computed
+    value = frozen[layer]
+    if np.shape(value) != computed.shape:
+        raise ValueError(f"frozen context input for layer {layer} has shape {np.shape(value)}, "
+                         f"the boundary has {computed.shape}")
+    return T.constant(np.array(value, dtype=computed.data.dtype))
 
 
 def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: "ContextViT", train: bool,
                   frozen: Optional[dict]) -> Tensor:
-    """Context tokens [G, d] of the batch's groups, in partition order, from
-    patch tokens [B, N, d]; evaluation updates a copy of the ema state."""
+    """Context tokens [G, 1, d] of the batch's groups, in partition order,
+    from patch tokens [B, N, d]; evaluation updates a copy of the ema state.
+
+    A detached kind reads the patch tokens through ``stop_gradient``, so its
+    pooling records nothing.  Each group's row is a [1, d] matrix of the
+    stack, so a head or rho gives it the bits it would get alone.
+    """
     kind, params = model.kind, model.context
+    if kind.detach:
+        patch_tokens = T.stop_gradient(patch_tokens)
     groups = list(batch.partition)
+    b, n, d = patch_tokens.shape
+    stack = (len(groups), 1, d)
     if kind.base == "oracle":
-        return oracle_lookup(groups, params)
+        return T.reshape(oracle_lookup(groups, params), stack)
     if kind.base == "deep_sets":
-        b, n, d = patch_tokens.shape
-        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), kind, frozen)
-        return deep_sets_infer(rows, params, np.repeat(batch.slots, n))
+        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), frozen)
+        return T.reshape(deep_sets_infer(rows, params, np.repeat(batch.slots, n)), stack)
     pooled = infer_context_mean(patch_tokens, batch.slots)
-    if kind.base == "mean":
-        return pooled
     if kind.base == "ema":
         state = model.ema_state if train else dict(model.ema_state)
         for gid, batch_mean in zip(groups, pooled.data):
             if train or gid not in state:
                 ema_update(state, gid, batch_mean, kind.ema_lambda)
-        src = _frozen_input(layer, T.constant(np.stack([state[g] for g in groups])), kind, frozen)
-        return apply_linear_head(src, params["ctx_head0.w"], params["ctx_head0.b"])
-    src = _frozen_input(layer, pooled, kind, frozen)
-    return apply_linear_head(src, params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"])
+        pooled = T.constant(np.stack([state[g] for g in groups]))
+    src = T.reshape(_frozen_input(layer, pooled, frozen), stack)
+    if kind.base == "mean":
+        return src
+    return T.linear(src, params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"])
 
 
 def contextvit_forward(
@@ -437,10 +435,11 @@ def contextvit_forward(
 
     ``train`` lets the ema kind update the model's state (evaluation
     updates a copy); ``sample_seed`` seeds the in-context patch draws.
-    ``frozen_context_inputs`` maps a layer to the array at its frozen
-    boundary (``_frozen_input``): layers it lacks are recorded into it and
-    layers it holds are replayed as constants.  ``capture_context_tokens``
-    maps (layer, group) to the group's token.
+    ``frozen_context_inputs`` maps a layer to the array at its record/replay
+    boundary (``_frozen_input``), which every pooled kind, ``mean``
+    included, passes its token map's input through: layers it lacks are
+    recorded into it and layers it holds are replayed as constants.
+    ``capture_context_tokens`` maps (layer, group) to the group's token.
     """
     backbone, config, kind = model.backbone, model.config, model.kind
     patches = T.constant(patchify_batch(batch.images, config.patch, backbone["patch_projection"].data.dtype))
@@ -463,8 +462,8 @@ def contextvit_forward(
             group_tokens = _group_tokens(x, batch, layer, model, train, frozen_context_inputs)
             if capture_context_tokens is not None:
                 for gid, token in zip(batch.partition, group_tokens.data):
-                    capture_context_tokens[(layer, gid)] = token.copy()
-            return T.reshape(T.index_rows(group_tokens, slots), (b, 1, d))
+                    capture_context_tokens[(layer, gid)] = token[0].copy()
+            return T.index_rows(group_tokens, slots)
 
         prefix = (column(patch_tokens, 0),)
         if kind.layerwise:

@@ -38,12 +38,12 @@ its per-matrix loop on a slow path for any other stride.  A maximum over
 short rows (the softmax row max) runs along the long axis of a transposed
 copy instead of row by row; a max is exact, so that one is bitwise.
 
-``stop_gradient`` is the one deliberately odd primitive: forward is the
-identity (it shares the input's storage) while the reverse pass sends
-exactly zero into the detached subgraph, because the op is simply never
-recorded.  Cutting the edge structurally, rather than multiplying by
-zero, is what lets detached and frozen-to-constant graphs produce
-identical gradient bytes.
+``stop_gradient`` is not an op: it returns a constant that shares its
+input's storage and records nothing, so the reverse pass never enters the
+detached subgraph, and a leaf read only through it gets no ``.grad``, as a
+leaf no node reads gets none.  Cutting the edge structurally, rather than
+multiplying by zero, is what lets detached and frozen-to-constant graphs
+produce identical gradient bytes.
 """
 
 from __future__ import annotations
@@ -506,25 +506,10 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def stop_gradient(a: Tensor) -> Tensor:
-    """Forward identity that the reverse pass cannot cross.
-
-    The result shares the input's storage byte-for-byte and does not
-    require gradients, so downstream gradients of the detached branch
-    are structurally zero rather than numerically small.  A marker node
-    is still recorded so ``backward`` zero-fills ``a.grad`` when the
-    detached branch was the only consumer.
-    """
-    out = Tensor.__new__(Tensor)
-    out.data = a.data
-    out.requires_grad = False
-    out.grad = None
-    if a.requires_grad:
-        tape = active_tape()
-        if tape is not None:
-            # output never requires grad, so the vjp below is unreachable;
-            # the node only exists for the zero-fill bookkeeping
-            tape.nodes.append(_Node(out, (a,), lambda g: (None,)))
-    return out
+    """``a``'s values as a constant: the result shares ``a``'s storage, needs
+    no gradient and records no node, so no gradient flows back through it
+    and a leaf read only through it keeps ``.grad`` None."""
+    return Tensor(a.data)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:

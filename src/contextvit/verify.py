@@ -4,8 +4,8 @@ Used by the ``grad-check`` CLI command and the test suite.  Op checks
 probe every differentiable primitive on small random shapes against
 central finite differences; model checks run the complete conditioned
 forward pass (16x16 images, patch 4, d=16, depth 2) for each context
-kind.  Detached and EMA kinds freeze their context inputs: the analytic
-pass records the array at each frozen boundary
+kind.  Detached kinds, ``ema`` among them, freeze their context inputs:
+the analytic pass records the array at each record/replay boundary
 (``contextvit_forward(..., frozen_context_inputs=...)``) and every
 finite-difference forward replays it as a constant, so the oracle
 compares only the declared-differentiable subgraph.
@@ -131,11 +131,11 @@ def _toy_setup(kind_name: str, seed: int):
 def toy_model_gradient_check(kind_name: str, seed: int = 0) -> float:
     """End-to-end FD check of cross-entropy through the full forward pass.
 
-    Detached and ema kinds freeze their context inputs: the analytic pass
-    records them into ``frozen`` and every finite-difference forward
-    replays them as constants."""
+    Detached kinds, ``ema`` among them, freeze their context inputs: the
+    analytic pass records them into ``frozen`` and every finite-difference
+    forward replays them as constants."""
     model, batch = _toy_setup(kind_name, seed)
-    frozen = {} if model.kind.detach or model.kind.base == "ema" else None
+    frozen = {} if model.kind.detach else None
 
     def f():
         _, logits = model.forward(batch, train=False, sample_seed=7, frozen_context_inputs=frozen)

@@ -161,6 +161,25 @@ def test_bad_list_settings_rejected_before_data_is_read(tmp_path, capsys, comman
     assert key in err and "ghost" not in err
 
 
+@pytest.mark.parametrize("command, setting, key", [
+    ("train", "eval_batch_size=0", "eval_batch_size"), ("probe", "eval_batch_size=0", "eval_batch_size"),
+    ("export-context", "collect_batches=0", "collect_batches"),
+    ("export-context", "collect_batches=1", "collect_batches"),
+    ("train", "seed=-1", "seed"), ("train", "seed=18446744073709551616", "seed"),
+    ("ablate", "ablate_seeds=-1", "ablate_seeds"),
+    ("export-context", "analysis_split=bogus", "analysis_split"), ("sweep", "sweep_sizes=0,4", "sweep_sizes"),
+])
+def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, capsys, command, setting, key):
+    """Each value once failed only after a whole fine-tune, or after the
+    checkpoint and the data were read, or with a message naming no key."""
+    ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
+    rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
+               setting])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "ghost" not in err
+
+
 def test_ablate_with_no_seeds_exits_one(cli_env, capsys):
     """An empty seed list once trained nothing and exited 0 with a table of '-' rows."""
     rc = main(["ablate", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",

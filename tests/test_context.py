@@ -13,7 +13,6 @@ from contextvit.context import (
     ContextViT,
     GroupedBatch,
     UnknownGroupError,
-    apply_linear_head,
     deep_sets_infer,
     ema_update,
     group_partition,
@@ -130,34 +129,33 @@ def test_pooling_rejects_malformed_slot_vectors():
             deep_sets_infer(constant(np.zeros((4, 3))), summing_deep_sets_params(3), slots)
 
 
-# ---------------------------------------------------------------- linear head
+# ------------------------------------------------------------ detached input
 
 
-def test_linear_head_identity():
-    t = constant([1.0, -2.0, 3.0])
-    out = apply_linear_head(t, constant(np.eye(3)), constant(np.zeros(3)))
-    assert np.array_equal(out.data, t.data)
+def _patch_token_grad(toy_config, name, seed):
+    """``.grad`` of a leaf of patch tokens [3, N, d] after the sum of the
+    group tokens ``_group_tokens`` infers from it (groups 0, 0, 1), and the
+    model, whose context parameters are nudged off their init so that the
+    zero-initialized output layers do not make the live gradient zero too."""
+    model = _model(toy_config, name)
+    for p in model.context.values():
+        p.data = p.data + generator(seed).normal(size=p.data.shape) * 0.1
+    batch = GroupedBatch(np.zeros((3, 1, 1, 1)), [0, 0, 0], [0, 0, 1])
+    x = tensor(generator(9).normal(size=(3, toy_config.num_patches, toy_config.dim)), requires_grad=True)
+    with Tape() as tape:
+        backward(dot(ctx_mod._group_tokens(x, batch, 0, model, False, None)), tape)
+    return x.grad, model
 
 
-def test_linear_head_zero_weight_returns_bias():
-    t = constant([1.0, -2.0])
-    beta = np.array([0.5, 0.7])
-    out = apply_linear_head(t, constant(np.zeros((2, 2))), constant(beta))
-    assert np.array_equal(out.data, beta)
-
-
-def test_linear_head_detach_blocks_upstream():
-    """The frozen boundary of a detached kind stops the gradient before the
-    head; the live kind's boundary passes it on."""
-    src = tensor([1.0, 2.0], requires_grad=True)
-    w = tensor(np.eye(2), requires_grad=True)
-    b = tensor(np.zeros(2), requires_grad=True)
-    for name, src_grad in (("mean_linear_detach", np.zeros(2)), ("mean_linear", np.ones(2))):
-        with Tape() as tape:
-            pooled = ctx_mod._frozen_input(0, src, ContextKind.from_name(name), None)
-            backward(dot(apply_linear_head(pooled, w, b)), tape)
-        assert np.array_equal(src.grad, src_grad), name
-        assert np.array_equal(b.grad, np.ones(2))
+def test_linear_head_detach_blocks_upstream(toy_config):
+    """A detached kind reads the patch tokens through ``stop_gradient``, so
+    they get no gradient; the live kind passes it on.  The head learns in
+    both."""
+    for name in ("mean_linear_detach", "mean_linear"):
+        grad, model = _patch_token_grad(toy_config, name, seed=18)
+        assert (grad is None) == model.kind.detach, name
+        assert grad is None or np.abs(grad).max() > 0, name
+        assert np.array_equal(model.context["ctx_head0.b"].grad, np.full(toy_config.dim, 2.0)), name
 
 
 # -------------------------------------------------------------------- oracle
@@ -281,21 +279,10 @@ def test_deep_sets_duplicating_patches_doubles_sum(toy_config):
 
 
 def test_deep_sets_detach_blocks_inputs(toy_config):
-    params = _deep_sets_params(toy_config)
-    # rho's output layer is zero-initialized, which would make the live
-    # gradient legitimately zero too; nudge everything off that point
-    for p in params.values():
-        p.data = p.data + generator(19).normal(size=p.data.shape) * 0.1
-    src = tensor(generator(9).normal(size=(6, toy_config.dim)), requires_grad=True)
-
-    def src_grad(name):
-        with Tape() as tape:
-            rows = ctx_mod._frozen_input(0, src, ContextKind.from_name(name), None)
-            backward(dot(deep_sets_infer(rows, params, _one_group(6))), tape)
-        return src.grad
-
-    assert np.array_equal(src_grad("deep_sets_detach"), np.zeros_like(src.data))
-    assert np.abs(src_grad("deep_sets")).max() > 0
+    detached, _ = _patch_token_grad(toy_config, "deep_sets_detach", seed=19)
+    live, _ = _patch_token_grad(toy_config, "deep_sets", seed=19)
+    assert detached is None
+    assert np.abs(live).max() > 0
 
 
 def test_deep_sets_empty_set_rejected(toy_config):
@@ -640,7 +627,7 @@ def _frozen_layers(name, depth):
     kind = ContextKind.from_name(name)
     if kind.layerwise:
         return set(range(depth))
-    return {0} if kind.base in ("mean_linear", "deep_sets", "ema") else set()
+    return {0} if kind.base in ("mean", "mean_linear", "deep_sets", "ema") else set()
 
 
 @pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
@@ -694,10 +681,12 @@ def test_partly_filled_frozen_inputs_record_missing_layers_and_replay_held_ones(
     assert not np.array_equal(shifted[1], full[1])  # layer 1 recorded from the shifted run
 
 
-@pytest.mark.parametrize("name", ["layerwise_mean_linear_detach", "deep_sets_detach", "ema"])
+@pytest.mark.parametrize("name", ["mean", "layerwise_mean_linear_detach", "deep_sets_detach", "ema"])
 def test_forward_with_filled_frozen_inputs_replays_bitwise(small_data, toy_config, name):
-    """Recording the frozen boundary and replaying it give the same logits
-    and backbone gradients bit for bit."""
+    """Recording the boundary and replaying it give the same logits bit for
+    bit, and a detached kind the same backbone gradients too: its boundary
+    is a constant either way, while a live kind's replay cuts the path
+    through the pooling."""
     model = _model(toy_config, name)
     for p in model.context.values():
         p.data = p.data + generator(26).normal(size=p.data.shape) * 0.3
@@ -715,8 +704,37 @@ def test_forward_with_filled_frozen_inputs_replays_bitwise(small_data, toy_confi
     held = {k: v.copy() for k, v in frozen.items()}
     logits, grads = step(frozen)
     assert np.array_equal(logits, first_logits)
-    assert all(np.array_equal(grads[k], first_grads[k]) for k in first_grads)
+    assert all(np.array_equal(grads[k], first_grads[k]) for k in first_grads) == model.kind.detach
     assert all(np.array_equal(frozen[k], held[k]) for k in held)  # replayed, not overwritten
+
+
+def _unreached_nodes(tape, loss) -> list:
+    """Nodes of ``tape`` whose output ``backward`` never reaches from
+    ``loss``: a walk of the tape in reverse from the loss."""
+    reached, unreached = {id(loss)}, []
+    for node in reversed(tape.nodes):
+        if id(node.output) in reached:
+            reached.update(id(t) for t in node.inputs if t.requires_grad)
+        else:
+            unreached.append(node)
+    return unreached
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
+def test_training_step_records_only_what_backward_reads(small_data, toy_config, name, dtype):
+    """Every node a training step records on a mixed-group batch feeds the
+    loss: a detached kind's token inference leaves nothing on the tape."""
+    assert toy_config.depth >= 2  # so layerwise kinds infer past layer 0
+    model = _model(toy_config, name)
+    if dtype == "float32":
+        model.to_float32()
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41, 80])  # groups 0, 0, 1, 0, 1, 2
+    with Tape() as tape:
+        _, logits = model.forward(batch, train=True)
+        loss = batch_cross_entropy(logits, batch.labels)
+    assert len(tape) > 0
+    assert _unreached_nodes(tape, loss) == []
 
 
 def test_kind_none_records_the_plain_vit_tape_and_gradients(small_data, toy_config):

@@ -213,10 +213,14 @@ def test_stop_gradient_forward_bit_identical():
 
 
 def test_stop_gradient_blocks_all_flow():
+    # stop_gradient records no node, so a leaf read only through it is no
+    # input of the tape and gets no .grad at all
     x = tensor([1.0, 2.0, 3.0], requires_grad=True)
+    w = tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        backward(dot(stop_gradient(x)), tape)
-    assert np.array_equal(x.grad, np.zeros(3))
+        backward(dot(stop_gradient(x), w), tape)
+    assert x.grad is None
+    assert np.array_equal(w.grad, x.data)
 
 
 def test_stop_gradient_only_live_edge_contributes():
@@ -337,7 +341,7 @@ def test_forward_replay_bitwise_deterministic():
 # ------------------------------------------------- finite-difference invariant
 
 # names in ``tensor.__all__`` that are not ops with a vjp to check;
-# stop_gradient sends exactly zero by construction
+# stop_gradient records no node
 _NOT_OPS = {"Tensor", "Tape", "active_tape", "tensor", "constant", "backward", "stop_gradient"}
 
 
