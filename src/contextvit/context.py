@@ -222,7 +222,7 @@ def init_context_params(
 
     Linear heads exist for every layer whenever the kind has heads at all,
     so the same parameter set serves layerwise and single-shot variants
-    (the unused heads simply keep zero gradients).
+    (no node reads the unused heads, so they get no gradient).
     """
     d = config.dim
     params: dict[str, Tensor] = {}
