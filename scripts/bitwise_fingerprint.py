@@ -7,9 +7,13 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
 * ``training``: for every context kind in float64 and float32, the training
   logits and every parameter gradient of two training steps (AdamW between
   them), then the eval logits, on a mixed-group batch of a depth-3 model;
-* ``gradient_suite``: every value of ``verify.run_gradient_suite()``;
+* ``model_checks``: the ``model.*`` values of ``verify.run_gradient_suite()``,
+  one toy-model check per context kind;
 * ``op_checks``: every value of ``verify.op_gradient_checks`` at seeds
-  0-199, names in the order returned.
+  0-199, names in the order returned.  These seeds include the suite's
+  ``OP_SEEDS``, so its ``op.*`` values are covered here, and a change to the
+  list of op checks (which shifts the random stream of every later check)
+  still shows whether the model checks kept their bits.
 
 Beside the hashes, a ``tape`` line per kind and dtype gives two plain
 numbers for one training step on the training section's first batch: the
@@ -98,9 +102,10 @@ def training_section(cv, h) -> None:
             _feed(h, logits.data)
 
 
-def gradient_suite_section(cv, h) -> None:
+def model_checks_section(cv, h) -> None:
     for name, value in cv.verify.run_gradient_suite().items():
-        h.update(f"{name}={float(value).hex()};".encode())
+        if name.startswith("model."):
+            h.update(f"{name}={float(value).hex()};".encode())
 
 
 def op_checks_section(cv, h) -> None:
@@ -131,7 +136,7 @@ def tape_counts(cv) -> dict[str, tuple[int, int]]:
     return counts
 
 
-SECTIONS = {"training": training_section, "gradient_suite": gradient_suite_section,
+SECTIONS = {"training": training_section, "model_checks": model_checks_section,
             "op_checks": op_checks_section}
 
 

@@ -240,6 +240,9 @@ def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
 
 
 def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
+    if not cfg.kind().has_token_slot:
+        raise ValueError(f"config key 'context_kind' must name a kind with a context token to export, "
+                         f"got {cfg.context_kind!r}")
     ckpt = _require_checkpoint(cfg)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from .context import ContextKind
+from .context import CONTEXT_KIND_NAMES, ContextKind
 from .data import _SPLIT_NAMES, SyntheticShiftSpec
 from .train import TrainConfig
 from .vit import ViTConfig
@@ -91,6 +91,14 @@ class RunConfig:
         if self.analysis_split not in _SPLIT_NAMES + ("all",):
             raise ValueError(f"config key 'analysis_split' must be a split name {_SPLIT_NAMES} or 'all', "
                              f"got {self.analysis_split!r}")
+        if self.context_kind not in CONTEXT_KIND_NAMES:
+            raise ValueError(f"config key 'context_kind' must be one of {CONTEXT_KIND_NAMES}, "
+                             f"got {self.context_kind!r}")
+        # a layerwise kind infers a token before each of its layers, any other kind one at layer 0
+        last = max(self.depth, 1) - 1 if ContextKind(self.context_kind).layerwise else 0
+        if not 0 <= self.analysis_layer <= last:
+            raise ValueError(f"config key 'analysis_layer' must lie in [0, {last}] for context_kind "
+                             f"{self.context_kind!r}, got {self.analysis_layer}")
 
     def _sub_config(self, cls):
         """``cls`` filled from the fields of this config with the same names;

@@ -21,14 +21,20 @@ compute nothing for inputs that need no gradient.  ``linear``,
 ``attention_core`` and ``cross_entropy`` (the whole softmax loss) are each
 one node.
 
+The right operand of ``matmul`` and ``linear`` is a [k, n] matrix; the
+batched products belong to ``attention_core``.  A row that several images
+share (the CLS token, each group's context token) reaches each of them
+through an ``index_rows`` gather, whose vjp adds their gradients back into
+that row; there is no broadcast op.
+
 Short-axis reductions run as BLAS products, one call over every row, with
 each ones, ``1/d`` or weight operand built in the input's dtype: the sums
 over leading axes in ``_unbroadcast`` (every bias gradient) are a GEMV
-against ones; a weight gradient of a [..., k] input against a [k, n] matrix
-is one 2-D GEMM over all leading rows; ``layer_norm``'s row means are GEMVs
-against ``1/d``; the softmax row sum of ``attention_core`` and its vjp's
-rowsum(dP * P) are GEMVs against ones.  They equal numpy's reductions to
-rounding, not bitwise: BLAS sums in its own order.
+against ones; every weight gradient of ``matmul`` and ``linear`` is one
+2-D GEMM over all leading rows of the input; ``layer_norm``'s row means
+are GEMVs against ``1/d``; the softmax row sum of ``attention_core`` and
+its vjp's rowsum(dP * P) are GEMVs against ones.  They equal numpy's
+reductions to rounding, not bitwise: BLAS sums in its own order.
 
 Hot arrays are laid out for the kernel that reads them.  The right operand
 of a batched product is unit-stride along its last axis: a transposed view
@@ -65,7 +71,6 @@ __all__ = [
     "linear",
     "attention_core",
     "reshape",
-    "broadcast_to",
     "concat",
     "index_rows",
     "cross_entropy",
@@ -246,27 +251,25 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul requires tensors with at least 2 dimensions")
-    if a.data.shape[-1] != b.data.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul takes a [..., m, k] left operand and a [k, n] matrix on the right, "
+                         f"got {a.data.shape} @ {b.data.shape}")
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
 
 def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
-    # the transposed right operand is copied unit-stride first
-    ga = _unbroadcast(g @ np.ascontiguousarray(b.data.swapaxes(-1, -2)), a.data.shape) if a.requires_grad else None
-    if not b.requires_grad:
-        gb = None
-    elif b.data.ndim == 2 and a.data.ndim > 2:  # one GEMM over every leading row of a
-        rows = math.prod(a.data.shape[:-1])
-        gb = a.data.reshape(rows, b.data.shape[0]).T @ g.reshape(rows, b.data.shape[1])
-    else:
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+    # the transposed right operand is copied unit-stride first; the weight
+    # gradient is one GEMM over every leading row of a
+    k, n = b.data.shape
+    rows = math.prod(a.data.shape[:-1])
+    ga = g @ np.ascontiguousarray(b.data.T) if a.requires_grad else None
+    gb = a.data.reshape(rows, k).T @ g.reshape(rows, n) if b.requires_grad else None
     return ga, gb
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting on leading axes."""
+    """[..., m, k] @ [k, n] -> [..., m, n]; the right operand is a matrix."""
     a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
     return _record(a.data @ b.data, (a, b), lambda g: _matmul_vjp(g, a, b))
@@ -325,8 +328,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     def vjp(g):
         g = split(g)
         gv = merge(p.swapaxes(-1, -2) @ g) if v.requires_grad else None
-        if not (q.requires_grad or k.requires_grad):
-            return None, None, gv
         gs = g @ np.ascontiguousarray(vh.swapaxes(-1, -2))
         gs -= _row_sums(gs * p, ones)
         gs *= p
@@ -344,30 +345,14 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
-def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    out = np.broadcast_to(a.data, shape).copy()
-    return _record(out, (a,), lambda g: (_unbroadcast(g, a.data.shape),))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat of an empty sequence")
     axis = int(axis)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        pieces = []
-        for i in range(len(sizes)):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            pieces.append(g[tuple(idx)])
-        return tuple(pieces)
-
-    return _record(out, tensors, vjp)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return _record(out, tensors, lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def index_rows(a: Tensor, indices) -> Tensor:
@@ -430,10 +415,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     out = (np.squeeze(m + np.log(s), axis=-1) - x[rows, labels]).mean()
 
     def vjp(g):
-        per_row = np.broadcast_to(g / b, (b,)).copy()
-        gx = np.zeros_like(x)
-        np.add.at(gx, (rows, labels), -per_row)
-        return (gx + per_row[:, None] * (e / s),)
+        g = g / b
+        gx = g * (e / s)
+        gx[rows, labels] -= g
+        return (gx,)
 
     return _record(np.asarray(out), (logits,), vjp)
 

@@ -77,8 +77,6 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
     b, m, k, n = dims(None, None, None, None)
     check("matmul_batched", T.matmul, rand(b, m, k), rand(k, n))
     check("reshape", lambda a: T.reshape(a, (a.size,)), rand(*dims(None, None)))
-    b, n = dims(None, None)
-    check("broadcast_to", lambda a: T.broadcast_to(a, (b, n)), rand(1, n))
     m1, m2, n = dims(None, None, None)
     check("concat", lambda a, b: T.concat([a, b], axis=0), rand(m1, n), rand(m2, n))
     m, n = dims(None, None)

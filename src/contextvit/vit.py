@@ -137,12 +137,16 @@ def embed_patches(patches: Tensor, params: dict[str, Tensor]) -> Tensor:
 
 
 def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(), suffix_tokens=()) -> Tensor:
-    """CLS + optional slots + (patch tokens + positions) + optional slots, along axis 1."""
+    """CLS + optional slots + (patch tokens + positions) + optional slots, along axis 1.
+
+    Each image's CLS row is an ``index_rows`` gather of the one-row
+    ``cls_token``, the gather that hands each image its group's context token.
+    """
     b, n, d = patch_tokens.shape
     pos = params["pos_embed"]
     if pos.shape[0] != n:
         raise ValueError(f"pos_embed has {pos.shape[0]} rows, batch has {n} patches")
-    cls = T.broadcast_to(T.reshape(params["cls_token"], (1, 1, d)), (b, 1, d))
+    cls = T.reshape(T.index_rows(params["cls_token"], np.zeros(b, dtype=np.int64)), (b, 1, d))
     return T.concat([cls, *prefix_tokens, patch_tokens + pos, *suffix_tokens], axis=1)
 
 

@@ -168,13 +168,19 @@ def test_bad_list_settings_rejected_before_data_is_read(tmp_path, capsys, comman
     ("train", "seed=-1", "seed"), ("train", "seed=18446744073709551616", "seed"),
     ("ablate", "ablate_seeds=-1", "ablate_seeds"),
     ("export-context", "analysis_split=bogus", "analysis_split"), ("sweep", "sweep_sizes=0,4", "sweep_sizes"),
+    ("train", "context_kind=bogus", "context_kind"),
+    ("export-context", "context_kind=mean_linear_detach analysis_layer=-1", "analysis_layer"),
+    ("export-context", "context_kind=mean_linear_detach analysis_layer=1", "analysis_layer"),
+    ("export-context", "context_kind=layerwise_mean_linear_detach depth=2 analysis_layer=2", "analysis_layer"),
+    ("export-context", "context_kind=none", "context_kind"),
+    ("export-context", "context_kind=in_context_patches", "context_kind"),
 ])
 def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, capsys, command, setting, key):
     """Each value once failed only after a whole fine-tune, or after the
     checkpoint and the data were read, or with a message naming no key."""
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
     rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
-               setting])
+               *setting.split()])
     assert rc == 1
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "ghost" not in err

@@ -122,6 +122,14 @@ def test_frozen_config_rejects_mutation():
         cfg.dim = 8
 
 
+def test_analysis_layer_may_name_every_layerwise_token():
+    """A layerwise kind infers a token before each of its ``depth`` layers."""
+    for layer in range(3):
+        assert RunConfig(context_kind="layerwise_mean_linear_detach", depth=3, analysis_layer=layer)
+    with pytest.raises(ValueError, match="'analysis_layer'"):
+        RunConfig(context_kind="layerwise_mean_linear_detach", depth=3, analysis_layer=3)
+
+
 def test_conversions_carry_values_through():
     cfg = RunConfig(dim=24, depth=3, num_classes=5, images_per_group=32, epochs=4, context_kind="mean")
     assert cfg.vit_config().dim == 24

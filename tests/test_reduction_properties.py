@@ -73,21 +73,6 @@ def test_linear_matches_reference(lead, m, k, n, strided, w_strided, dtype, seed
 
 
 @settings(max_examples=60, deadline=None)
-@given(lead=st.lists(st.integers(0, 3), min_size=1, max_size=2), m=st.integers(1, 5), k=st.integers(1, 6),
-       n=st.integers(1, 6), dtype=DTYPES, seed=SEEDS)
-def test_broadcast_left_operand_gradient_matches_reference(lead, m, k, n, dtype, seed):
-    """A 2-D left operand broadcast over the right one's leading dims gets
-    its gradient summed over them by ``_unbroadcast``'s GEMV."""
-    rng = np.random.default_rng(seed)
-    a, b = _leaf(rng, (m, k), dtype), _leaf(rng, (*lead, k, n), dtype, strided=True)
-    out, c = _run(lambda: T.matmul(a, b), rng, dtype)
-    c64 = c.astype(np.float64)
-    _close(out.data, _f64(a) @ _f64(b), dtype)
-    _close(a.grad, (c64 @ np.swapaxes(_f64(b), -1, -2)).reshape(-1, m, k).sum(axis=0), dtype)
-    _close(b.grad, _f64(a).T @ c64, dtype)
-
-
-@settings(max_examples=60, deadline=None)
 @given(lead=LEAD, rows=st.integers(1, 5), d=st.integers(4, 12),
        strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
 def test_layer_norm_matches_reference(lead, rows, d, strided, dtype, seed):

@@ -221,7 +221,6 @@ def _dtype_cases(new, n: int) -> dict:
         "linear": lambda: T.linear(new(n, 2, 3), new(3, 4), new(4)),
         "attention_core": lambda: T.attention_core(new(n, 3, 4), new(n, 5, 4), new(n, 5, 6), heads=2),
         "reshape": lambda: T.reshape(new(n, 6), (6, n)),
-        "broadcast_to": lambda: T.broadcast_to(new(1, 3), (n, 3)),
         "concat": lambda: T.concat([new(n, 3), new(2, 3)], axis=0),
         "index_rows": lambda: T.index_rows(new(n, 2), [0] * (n + 1)),
         "cross_entropy": lambda: T.cross_entropy(new(n, 4), [3] * n),

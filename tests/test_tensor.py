@@ -84,6 +84,13 @@ def test_matmul_dimension_mismatch():
         T.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
 
 
+def test_matmul_and_linear_take_a_matrix_on_the_right():
+    x, w = constant(np.ones((2, 3, 4))), constant(np.ones((2, 4, 5)))
+    for op in (lambda: T.matmul(x, w), lambda: T.linear(x, w, constant(np.zeros(5)))):
+        with pytest.raises(ValueError, match=r"\(2, 3, 4\) @ \(2, 4, 5\)"):
+            op()
+
+
 def test_matmul_gradient_closed_form():
     a = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
