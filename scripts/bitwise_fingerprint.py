@@ -21,6 +21,12 @@ nodes the step records, and how many of them ``backward`` never reaches
 from the loss (found by walking ``Tape.nodes`` in reverse from the loss
 through each node's ``inputs``).
 
+Given two or more checkouts, the script runs itself on each in a fresh
+process and prints their hashes, the tape counts side by side (numbers
+only, no verdict), and then one verdict line per hash section: ``equal``,
+or the checkouts whose hash differs from the first one's.  It exits 1 when
+any hash differs.
+
 Only interfaces that have long been stable are used (``ContextViT.create``,
 ``forward``, ``to_float32``, ``backward``, ``adamw_step``), so one command
 compares a change with its parent.  BLAS runs on one thread, as in the
@@ -157,14 +163,40 @@ def fingerprint(cv) -> dict[str, str]:
     return digests
 
 
+def compare(checkouts: list[str]) -> int:
+    """Fingerprint each checkout in a fresh process, so no module is shared,
+    and compare the hashes; 1 if any section differs."""
+    hashes, tapes = [], []
+    for i, checkout in enumerate(checkouts, start=1):
+        print(f"[{i}] {os.path.abspath(checkout)}", flush=True)
+        out = subprocess.run([sys.executable, __file__, checkout], check=True, stdout=subprocess.PIPE,
+                             text=True).stdout
+        rows = [line.split() for line in out.splitlines()]
+        hashes.append({f[0]: f[1] for f in rows if f and f[0] in SECTIONS})
+        tapes.append({f[1]: f[2:] for f in rows if len(f) == 4 and f[0] == "tape"})
+    for name in SECTIONS:
+        for i, digests in enumerate(hashes, start=1):
+            print(f"{name if i == 1 else '':15s} [{i}] {digests[name]}")
+    ids = " ".join(f"{f'[{i}]':>5s}" for i in range(1, len(checkouts) + 1))
+    print(f"{'tape':38s} nodes {ids}  unreached {ids}")
+    for case in tapes[0]:
+        counts = [t.get(case, ["-", "-"]) for t in tapes]
+        nodes, unreached = (" ".join(f"{c[j]:>5s}" for c in counts) for j in (0, 1))
+        print(f"tape {case:39s} {nodes}  {'':9s} {unreached}")
+    differs = False
+    for name in SECTIONS:
+        others = [f"[{i}]" for i, d in enumerate(hashes[1:], start=2) if d[name] != hashes[0][name]]
+        differs = differs or bool(others)
+        print(f"verdict {name:15s} {'differs: ' + ' '.join(others) + ' from [1]' if others else 'equal'}")
+    return 1 if differs else 0
+
+
 def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    if len(argv) > 1:  # one fresh process per checkout, so no module is shared
-        for checkout in argv:
-            subprocess.run([sys.executable, __file__, checkout], check=True)
-        return 0
+    if len(argv) > 1:
+        return compare(argv)
     print(f"checkout {os.path.abspath(argv[0])}")
     cv = load(argv[0])
     for name, digest in fingerprint(cv).items():

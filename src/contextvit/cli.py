@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Every invocation resolves a flat key=value config (file plus overrides),
-creates a fresh run directory named by the config hash and a timestamp,
-logs the resolved config there, and dispatches to one subcommand:
+checks it, creates a fresh run directory named by the config hash and a
+timestamp, logs the resolved config there, and dispatches to a subcommand:
 
   generate-data   write the synthetic benchmark + manifest
   train           fine-tune a model, save checkpoint + metrics
@@ -40,13 +40,6 @@ from .train import fine_tune, linear_probe, write_metrics_csv, write_summary_jso
 from .verify import TOLERANCE, run_gradient_suite
 
 __all__ = ["main"]
-
-
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg = parse_config_file(args.config, cfg)
-    return apply_overrides(cfg, args.overrides)
 
 
 def _make_run_dir(cfg: RunConfig) -> str:
@@ -91,10 +84,26 @@ def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointDa
     return model
 
 
-def _require_checkpoint(cfg: RunConfig) -> CheckpointData:
+def _check_data_spec(cfg: RunConfig) -> None:
+    if not cfg.dataset_path:  # the command generates its data from the spec
+        cfg.shift_spec()
+
+
+def _require_checkpoint_path(cfg: RunConfig) -> None:
     if not cfg.checkpoint_path:
-        raise ValueError("this command requires checkpoint_path=<file> in the config or overrides")
-    return load_checkpoint(cfg.checkpoint_path)
+        raise ValueError("config key 'checkpoint_path' must name the checkpoint file this command reads")
+
+
+def _require_amortized_kind(cfg: RunConfig) -> None:
+    if not cfg.kind().amortized:
+        raise ValueError(f"config key 'context_kind' must name an amortized kind for a batch-size sweep, "
+                         f"got {cfg.context_kind!r}")
+
+
+def _require_token_kind(cfg: RunConfig) -> None:
+    if not cfg.kind().has_token_slot:
+        raise ValueError(f"config key 'context_kind' must name a kind with a context token to export, "
+                         f"got {cfg.context_kind!r}")
 
 
 def _write_csv(path: str, header: list, rows) -> None:
@@ -131,17 +140,15 @@ def _cmd_generate_data(cfg: RunConfig, run_dir: str) -> int:
 
 
 def _cmd_train(cfg: RunConfig, run_dir: str) -> int:
-    train_config = cfg.train_config()  # rejects bad settings before the data is made
     data = _load_or_generate(cfg)
-    result = fine_tune(_build_model(cfg, data), data, train_config)
+    result = fine_tune(_build_model(cfg, data), data, cfg.train_config())
     return _write_trained(cfg, run_dir, data, result, "train", "")
 
 
 def _cmd_probe(cfg: RunConfig, run_dir: str) -> int:
-    train_config = cfg.train_config()
-    ckpt = _require_checkpoint(cfg)
+    ckpt = load_checkpoint(cfg.checkpoint_path)
     data = _load_or_generate(cfg)
-    result = linear_probe(_build_model(cfg, data, ckpt), data, train_config)
+    result = linear_probe(_build_model(cfg, data, ckpt), data, cfg.train_config())
     return _write_trained(cfg, run_dir, data, result, "probe", "probe_",
                           source_checkpoint=cfg.checkpoint_path)
 
@@ -175,16 +182,10 @@ def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, com
 
 
 def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
-    kinds, seeds = cfg.kind_list(), cfg.seed_list()  # rejected before the data is made
+    seeds = cfg.seed_list()
     data = _load_or_generate(cfg)
-    rows = run_ablation(
-        data,
-        cfg.vit_config(),
-        cfg.train_config(),
-        kinds=kinds,
-        seeds=seeds,
-        eval_batch_size=cfg.eval_batch_size,
-    )
+    rows = run_ablation(data, cfg.vit_config(), cfg.train_config(), kinds=cfg.kind_list(), seeds=seeds,
+                        eval_batch_size=cfg.eval_batch_size)
     table_path = os.path.join(run_dir, "ablation.csv")
     _write_csv(
         table_path,
@@ -215,11 +216,10 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
-    sizes = cfg.size_list()  # rejected before the checkpoint and data are read
-    ckpt = _require_checkpoint(cfg)
+    ckpt = load_checkpoint(cfg.checkpoint_path)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)
-    accuracies = batch_size_sweep(model, data.ood_test, sizes)
+    accuracies = batch_size_sweep(model, data.ood_test, cfg.size_list())
     sweep_path = os.path.join(run_dir, "sweep.csv")
     _write_csv(sweep_path, ["eval_batch_size", "ood_accuracy"],
                ([size, repr(accuracies[size])] for size in sorted(accuracies)))
@@ -240,10 +240,7 @@ def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
 
 
 def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
-    if not cfg.kind().has_token_slot:
-        raise ValueError(f"config key 'context_kind' must name a kind with a context token to export, "
-                         f"got {cfg.context_kind!r}")
-    ckpt = _require_checkpoint(cfg)
+    ckpt = load_checkpoint(cfg.checkpoint_path)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)
     if cfg.analysis_split == "all":  # the held-out splits the model can infer context for
@@ -304,14 +301,16 @@ def _cmd_grad_check(cfg: RunConfig, run_dir: str) -> int:
     return 1 if failures else 0
 
 
+# each command with the config checks it runs before its run directory is made
+_MODEL_CHECKS = (RunConfig.vit_config, _check_data_spec)
 _DISPATCH = {
-    "generate-data": _cmd_generate_data,
-    "train": _cmd_train,
-    "probe": _cmd_probe,
-    "ablate": _cmd_ablate,
-    "sweep": _cmd_sweep,
-    "export-context": _cmd_export_context,
-    "grad-check": _cmd_grad_check,
+    "generate-data": (_cmd_generate_data, (RunConfig.shift_spec,)),
+    "train": (_cmd_train, (*_MODEL_CHECKS, RunConfig.train_config)),
+    "probe": (_cmd_probe, (*_MODEL_CHECKS, RunConfig.train_config, _require_checkpoint_path)),
+    "ablate": (_cmd_ablate, (*_MODEL_CHECKS, RunConfig.train_config, RunConfig.kind_list, RunConfig.seed_list)),
+    "sweep": (_cmd_sweep, (*_MODEL_CHECKS, RunConfig.size_list, _require_amortized_kind, _require_checkpoint_path)),
+    "export-context": (_cmd_export_context, (*_MODEL_CHECKS, _require_token_kind, _require_checkpoint_path)),
+    "grad-check": (_cmd_grad_check, ()),
 }
 
 
@@ -326,11 +325,14 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     args = parser.parse_args(argv)
+    command, checks = _DISPATCH[args.command]
     try:
-        cfg = _resolve_config(args)  # config must parse before anything is written
+        cfg = apply_overrides(parse_config_file(args.config) if args.config else RunConfig(), args.overrides)
+        for check in checks:  # the config must parse and pass these before anything is written
+            check(cfg)
         run_dir = _make_run_dir(cfg)
         print(f"run dir: {run_dir}")
-        return _DISPATCH[args.command](cfg, run_dir)
+        return command(cfg, run_dir)
     except BrokenPipeError:
         raise
     except Exception as exc:

@@ -82,7 +82,7 @@ class RunConfig:
     def __post_init__(self):
         """Reject values of run-level keys that would fail only after a
         checkpoint or the data is read; the list keys are checked where they
-        are read (``seed_list``, ``size_list``)."""
+        are read (``kind_list``, ``seed_list``, ``size_list``)."""
         _check_seed("seed", self.seed)
         if self.eval_batch_size < 1:
             raise ValueError(f"config key 'eval_batch_size' must be >= 1, got {self.eval_batch_size}")
@@ -120,7 +120,12 @@ class RunConfig:
         )
 
     def kind_list(self) -> list[str]:
-        return _split_list("ablate_kinds", self.ablate_kinds, str)
+        kinds = _split_list("ablate_kinds", self.ablate_kinds, str)
+        for i, kind in enumerate(kinds):
+            if kind not in CONTEXT_KIND_NAMES or kind in kinds[:i]:
+                raise ValueError(f"config key 'ablate_kinds' must list distinct kinds of {CONTEXT_KIND_NAMES}, "
+                                 f"got {kind!r}{' twice' if kind in kinds[:i] else ''}")
+        return kinds
 
     def seed_list(self) -> list[int]:
         seeds = _split_list("ablate_seeds", self.ablate_seeds, int)

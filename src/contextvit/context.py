@@ -452,8 +452,7 @@ def contextvit_forward(
             sample_context_patches(_patch_rows(members, n), kind.patches, child_seed(sample_seed, "in_context", gid))
             for gid, members in batch.partition.items()
         ]
-        picked = T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[batch.slots].ravel())
-        suffix = (T.reshape(picked, (b, kind.patches, d)),)
+        suffix = (T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[batch.slots]),)  # [B, K, d]
     elif kind.has_token_slot:
         slots = batch.slots
 

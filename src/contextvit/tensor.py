@@ -21,11 +21,14 @@ compute nothing for inputs that need no gradient.  ``linear``,
 ``attention_core`` and ``cross_entropy`` (the whole softmax loss) are each
 one node.
 
-The right operand of ``matmul`` and ``linear`` is a [k, n] matrix; the
-batched products belong to ``attention_core``.  A row that several images
-share (the CLS token, each group's context token) reaches each of them
-through an ``index_rows`` gather, whose vjp adds their gradients back into
-that row; there is no broadcast op.
+``add`` broadcasts by one rule: equal shapes, or a right operand of the
+left one's trailing shape (bias rows, ``pos_embed``), whose gradient is
+summed over the leading axes.  The right operand of ``matmul`` and
+``linear`` is a [k, n] matrix; the batched products belong to
+``attention_core``.  A row that several images share (the CLS token, each
+group's context token) reaches each of them through an ``index_rows``
+gather, which keeps its index's shape and whose vjp adds their gradients
+back into that row; there is no broadcast op.
 
 Short-axis reductions run as BLAS products, one call over every row, with
 each ones, ``1/d`` or weight operand built in the input's dtype: the sums
@@ -128,14 +131,9 @@ class Tensor:
         grad = ", grad" if self.grad is not None else ""
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{grad})"
 
-    # arithmetic sugar; all defer to the module-level ops below
+    # arithmetic sugar; defers to the module-level ops below
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return add(self, other)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -164,20 +162,17 @@ class _Node:
         self.vjp = vjp  # g_out: ndarray -> tuple of (ndarray | None) per input
 
 
-_STATE = threading.local()
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
+_TAPES = _TapeStack()  # the calling thread's entered tapes, innermost last
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    tapes = _TAPES.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tape:
@@ -189,11 +184,11 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack().pop()
+        popped = _TAPES.tapes.pop()
         if popped is not self:
             raise RuntimeError("tape stack corrupted: exited tapes out of order")
 
@@ -226,24 +221,25 @@ def _row_max(x: np.ndarray) -> np.ndarray:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce a gradient back to ``shape`` after numpy broadcasting."""
+    """Sum ``g`` over the leading axes ``shape`` was broadcast along, as one GEMV: ones(rows) @ g[rows, shape]."""
     extra = g.ndim - len(shape)
-    if extra > 0:  # the leading axes as one GEMV: ones(rows) @ g[rows, rest]
-        rows, rest = math.prod(g.shape[:extra]), g.shape[extra:]
-        g = (np.ones(rows, g.dtype) @ g.reshape(rows, math.prod(rest))).reshape(rest)
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    if not extra:
+        return g
+    rows = math.prod(g.shape[:extra])
+    return (np.ones(rows, g.dtype) @ g.reshape(rows, math.prod(shape))).reshape(shape)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """``a + b`` for equal shapes, or for a ``b`` of ``a``'s trailing shape, added along ``a``'s leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if b.data.ndim > a.data.ndim or a.data.shape[a.data.ndim - b.data.ndim:] != b.data.shape:
+        raise ValueError(f"add takes equal shapes or a right operand of the left's trailing shape, "
+                         f"got {a.data.shape} + {b.data.shape}")
     out = a.data + b.data
 
     def vjp(g):
         return (
-            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            g if a.requires_grad else None,
             _unbroadcast(g, b.data.shape) if b.requires_grad else None,
         )
 
@@ -356,10 +352,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def index_rows(a: Tensor, indices) -> Tensor:
-    """Gather rows along axis 0 by integer index (duplicates allowed)."""
+    """Gather rows along axis 0 by integer index (duplicates allowed) -> ``indices.shape + a.shape[1:]``."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError("index_rows expects a 1-D integer index array")
+    if idx.ndim < 1:
+        raise ValueError("index_rows expects an integer index array of rank >= 1")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise IndexError(f"row index out of range for axis of length {a.data.shape[0]}")
     out = a.data[idx]
@@ -423,10 +419,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record(np.asarray(out), (logits,), vjp)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be > 0, got {eps}")
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean and unit variance (eps 1e-6), then affine."""
     d = a.data.shape[-1]
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ValueError("layer_norm gain/bias must match the last dimension")
@@ -434,7 +428,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-6) -> Tens
     mu = _row_sums(a.data, inv_d)
     centered = a.data - mu
     var = _row_sums(centered * centered, inv_d)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-6)
     xhat = centered * inv
     out = gain.data * xhat + bias.data
 

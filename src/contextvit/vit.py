@@ -51,15 +51,15 @@ class ViTConfig:
     num_classes: int = 8
 
     def __post_init__(self):
+        for name in ("image_h", "image_w", "channels", "patch", "dim", "depth", "heads", "num_classes"):
+            if getattr(self, name) <= 0:  # before the divisions below
+                raise ValueError(f"{name} must be positive")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ValueError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch {self.patch}"
             )
         if self.dim % self.heads:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
-        for name in ("image_h", "image_w", "channels", "patch", "dim", "depth", "heads", "num_classes"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if not (math.isfinite(self.mlp_ratio) and self.ffn_hidden >= 1):
             raise ValueError(f"mlp_ratio must be finite and give an FFN width >= 1, got {self.mlp_ratio}")
 
@@ -139,14 +139,14 @@ def embed_patches(patches: Tensor, params: dict[str, Tensor]) -> Tensor:
 def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(), suffix_tokens=()) -> Tensor:
     """CLS + optional slots + (patch tokens + positions) + optional slots, along axis 1.
 
-    Each image's CLS row is an ``index_rows`` gather of the one-row
+    Each image's CLS row is a [B, 1]-index ``index_rows`` gather of the one-row
     ``cls_token``, the gather that hands each image its group's context token.
     """
-    b, n, d = patch_tokens.shape
+    b, n = patch_tokens.shape[:2]
     pos = params["pos_embed"]
     if pos.shape[0] != n:
         raise ValueError(f"pos_embed has {pos.shape[0]} rows, batch has {n} patches")
-    cls = T.reshape(T.index_rows(params["cls_token"], np.zeros(b, dtype=np.int64)), (b, 1, d))
+    cls = T.index_rows(params["cls_token"], np.zeros((b, 1), dtype=np.int64))
     return T.concat([cls, *prefix_tokens, patch_tokens + pos, *suffix_tokens], axis=1)
 
 

@@ -145,6 +145,7 @@ def test_bad_train_settings_rejected_before_data_is_read(tmp_path, capsys):
                    "momentum=1"])
         assert rc == 1
         assert "momentum" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command, setting, key", [
@@ -159,6 +160,7 @@ def test_bad_list_settings_rejected_before_data_is_read(tmp_path, capsys, comman
     assert rc == 1
     err = capsys.readouterr().err
     assert key in err and "ghost" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command, setting, key", [
@@ -184,6 +186,31 @@ def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, ca
     assert rc == 1
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "ghost" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command, setting, key", [
+    ("train", "epochs=0", "epochs"), ("probe", "epochs=0", "epochs"), ("ablate", "epochs=0", "epochs"),
+    ("train", "dim=30", "dim"), ("sweep", "heads=0", "heads"), ("probe", "patch=0", "patch"),
+    ("generate-data", "train_fraction=1.5", "fractions"),
+    ("train", "dataset_path= images_per_group=0", "images_per_group"),
+    ("ablate", "ablate_kinds=none,bogus", "ablate_kinds"), ("ablate", "ablate_kinds=none,mean,none", "ablate_kinds"),
+    ("sweep", "context_kind=none", "context_kind"), ("sweep", "context_kind=oracle", "context_kind"),
+    ("export-context", "context_kind=none", "context_kind"),
+    ("probe", "checkpoint_path=", "checkpoint_path"), ("sweep", "checkpoint_path=", "checkpoint_path"),
+    ("export-context", "checkpoint_path=", "checkpoint_path"),
+])
+def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, setting, key):
+    """Each value once failed only after the run directory was made, the
+    ablate and sweep kinds only after the data was made or read, and a zero
+    ``heads`` or ``patch`` with a ``ZeroDivisionError`` that named no key."""
+    ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
+    rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
+               "context_kind=mean_linear_detach", *setting.split()])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert key in err and "ghost" not in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_ablate_with_no_seeds_exits_one(cli_env, capsys):
@@ -241,7 +268,7 @@ def test_console_script_is_installed(tmp_path):
 
 def test_oracle_model_from_checkpoint_without_its_groups_is_rejected(cli_env, capsys):
     """The shared checkpoint was trained as mean_linear_detach, so it stores no oracle ids."""
-    rc = main(["sweep", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
+    rc = main(["probe", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
                f"checkpoint_path={cli_env['train_dir'] / 'checkpoint.cvck'}", "context_kind=oracle"])
     assert rc == 1
     assert "'context.oracle_groups'" in capsys.readouterr().err

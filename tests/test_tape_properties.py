@@ -1,5 +1,6 @@
 """Property tests for gradient accumulation on the tape: ``_unbroadcast`` is
-the adjoint of broadcasting, fan-in through views sums to a dense reference,
+the adjoint of broadcasting over leading axes (the one broadcast ``add``
+allows), fan-in through views sums to a dense reference,
 only leaves carry ``.grad``, and the fused ops are bitwise the unfused ones."""
 
 import numpy as np
@@ -16,11 +17,11 @@ SEEDS = st.integers(0, 2**16)
 
 @st.composite
 def broadcast_pairs(draw):
-    """(shape, full): ``shape`` broadcasts to ``full`` by numpy's rules."""
+    """(shape, full): ``shape`` is ``full``'s trailing shape, broadcast along
+    the leading axes."""
     full = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     kept = draw(st.integers(0, len(full)))
-    shape = [1 if draw(st.booleans()) else s for s in full[len(full) - kept:]]
-    return tuple(shape), tuple(full)
+    return tuple(full[len(full) - kept:]), tuple(full)
 
 
 @settings(max_examples=100, deadline=None)
