@@ -13,7 +13,11 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
   0-199, names in the order returned.  These seeds include the suite's
   ``OP_SEEDS``, so its ``op.*`` values are covered here, and a change to the
   list of op checks (which shifts the random stream of every later check)
-  still shows whether the model checks kept their bits.
+  still shows whether the model checks kept their bits;
+* ``config``: ``config_to_text`` and ``config_hash`` of ``RunConfig()`` and
+  of each override set in ``CONFIG_OVERRIDES``, so one command shows whether
+  run-directory names, ``resolved_config.txt`` and the hash a checkpoint
+  stores kept their bytes.
 
 Beside the hashes, a ``tape`` line per kind and dtype gives two plain
 numbers for one training step on the training section's first batch: the
@@ -28,9 +32,9 @@ or the checkouts whose hash differs from the first one's.  It exits 1 when
 any hash differs.
 
 Only interfaces that have long been stable are used (``ContextViT.create``,
-``forward``, ``to_float32``, ``backward``, ``adamw_step``), so one command
-compares a change with its parent.  BLAS runs on one thread, as in the
-benchmark.
+``forward``, ``to_float32``, ``backward``, ``adamw_step``, ``apply_overrides``,
+``config_to_text``, ``config_hash``), so one command compares a change with
+its parent.  BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -47,6 +51,22 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 OP_SEEDS = range(200)
 GROUPS = [0, 1, 0, 2, 1, 0, 2, 2]
+# override sets, each valid under the config checks of every commit compared so far, that between
+# them set every key at least once
+CONFIG_OVERRIDES = [
+    ["context_kind=layerwise_mean_linear_detach", "dim=48", "heads=6", "epochs=5", "train_groups=16",
+     "analysis_layer=3"],
+    ["context_kind=in_context_patches", "context_patches=8"],
+    ["context_kind=ema", "ema_lambda=0.9", "sampler=context"],
+    ["context_kind=mean_linear_detach", "seed=5", "epochs=3", "images_per_group=128", "sampler=context"],
+    ["context_kind=oracle", "image_h=24", "image_w=24", "patch=6", "num_classes=4", "bias_max=0.2",
+     "val_fraction=0.1", "base_lr=1e-3", "weight_decay_end=0.1", "momentum=0.5"],
+    ["ablate_kinds=none,mean", "ablate_seeds=3,4", "sweep_sizes=2,8", "collect_batches=4", "eval_batch_size=16",
+     "analysis_split=id_test", "dataset_path=d.cvds", "checkpoint_path=c.cvck", "out_dir=elsewhere"],
+    ["channels=1", "depth=2", "mlp_ratio=2.0", "ood_groups=3", "signal_amplitude=0.2", "contrast_jitter=0.1",
+     "texture_std=0.05", "noise_std=0.02", "train_fraction=0.6", "batch_size=32", "final_lr=1e-4",
+     "warmup_epochs=1", "weight_decay_start=0.01"],
+]
 
 
 def _feed(h, array) -> None:
@@ -142,15 +162,22 @@ def tape_counts(cv) -> dict[str, tuple[int, int]]:
     return counts
 
 
+def config_section(cv, h) -> None:
+    for overrides in [[], *CONFIG_OVERRIDES]:
+        cfg = cv.config.apply_overrides(cv.config.RunConfig(), overrides)
+        h.update(cv.config.config_to_text(cfg).encode())
+        h.update(cv.config.config_hash(cfg).encode())
+
+
 SECTIONS = {"training": training_section, "model_checks": model_checks_section,
-            "op_checks": op_checks_section}
+            "op_checks": op_checks_section, "config": config_section}
 
 
 def load(checkout: str) -> types.SimpleNamespace:
     """``checkout``'s ``contextvit`` modules that the sections use."""
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
     return types.SimpleNamespace(**{m: importlib.import_module(f"contextvit.{m}")
-                                    for m in ("context", "tensor", "train", "verify", "vit")})
+                                    for m in ("config", "context", "tensor", "train", "verify", "vit")})
 
 
 def fingerprint(cv) -> dict[str, str]:

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Every invocation resolves a flat key=value config (file plus overrides),
-checks it, creates a fresh run directory named by the config hash and a
-timestamp, logs the resolved config there, and dispatches to a subcommand:
+Every invocation builds its flat key=value config once, from the defaults,
+the config file and the overrides together, which checks every key.  The
+subcommand then checks the inputs it requires, reads its checkpoint and
+dataset (or generates its data) and builds its model, and only then makes
+a fresh run directory, named by the config hash and a timestamp, that logs
+the resolved config:
 
   generate-data   write the synthetic benchmark + manifest
   train           fine-tune a model, save checkpoint + metrics
@@ -43,6 +46,8 @@ __all__ = ["main"]
 
 
 def _make_run_dir(cfg: RunConfig) -> str:
+    """A new run directory holding ``resolved_config.txt``; made only once the
+    command's inputs are read, so a failed read leaves nothing behind."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = os.path.join(cfg.out_dir, f"{config_hash(cfg)[:12]}-{stamp}")
@@ -55,13 +60,24 @@ def _make_run_dir(cfg: RunConfig) -> str:
     with open(os.path.join(path, "resolved_config.txt"), "w", encoding="utf-8") as f:
         f.write(config_to_text(cfg))
         f.write(f"# config_hash={config_hash(cfg)}\n")
+    print(f"run dir: {path}")
     return path
 
 
-def _load_or_generate(cfg: RunConfig) -> DatasetSplit:
-    if cfg.dataset_path:
-        return load_dataset(cfg.dataset_path)
-    return generate_dataset(cfg.shift_spec(), cfg.seed)
+def _load_or_generate(cfg: RunConfig, generate: bool = False) -> DatasetSplit:
+    """The dataset at ``dataset_path``, or if none is set (or ``generate``)
+    the one of ``cfg``'s spec; a split with no images, over which no metric
+    is defined, is rejected."""
+    if cfg.dataset_path and not generate:
+        data, source = load_dataset(cfg.dataset_path), f"dataset file {cfg.dataset_path}"
+    else:
+        data, source = generate_dataset(cfg.shift_spec(), cfg.seed), (
+            f"images_per_group={cfg.images_per_group} at train_fraction={cfg.train_fraction} "
+            f"and val_fraction={cfg.val_fraction}")
+    for name, sub in data.splits().items():
+        if sub.size == 0:
+            raise ValueError(f"dataset split {name!r} has no images ({source})")
+    return data
 
 
 def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointData] = None) -> ContextViT:
@@ -82,11 +98,6 @@ def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointDa
         restore_into(model.parameters(), ckpt)
         model.ema_state = ckpt.ema_state()
     return model
-
-
-def _check_data_spec(cfg: RunConfig) -> None:
-    if not cfg.dataset_path:  # the command generates its data from the spec
-        cfg.shift_spec()
 
 
 def _require_checkpoint_path(cfg: RunConfig) -> None:
@@ -128,8 +139,9 @@ def _report_dict(report) -> dict:
     }
 
 
-def _cmd_generate_data(cfg: RunConfig, run_dir: str) -> int:
-    data = generate_dataset(cfg.shift_spec(), cfg.seed)
+def _cmd_generate_data(cfg: RunConfig) -> int:
+    data = _load_or_generate(cfg, generate=True)  # dataset_path names the file to write
+    run_dir = _make_run_dir(cfg)
     path = cfg.dataset_path or os.path.join(run_dir, "dataset.cvds")
     manifest = save_dataset(data, path)
     print(f"dataset: {path}")
@@ -139,16 +151,20 @@ def _cmd_generate_data(cfg: RunConfig, run_dir: str) -> int:
     return 0
 
 
-def _cmd_train(cfg: RunConfig, run_dir: str) -> int:
+def _cmd_train(cfg: RunConfig) -> int:
     data = _load_or_generate(cfg)
-    result = fine_tune(_build_model(cfg, data), data, cfg.train_config())
+    model = _build_model(cfg, data)
+    run_dir = _make_run_dir(cfg)
+    result = fine_tune(model, data, cfg.train_config())
     return _write_trained(cfg, run_dir, data, result, "train", "")
 
 
-def _cmd_probe(cfg: RunConfig, run_dir: str) -> int:
+def _cmd_probe(cfg: RunConfig) -> int:
     ckpt = load_checkpoint(cfg.checkpoint_path)
     data = _load_or_generate(cfg)
-    result = linear_probe(_build_model(cfg, data, ckpt), data, cfg.train_config())
+    model = _build_model(cfg, data, ckpt)
+    run_dir = _make_run_dir(cfg)
+    result = linear_probe(model, data, cfg.train_config())
     return _write_trained(cfg, run_dir, data, result, "probe", "probe_",
                           source_checkpoint=cfg.checkpoint_path)
 
@@ -181,9 +197,10 @@ def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, com
     return 0
 
 
-def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
+def _cmd_ablate(cfg: RunConfig) -> int:
     seeds = cfg.seed_list()
     data = _load_or_generate(cfg)
+    run_dir = _make_run_dir(cfg)
     rows = run_ablation(data, cfg.vit_config(), cfg.train_config(), kinds=cfg.kind_list(), seeds=seeds,
                         eval_batch_size=cfg.eval_batch_size)
     table_path = os.path.join(run_dir, "ablation.csv")
@@ -215,10 +232,11 @@ def _cmd_ablate(cfg: RunConfig, run_dir: str) -> int:
     return 1 if failed else 0
 
 
-def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
+def _cmd_sweep(cfg: RunConfig) -> int:
     ckpt = load_checkpoint(cfg.checkpoint_path)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)
+    run_dir = _make_run_dir(cfg)
     accuracies = batch_size_sweep(model, data.ood_test, cfg.size_list())
     sweep_path = os.path.join(run_dir, "sweep.csv")
     _write_csv(sweep_path, ["eval_batch_size", "ood_accuracy"],
@@ -239,10 +257,11 @@ def _cmd_sweep(cfg: RunConfig, run_dir: str) -> int:
     return 0
 
 
-def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
+def _cmd_export_context(cfg: RunConfig) -> int:
     ckpt = load_checkpoint(cfg.checkpoint_path)
     data = _load_or_generate(cfg)
     model = _build_model(cfg, data, ckpt)
+    run_dir = _make_run_dir(cfg)
     if cfg.analysis_split == "all":  # the held-out splits the model can infer context for
         subset = GroupedBatch.concat([sub for sub in (data.id_test, data.ood_test) if model.can_evaluate(sub)])
     else:  # a split name, as RunConfig checks
@@ -285,7 +304,8 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str) -> int:
     return 0
 
 
-def _cmd_grad_check(cfg: RunConfig, run_dir: str) -> int:
+def _cmd_grad_check(cfg: RunConfig) -> int:
+    run_dir = _make_run_dir(cfg)  # the suite reads no input
     results = run_gradient_suite()
     write_summary_json(
         {"command": "grad-check", "tolerance": TOLERANCE, "results": results},
@@ -301,15 +321,14 @@ def _cmd_grad_check(cfg: RunConfig, run_dir: str) -> int:
     return 1 if failures else 0
 
 
-# each command with the config checks it runs before its run directory is made
-_MODEL_CHECKS = (RunConfig.vit_config, _check_data_spec)
+# each command with the inputs it requires beyond a valid config, checked before anything is read
 _DISPATCH = {
-    "generate-data": (_cmd_generate_data, (RunConfig.shift_spec,)),
-    "train": (_cmd_train, (*_MODEL_CHECKS, RunConfig.train_config)),
-    "probe": (_cmd_probe, (*_MODEL_CHECKS, RunConfig.train_config, _require_checkpoint_path)),
-    "ablate": (_cmd_ablate, (*_MODEL_CHECKS, RunConfig.train_config, RunConfig.kind_list, RunConfig.seed_list)),
-    "sweep": (_cmd_sweep, (*_MODEL_CHECKS, RunConfig.size_list, _require_amortized_kind, _require_checkpoint_path)),
-    "export-context": (_cmd_export_context, (*_MODEL_CHECKS, _require_token_kind, _require_checkpoint_path)),
+    "generate-data": (_cmd_generate_data, ()),
+    "train": (_cmd_train, ()),
+    "probe": (_cmd_probe, (_require_checkpoint_path,)),
+    "ablate": (_cmd_ablate, ()),
+    "sweep": (_cmd_sweep, (_require_amortized_kind, _require_checkpoint_path)),
+    "export-context": (_cmd_export_context, (_require_token_kind, _require_checkpoint_path)),
     "grad-check": (_cmd_grad_check, ()),
 }
 
@@ -325,14 +344,13 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     args = parser.parse_args(argv)
-    command, checks = _DISPATCH[args.command]
+    command, requirements = _DISPATCH[args.command]
     try:
-        cfg = apply_overrides(parse_config_file(args.config) if args.config else RunConfig(), args.overrides)
-        for check in checks:  # the config must parse and pass these before anything is written
-            check(cfg)
-        run_dir = _make_run_dir(cfg)
-        print(f"run dir: {run_dir}")
-        return command(cfg, run_dir)
+        cfg = (parse_config_file(args.config, overrides=args.overrides) if args.config
+               else apply_overrides(RunConfig(), args.overrides))
+        for require in requirements:
+            require(cfg)
+        return command(cfg)
     except BrokenPipeError:
         raise
     except Exception as exc:

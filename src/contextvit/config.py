@@ -1,16 +1,19 @@
 """Flat key=value run configuration with typed parsing and content hashing.
 
-One namespace covers model, context, data, training, evaluation, and
-path settings; keys shared across components (image size, class count)
-are deliberately single-sourced so the dataset and model cannot
-disagree.  Unknown keys are rejected.  The content hash covers every
-resolved value except ``seed``: the hash names the experiment, the seed
-names the repetition.
+The keys are the fields of a run's three sections, the model
+(``ViTConfig``), the data (``SyntheticShiftSpec``) and the training recipe
+(``TrainConfig``), plus the run-level keys ``RunConfig`` declares.  Keys
+the sections share (image size, class count) are one key, so the dataset
+and model cannot disagree.  A config is checked once, when it is made:
+every key, by the run-level checks and each section's own.  Unknown keys
+are rejected.  The content hash covers every resolved value except
+``seed``: the hash names the experiment, the seed names the repetition.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 from .context import CONTEXT_KIND_NAMES, ContextKind
@@ -29,60 +32,29 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    # model
-    image_h: int = 16
-    image_w: int = 16
-    channels: int = 3
-    patch: int = 4
-    dim: int = 32
-    depth: int = 4
-    heads: int = 4
-    mlp_ratio: float = 4.0
-    num_classes: int = 8
+class RunConfig(ViTConfig, SyntheticShiftSpec, TrainConfig):
+    """A run's three sections, whose fields and defaults it inherits, plus
+    the run-level keys below; any instance is valid for every command."""
+
     # context
-    context_kind: str = "none"
     context_patches: int = 256
     ema_lambda: float = 0.99
-    # synthetic data
-    train_groups: int = 4
-    ood_groups: int = 2
-    images_per_group: int = 512
-    signal_amplitude: float = 0.12
-    bias_max: float = 0.40
-    contrast_jitter: float = 0.3
-    texture_std: float = 0.10
-    noise_std: float = 0.05
-    train_fraction: float = 0.70
-    val_fraction: float = 0.15
-    # training
-    epochs: int = 30
-    batch_size: int = 64
-    base_lr: float = 3e-3
-    final_lr: float = 1e-5
-    warmup_epochs: int = 2
-    weight_decay_start: float = 0.04
-    weight_decay_end: float = 0.4
-    momentum: float = 0.9
-    sampler: str = "uniform"
-    eval_batch_size: int = 64
     # evaluation / analysis
+    eval_batch_size: int = 64
     ablate_kinds: str = "none,mean,mean_linear,mean_linear_detach,layerwise_mean_linear_detach"
     ablate_seeds: str = "0,1,2"
     sweep_sizes: str = "1,2,4,8,16,32,64"
     collect_batches: int = 50
     analysis_layer: int = 0
     analysis_split: str = "all"
-    # bookkeeping
-    seed: int = 0
+    # paths
     dataset_path: str = ""
     checkpoint_path: str = ""
     out_dir: str = "runs"
 
     def __post_init__(self):
-        """Reject values of run-level keys that would fail only after a
-        checkpoint or the data is read; the list keys are checked where they
-        are read (``kind_list``, ``seed_list``, ``size_list``)."""
+        """Check every key: the run-level keys first (by name), then each
+        section's own checks, then the kind and the list keys as read."""
         _check_seed("seed", self.seed)
         if self.eval_batch_size < 1:
             raise ValueError(f"config key 'eval_batch_size' must be >= 1, got {self.eval_batch_size}")
@@ -99,10 +71,13 @@ class RunConfig:
         if not 0 <= self.analysis_layer <= last:
             raise ValueError(f"config key 'analysis_layer' must lie in [0, {last}] for context_kind "
                              f"{self.context_kind!r}, got {self.analysis_layer}")
+        for section in (ViTConfig, SyntheticShiftSpec, TrainConfig):
+            section.__post_init__(self)
+        self.kind(), self.kind_list(), self.seed_list(), self.size_list()  # each raises on a bad value
 
     def _sub_config(self, cls):
-        """``cls`` filled from the fields of this config with the same names;
-        every field of ``cls`` must exist here."""
+        """A plain ``cls`` of this config's values, so that ``asdict`` of it
+        (as ``save_dataset`` writes the spec) holds only that section's keys."""
         return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
     def vit_config(self) -> ViTConfig:
@@ -179,28 +154,31 @@ def _parse_assignment(item: str, where: str) -> tuple:
         raise ValueError(f"{where}: config key {key!r} expects {kind.__name__}, got {raw!r}") from exc
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """key = value lines; blank lines and #-comments allowed; unknown keys rejected."""
+def parse_config_text(text: str, base: RunConfig | None = None, overrides: Iterable[str] = ()) -> RunConfig:
+    """key = value lines (blank lines and #-comments allowed), then CLI-style
+    key=value ``overrides``, over ``base`` or the defaults; unknown keys are
+    rejected.  The config is made, and so checked, once from all of them."""
     updates = dict(
         _parse_assignment(stripped, f"config line {lineno}")
         for lineno, line in enumerate(text.splitlines(), start=1)
         if (stripped := line.split("#", 1)[0].strip())
     )
+    updates.update(_parse_assignment(item, "override") for item in overrides)
     return replace(base or RunConfig(), **updates)
 
 
-def parse_config_file(path: str, base: RunConfig | None = None) -> RunConfig:
+def parse_config_file(path: str, base: RunConfig | None = None, overrides: Iterable[str] = ()) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
-    return parse_config_text(text, base)
+    return parse_config_text(text, base, overrides)
 
 
-def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
+def apply_overrides(cfg: RunConfig, overrides: Iterable[str]) -> RunConfig:
     """CLI-style key=value overrides on top of a parsed config."""
-    return replace(cfg, **dict(_parse_assignment(item, "override") for item in overrides))
+    return parse_config_text("", cfg, overrides)
 
 
 def config_to_text(cfg: RunConfig) -> str:

@@ -12,6 +12,7 @@ import pytest
 import contextvit
 from contextvit import cli
 from contextvit.cli import main
+from contextvit.data import SyntheticShiftSpec, generate_dataset, save_dataset
 
 
 TINY = """
@@ -131,13 +132,6 @@ def test_unknown_override_key_exits_one(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
-def test_missing_dataset_file_is_named(tmp_path, capsys):
-    ghost = tmp_path / "ghost.cvds"
-    rc = main(["train", f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}"])
-    assert rc == 1
-    assert "ghost.cvds" in capsys.readouterr().err
-
-
 def test_bad_train_settings_rejected_before_data_is_read(tmp_path, capsys):
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
     for command in ("train", "probe"):
@@ -198,18 +192,82 @@ def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, ca
     ("sweep", "context_kind=none", "context_kind"), ("sweep", "context_kind=oracle", "context_kind"),
     ("export-context", "context_kind=none", "context_kind"),
     ("probe", "checkpoint_path=", "checkpoint_path"), ("sweep", "checkpoint_path=", "checkpoint_path"),
-    ("export-context", "checkpoint_path=", "checkpoint_path"),
+    ("export-context", "checkpoint_path=", "checkpoint_path"), ("grad-check", "epochs=0", "epochs"),
 ])
 def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, setting, key):
     """Each value once failed only after the run directory was made, the
     ablate and sweep kinds only after the data was made or read, and a zero
-    ``heads`` or ``patch`` with a ``ZeroDivisionError`` that named no key."""
+    ``heads`` or ``patch`` with a ``ZeroDivisionError`` that named no key.
+    Every command checks every key, ``grad-check`` included."""
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
     rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
                "context_kind=mean_linear_detach", *setting.split()])
     assert rc == 1
     err = capsys.readouterr().err
     assert key in err and "ghost" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("file_text, overrides, past", [
+    ("context_kind = layerwise_mean_linear_detach\ndepth = 2\nanalysis_layer = 2\n", ["depth=3"], "analysis_layer"),
+    ("epochs = 1\n", ["warmup_epochs=0"], "warmup_epochs"),
+], ids=["layerwise-depth", "warmup"])
+def test_config_file_and_overrides_are_checked_together(tmp_path, capsys, file_text, overrides, past):
+    """A file that only its overrides make valid gets past the config checks,
+    to the read of the (missing) dataset."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(file_text)
+    ghost = tmp_path / "ghost.cvds"
+    rc = main(["train", "--config", str(cfg), f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", *overrides])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ghost.cvds" in err and past not in err
+
+
+@pytest.mark.parametrize("command", ["train", "probe", "sweep", "export-context"])
+@pytest.mark.parametrize("content", [None, b"garbage"])
+def test_an_input_that_fails_to_load_is_named_and_makes_no_run_dir(tmp_path, capsys, command, content):
+    """``train`` reads a missing or corrupt dataset, the others a missing or
+    corrupt checkpoint (which they read first); each fails before its run
+    directory is made."""
+    bad = tmp_path / "bad_input.bin"
+    if content is not None:
+        bad.write_bytes(content)
+    rc = main([command, f"out_dir={tmp_path / 'runs'}", "context_kind=mean_linear_detach",
+               f"dataset_path={bad}" if command == "train" else f"checkpoint_path={bad}"])
+    assert rc == 1
+    assert "bad_input.bin" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_checkpoint_of_another_model_makes_no_run_dir(cli_env, tmp_path, capsys):
+    """The model is built from the checkpoint before the run directory is made."""
+    rc = main(["probe", "--config", str(cli_env["cfg"]), f"out_dir={tmp_path / 'runs'}",
+               f"dataset_path={cli_env['dataset']}", f"checkpoint_path={cli_env['train_dir'] / 'checkpoint.cvck'}",
+               "dim=32"])
+    assert rc == 1
+    assert "checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_generated_data_with_an_empty_split_is_rejected(tmp_path, capsys):
+    """At the default fractions, 4 images a group round to 3 train, 1 val and
+    no id_test image; that once failed only after training."""
+    rc = main(["train", f"out_dir={tmp_path / 'runs'}", "images_per_group=4", "epochs=1", "warmup_epochs=0",
+               "batch_size=8", "dim=16", "depth=1", "heads=2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'id_test'" in err and "images_per_group=4" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_dataset_file_with_an_empty_split_is_rejected(tmp_path, capsys):
+    dataset = tmp_path / "small.cvds"
+    save_dataset(generate_dataset(SyntheticShiftSpec(images_per_group=2), seed=0), str(dataset))
+    rc = main(["train", f"out_dir={tmp_path / 'runs'}", f"dataset_path={dataset}", "epochs=1", "warmup_epochs=0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'val'" in err and "small.cvds" in err
     assert not (tmp_path / "runs").exists()
 
 

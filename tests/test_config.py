@@ -36,8 +36,8 @@ def test_parse_round_trip():
 
 
 def test_parse_overrides_only_named_keys():
-    cfg = parse_config_text("dim = 64\nepochs=2\n")
-    assert cfg.dim == 64 and cfg.epochs == 2
+    cfg = parse_config_text("dim = 64\nepochs=3\n")
+    assert cfg.dim == 64 and cfg.epochs == 3
     assert cfg.patch == RunConfig().patch  # untouched keys keep defaults
 
 
@@ -105,9 +105,10 @@ def test_config_to_text_sorted_and_stable():
 def test_hash_ignores_seed_but_nothing_else():
     base = RunConfig()
     assert config_hash(base) == config_hash(dataclasses.replace(base, seed=999))
-    for field in ("dim", "epochs", "context_kind", "bias_max", "out_dir"):
-        changed = apply_overrides(base, [f"{field}={'7' if field not in ('context_kind', 'out_dir') else 'mean' if field == 'context_kind' else 'elsewhere'}"])
-        assert config_hash(changed) != config_hash(base), field
+    for key, value in (("dim", "8"), ("epochs", "8"), ("context_kind", "mean"), ("bias_max", "8"),
+                       ("out_dir", "elsewhere")):
+        changed = apply_overrides(base, [f"{key}={value}"])
+        assert config_hash(changed) != config_hash(base), key
 
 
 def test_hash_is_hex_sha256():
@@ -194,3 +195,23 @@ def test_list_keys_reject_empty_lists_and_malformed_entries(key, value, parse):
 def test_list_keys_skip_blank_entries():
     cfg = apply_overrides(RunConfig(), ["ablate_seeds= 3, ,4,", "sweep_sizes=2", "ablate_kinds=mean, none"])
     assert cfg.seed_list() == [3, 4] and cfg.size_list() == [2] and cfg.kind_list() == ["mean", "none"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", 30), ("heads", 0), ("images_per_group", 0), ("noise_std", float("nan")), ("epochs", 0),
+    ("batch_size", 0), ("ablate_kinds", "bogus"), ("ablate_seeds", "0,x"), ("sweep_sizes", "0,4"),
+])
+def test_a_bad_section_or_list_value_is_rejected_when_the_config_is_made(key, value):
+    """Each section's own checks and the list keys' run when a ``RunConfig``
+    is made, so no config that exists fails them later in a command."""
+    with pytest.raises(ValueError, match=key):
+        RunConfig(**{key: value})
+
+
+def test_file_and_overrides_make_one_config():
+    """A file that only its overrides make valid is accepted: the config is
+    made, and checked, once from both."""
+    cfg = parse_config_text("epochs=1\n", overrides=["warmup_epochs=0"])
+    assert cfg.epochs == 1 and cfg.warmup_epochs == 0
+    with pytest.raises(ValueError, match="warmup_epochs"):
+        parse_config_text("epochs=1\n")
