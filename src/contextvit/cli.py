@@ -66,10 +66,16 @@ def _make_run_dir(cfg: RunConfig) -> str:
 
 def _load_or_generate(cfg: RunConfig, generate: bool = False) -> DatasetSplit:
     """The dataset at ``dataset_path``, or if none is set (or ``generate``)
-    the one of ``cfg``'s spec; a split with no images, over which no metric
-    is defined, is rejected."""
+    the one of ``cfg``'s spec.  A loaded dataset whose image shape or class
+    count disagrees with the model's keys, and a split with no images, over
+    which no metric is defined, are rejected."""
     if cfg.dataset_path and not generate:
         data, source = load_dataset(cfg.dataset_path), f"dataset file {cfg.dataset_path}"
+        wrong = [f"{key}={getattr(data.spec, key)} (config {getattr(cfg, key)})"
+                 for key in ("image_h", "image_w", "channels", "num_classes")
+                 if getattr(data.spec, key) != getattr(cfg, key)]
+        if wrong:
+            raise ValueError(f"{source} disagrees with the config: {', '.join(wrong)}")
     else:
         data, source = generate_dataset(cfg.shift_spec(), cfg.seed), (
             f"images_per_group={cfg.images_per_group} at train_fraction={cfg.train_fraction} "

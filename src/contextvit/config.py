@@ -56,6 +56,10 @@ class RunConfig(ViTConfig, SyntheticShiftSpec, TrainConfig):
         """Check every key: the run-level keys first (by name), then each
         section's own checks, then the kind and the list keys as read."""
         _check_seed("seed", self.seed)
+        if self.context_patches < 1:
+            raise ValueError(f"config key 'context_patches' must be >= 1, got {self.context_patches}")
+        if not 0.0 < self.ema_lambda < 1.0:
+            raise ValueError(f"config key 'ema_lambda' must lie in (0, 1), got {self.ema_lambda}")
         if self.eval_batch_size < 1:
             raise ValueError(f"config key 'eval_batch_size' must be >= 1, got {self.eval_batch_size}")
         if self.collect_batches < 2:  # a separation score needs two tokens per group

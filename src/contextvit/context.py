@@ -425,13 +425,17 @@ def contextvit_forward(
     frozen_context_inputs: Optional[dict] = None,
     capture_context_tokens: Optional[dict] = None,
 ):
-    """Group-conditioned forward pass of ``model``: batch -> (CLS embeddings, logits).
+    """Group-conditioned forward pass of ``model``: batch -> (CLS embeddings
+    [B, d], logits [B, num_classes]).
 
     Sequence layout per image: [CLS, context, patch+pos ...] (length N+2)
     for token-producing kinds; [CLS, patch+pos ..., K sampled patches]
     (length N+1+K) for in_context_patches; and plain [CLS, patch+pos ...]
     for kind none, which is the plain ViT bit for bit (the tests' reference
-    ``vit_forward`` in ``tests/conftest.py`` checks this).
+    ``vit_forward`` in ``tests/conftest.py`` checks this).  The encoder
+    returns only the CLS read-out, which feeds the head; a layerwise kind
+    rewrites its slot through the encoder's hook, after every layer but
+    the last.
 
     ``train`` lets the ema kind update the model's state (evaluation
     updates a copy); ``sample_seed`` seeds the in-context patch draws.
@@ -468,16 +472,11 @@ def contextvit_forward(
         if kind.layerwise:
 
             def layer_hook(l: int, x: Tensor) -> Tensor:
-                if l >= config.depth - 1:
-                    # no head exists past the last layer; the final slot-1
-                    # output is never read by the CLS head anyway
-                    return x
                 hidden = x[:, 2:]
                 return T.concat([x[:, 0:1], column(hidden, l + 1), hidden], axis=1)
 
     tokens = _assemble(patch_tokens, backbone, prefix_tokens=prefix, suffix_tokens=suffix)
-    encoded = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
-    cls_out = encoded[:, 0]
+    cls_out = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
     logits = T.linear(cls_out, backbone["head.w"], backbone["head.b"])
     return cls_out, logits
 

@@ -3,8 +3,10 @@
 Images are cut into non-overlapping patches (row-major grid order),
 linearly projected, given learned position embeddings, and prepended
 with a trainable CLS token that carries no positional term.  Each layer
-is x + attn(norm(x)) followed by + ffn(norm(.)); a final layer norm
-precedes the CLS read-out and the affine classifier head.  Attention is
+is x + attn(norm(x)) followed by + ffn(norm(.)).  Only the CLS row is read
+out, so the last layer updates only that row (every row still serves as
+its key and value), and the final layer norm and the affine classifier
+head see only the CLS embedding.  Attention is
 the q, k, v and output projections around one ``T.attention_core`` node,
 which owns the multi-head layout: the split into heads, the dh^-0.5
 scale and the merge back to [B, S, d].
@@ -150,10 +152,13 @@ def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(),
     return T.concat([cls, *prefix_tokens, patch_tokens + pos, *suffix_tokens], axis=1)
 
 
-def attention(x: Tensor, params: dict[str, Tensor], layer: int, heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention over [B, S, d]."""
+def attention(
+    x: Tensor, params: dict[str, Tensor], layer: int, heads: int, queries: Optional[Tensor] = None
+) -> Tensor:
+    """Multi-head scaled dot-product attention of the [B, Sq, d] ``queries``
+    (all of ``x`` by default) over the [B, S, d] sequence ``x``."""
     pre = f"layer{layer}.attn."
-    q = T.linear(x, params[pre + "wq"], params[pre + "bq"])
+    q = T.linear(x if queries is None else queries, params[pre + "wq"], params[pre + "bq"])
     k = T.matmul(x, params[pre + "wk"])
     v = T.linear(x, params[pre + "wv"], params[pre + "bv"])
     return T.linear(T.attention_core(q, k, v, heads), params[pre + "wo"], params[pre + "bo"])
@@ -165,10 +170,17 @@ def _ffn(x: Tensor, params: dict[str, Tensor], layer: int) -> Tensor:
     return T.linear(h, params[pre + "w2"], params[pre + "b2"])
 
 
-def transformer_layer(x: Tensor, params: dict[str, Tensor], layer: int, config: ViTConfig) -> Tensor:
+def transformer_layer(
+    x: Tensor, params: dict[str, Tensor], layer: int, config: ViTConfig, cls_only: bool = False
+) -> Tensor:
+    """One pre-norm layer over [B, S, d].  With ``cls_only`` it updates and
+    returns only the CLS row, [B, 1, d], which attends over all S rows."""
     pre = f"layer{layer}."
     normed = T.layer_norm(x, params[pre + "norm1.gain"], params[pre + "norm1.bias"])
-    x = x + attention(normed, params, layer, config.heads)
+    queries = None
+    if cls_only:
+        x, queries = x[:, :1], normed[:, :1]
+    x = x + attention(normed, params, layer, config.heads, queries)
     normed = T.layer_norm(x, params[pre + "norm2.gain"], params[pre + "norm2.bias"])
     return x + _ffn(normed, params, layer)
 
@@ -179,16 +191,20 @@ def encode_tokens(
     config: ViTConfig,
     layer_hook: Optional[Callable[[int, Tensor], Tensor]] = None,
 ) -> Tensor:
-    """Run all transformer layers plus the final norm.
+    """[B, S, d] tokens -> the [B, d] read-out: the CLS row after every
+    layer and the final norm.
 
-    ``layer_hook(l, x)`` is called after layer ``l`` (0-indexed) and the
+    Only the CLS row leaves the encoder, so the last layer computes only
+    that row, with every row as its keys and values.  ``layer_hook(l, x)``
+    is called after every layer ``l`` (0-indexed) but the last, and the
     sequence it returns replaces ``x`` (context conditioning uses this to
     overwrite the context slot).
     """
     x = tokens
-    for l in range(config.depth):
+    for l in range(config.depth - 1):
         x = transformer_layer(x, params, l, config)
         if layer_hook is not None:
             x = layer_hook(l, x)
-    return T.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])
+    cls = transformer_layer(x, params, config.depth - 1, config, cls_only=True)
+    return T.layer_norm(cls, params["final_norm.gain"], params["final_norm.bias"])[:, 0]
 

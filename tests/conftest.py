@@ -13,7 +13,7 @@ from contextvit import tensor as T
 from contextvit.context import ContextKind, ContextViT, GroupedBatch
 from contextvit.data import SyntheticShiftSpec, generate_dataset
 from contextvit.tensor import Tensor, constant
-from contextvit.vit import ViTConfig, _assemble, embed_patches, encode_tokens, patchify_batch
+from contextvit.vit import ViTConfig, _assemble, embed_patches, encode_tokens, patchify_batch, transformer_layer
 
 
 def dot(a: Tensor, b=None) -> Tensor:
@@ -30,10 +30,21 @@ def vit_forward(images: np.ndarray, params: dict, config: ViTConfig):
     The reference that ``context.contextvit_forward`` of kind none matches bit for bit."""
     patches = constant(patchify_batch(images, config.patch, params["patch_projection"].data.dtype))
     tokens = _assemble(embed_patches(patches, params), params)
-    encoded = encode_tokens(tokens, params, config)
-    cls = encoded[:, 0]
+    cls = encode_tokens(tokens, params, config)
     logits = T.linear(cls, params["head.w"], params["head.b"])
     return cls, logits
+
+
+def full_sequence_encode(tokens: Tensor, params: dict, config: ViTConfig, layer_hook=None) -> Tensor:
+    """``vit.encode_tokens`` with every layer on all rows: the hook after
+    layers 0 .. L-2, then the final norm and the CLS row [B, d].  The
+    reference for the encoder's CLS-only last layer."""
+    x = tokens
+    for l in range(config.depth):
+        x = transformer_layer(x, params, l, config)
+        if layer_hook is not None and l < config.depth - 1:
+            x = layer_hook(l, x)
+    return T.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])[:, 0]
 
 
 def summing_deep_sets_params(d: int, dtype=np.float64) -> dict:

@@ -165,6 +165,8 @@ def test_bad_list_settings_rejected_before_data_is_read(tmp_path, capsys, comman
     ("ablate", "ablate_seeds=-1", "ablate_seeds"),
     ("export-context", "analysis_split=bogus", "analysis_split"), ("sweep", "sweep_sizes=0,4", "sweep_sizes"),
     ("train", "context_kind=bogus", "context_kind"),
+    ("train", "context_kind=in_context_patches context_patches=0", "context_patches"),
+    ("train", "context_kind=ema ema_lambda=1", "ema_lambda"),
     ("export-context", "context_kind=mean_linear_detach analysis_layer=-1", "analysis_layer"),
     ("export-context", "context_kind=mean_linear_detach analysis_layer=1", "analysis_layer"),
     ("export-context", "context_kind=layerwise_mean_linear_detach depth=2 analysis_layer=2", "analysis_layer"),
@@ -258,6 +260,21 @@ def test_generated_data_with_an_empty_split_is_rejected(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "'id_test'" in err and "images_per_group=4" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_dataset_file_of_another_shape_is_named_and_makes_no_run_dir(tmp_path, capsys):
+    """A spec that disagrees with the model's keys once failed in the first
+    training forward, after the run directory was made, naming neither."""
+    dataset = tmp_path / "wide.cvds"
+    save_dataset(generate_dataset(SyntheticShiftSpec(image_h=24, image_w=24, images_per_group=16), seed=0),
+                 str(dataset))
+    rc = main(["train", f"out_dir={tmp_path / 'runs'}", f"dataset_path={dataset}", "epochs=1", "warmup_epochs=0",
+               "dim=16", "depth=1", "heads=2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "image_h=24" in err and "image_w=24" in err and "wide.cvds" in err
+    assert "channels" not in err and "num_classes" not in err
     assert not (tmp_path / "runs").exists()
 
 

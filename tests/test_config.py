@@ -208,6 +208,16 @@ def test_a_bad_section_or_list_value_is_rejected_when_the_config_is_made(key, va
         RunConfig(**{key: value})
 
 
+@pytest.mark.parametrize("overrides, key", [
+    (["context_kind=in_context_patches", "context_patches=0"], "context_patches"),
+    (["context_kind=ema", "ema_lambda=1"], "ema_lambda"),
+])
+def test_kind_settings_are_rejected_by_key_name(overrides, key):
+    """Each value once surfaced as the kind's own message, which named no key."""
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        apply_overrides(RunConfig(), overrides)
+
+
 def test_file_and_overrides_make_one_config():
     """A file that only its overrides make valid is accepted: the config is
     made, and checked, once from both."""

@@ -1,6 +1,8 @@
 """Context-token machinery: partitioning, every inference kind, the grouped
 forward pass layout, detach semantics, and unseen-group behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from contextvit.tensor import Tape, backward, constant, tensor
 from contextvit.train import batch_cross_entropy
 from contextvit.vit import patchify_batch
 
-from conftest import dot, make_batch, summing_deep_sets_params, vit_forward
+from conftest import dot, full_sequence_encode, make_batch, summing_deep_sets_params, vit_forward
 
 AMORTIZED = [n for n in CONTEXT_KIND_NAMES if ContextKind.from_name(n).amortized]
 TOKEN_KINDS = [n for n in CONTEXT_KIND_NAMES if ContextKind.from_name(n).has_token_slot]
@@ -735,6 +737,41 @@ def test_training_step_records_only_what_backward_reads(small_data, toy_config, 
         loss = batch_cross_entropy(logits, batch.labels)
     assert len(tape) > 0
     assert _unreached_nodes(tape, loss) == []
+
+
+def _relative_gap(a: np.ndarray, ref: np.ndarray) -> float:
+    """max |a - ref| over max |ref|; 0 when both are all zeros."""
+    scale = np.max(np.abs(ref))
+    gap = np.max(np.abs(a - ref))
+    return float(gap / scale) if scale else float(gap)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
+def test_cls_only_last_layer_matches_the_full_sequence_encoder(small_data, toy_config, monkeypatch, name, depth):
+    """The encoder computes only the CLS row in its last layer; the logits
+    and every parameter gradient of a training step equal those of the
+    encoder that runs every layer on all rows, to rounding in float64.  At
+    depth 1 the one layer is the CLS-only one and no hook runs."""
+    config = replace(toy_config, depth=depth)
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41, 80])  # groups 0, 0, 1, 0, 1, 2
+
+    def step():
+        model = _model(config, name)
+        with Tape() as tape:
+            cls_out, logits = model.forward(batch, train=True)
+            backward(batch_cross_entropy(logits, batch.labels), tape)
+        assert cls_out.data.shape == (batch.size, config.dim)
+        return logits.data, {k: p.grad for k, p in model.trainable_parameters().items()}
+
+    logits, grads = step()
+    monkeypatch.setattr(ctx_mod, "encode_tokens", full_sequence_encode)
+    ref_logits, ref_grads = step()
+    assert _relative_gap(logits, ref_logits) <= 1e-12
+    assert {k for k, g in grads.items() if g is None} == {k for k, g in ref_grads.items() if g is None}
+    for key, ref in ref_grads.items():
+        if ref is not None:
+            assert _relative_gap(grads[key], ref) <= 1e-12, key
 
 
 def test_kind_none_records_the_plain_vit_tape_and_gradients(small_data, toy_config):

@@ -162,16 +162,29 @@ def test_layer_preserves_shape_any_length(toy_config):
             assert transformer_layer(x, params, 1, toy_config).data.shape == (2, s, toy_config.dim)
 
 
+def test_cls_only_layer_is_the_full_layer_cls_row(toy_config):
+    params = _params(toy_config, seed=5)
+    x = constant(generator(18).normal(size=(3, 7, toy_config.dim)))
+    with Tape():
+        full = transformer_layer(x, params, 1, toy_config)
+        cls = transformer_layer(x, params, 1, toy_config, cls_only=True)
+    assert cls.data.shape == (3, 1, toy_config.dim)
+    np.testing.assert_allclose(cls.data, full.data[:, :1], rtol=0, atol=1e-13)
+
+
 def test_encode_is_layer_composition(toy_config):
     params = _params(toy_config, seed=6)
     x = constant(generator(30).normal(size=(1, 5, toy_config.dim)))
+    last = toy_config.depth - 1
     with Tape():
         manual = x
-        for layer in range(toy_config.depth):
+        for layer in range(last):
             manual = transformer_layer(manual, params, layer, toy_config)
+        manual = transformer_layer(manual, params, last, toy_config, cls_only=True)
         manual = T.layer_norm(manual, params["final_norm.gain"], params["final_norm.bias"])
         encoded = encode_tokens(x, params, toy_config)
-    assert np.array_equal(encoded.data, manual.data)
+    assert encoded.data.shape == (1, toy_config.dim)
+    assert np.array_equal(encoded.data, manual.data[:, 0])
 
 
 # -------------------------------------------------------------------- forward
@@ -198,7 +211,7 @@ def test_sequence_length_processed_is_n_plus_one(toy_config):
 
     encode_tokens(tokens, params, toy_config, layer_hook=hook)
     assert all(s[-2] == toy_config.num_patches + 1 for s in seen)
-    assert len(seen) == toy_config.depth
+    assert len(seen) == toy_config.depth - 1  # after every layer but the CLS-only last
 
 
 def test_end_to_end_gradient_oracle_4x4():
