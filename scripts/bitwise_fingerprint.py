@@ -17,7 +17,12 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
 * ``config``: ``config_to_text`` and ``config_hash`` of ``RunConfig()`` and
   of each override set in ``CONFIG_OVERRIDES``, so one command shows whether
   run-directory names, ``resolved_config.txt`` and the hash a checkpoint
-  stores kept their bytes.
+  stores kept their bytes;
+* ``cli``: the exit status of each ``cli.main`` run in ``CLI_RUNS``, at toy
+  size in a fresh temporary working directory with relative paths, and
+  then every file they wrote there, by path.  Run-directory timestamps are
+  masked and the ablation's wall-clock ``seconds`` dropped.  ``grad-check``
+  is left out: ``model_checks`` and ``op_checks`` cover its suite.
 
 Beside the hashes, a ``tape`` line per kind and dtype gives two plain
 numbers for one training step on the training section's first batch: the
@@ -33,17 +38,24 @@ any hash differs.
 
 Only interfaces that have long been stable are used (``ContextViT.create``,
 ``forward``, ``to_float32``, ``backward``, ``adamw_step``, ``apply_overrides``,
-``config_to_text``, ``config_hash``), so one command compares a change with
-its parent.  BLAS runs on one thread, as in the benchmark.
+``config_to_text``, ``config_hash``, ``cli.main`` and its config keys), so
+one command compares a change with its parent.  BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
 import importlib
+import io
+import json
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import types
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -67,6 +79,21 @@ CONFIG_OVERRIDES = [
      "texture_std=0.05", "noise_std=0.02", "train_fraction=0.6", "batch_size=32", "final_lr=1e-4",
      "warmup_epochs=1", "weight_decay_start=0.01"],
 ]
+
+# the cli section's toy config and its runs, in order: the later ones read the dataset that generate-data
+# writes and the checkpoint that train writes, copied to a path with no timestamp in it
+CLI_TOY = ["image_h=16", "image_w=16", "patch=4", "dim=16", "depth=2", "heads=2", "num_classes=2", "train_groups=2",
+           "ood_groups=1", "images_per_group=16", "epochs=1", "batch_size=8", "warmup_epochs=0",
+           "eval_batch_size=8", "context_kind=mean_linear_detach", "dataset_path=data.cvds"]
+CLI_RUNS = [
+    ["generate-data"],
+    ["train"],
+    ["probe", "checkpoint_path=trained.cvck"],
+    ["sweep", "checkpoint_path=trained.cvck", "sweep_sizes=1,8"],
+    ["export-context", "checkpoint_path=trained.cvck", "collect_batches=2"],
+    ["ablate", "ablate_kinds=none,oracle", "ablate_seeds=0"],
+]
+RUN_DIR_STAMP = re.compile(rb"([0-9a-f]{12})-\d{8}-\d{6}(-\d+)?")
 
 
 def _feed(h, array) -> None:
@@ -169,15 +196,50 @@ def config_section(cv, h) -> None:
         h.update(cv.config.config_hash(cfg).encode())
 
 
+def _without_seconds(name: str, raw: bytes) -> bytes:
+    """An ablation table or summary with its wall-clock ``seconds`` dropped."""
+    if name == "ablation.csv":
+        rows = list(csv.reader(io.StringIO(raw.decode())))
+        column = rows[0].index("seconds")
+        return repr([row[:column] + row[column + 1:] for row in rows]).encode()
+    summary = json.loads(raw)
+    for row in summary["rows"]:
+        del row["seconds"]
+    return json.dumps(summary, sort_keys=True).encode()
+
+
+def cli_section(cv, h) -> None:
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="fingerprint_cli_") as work:
+        os.chdir(work)
+        try:
+            for command, *overrides in CLI_RUNS:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    status = cv.cli.main([command, *CLI_TOY, f"out_dir=runs/{command}", *overrides])
+                h.update(f"{command} exit {status};".encode())
+                if command == "train":
+                    (run_dir,) = os.listdir(os.path.join("runs", "train"))
+                    shutil.copy(os.path.join("runs", "train", run_dir, "checkpoint.cvck"), "trained.cvck")
+            paths = sorted(os.path.relpath(os.path.join(d, name)) for d, _, names in os.walk(".") for name in names)
+            for path in paths:
+                with open(path, "rb") as f:
+                    raw = f.read()
+                if path.startswith(os.path.join("runs", "ablate")) and path.endswith((".csv", ".json")):
+                    raw = _without_seconds(os.path.basename(path), raw)
+                h.update(RUN_DIR_STAMP.sub(rb"\1-stamp", f"{path}\n".encode() + raw))
+        finally:
+            os.chdir(home)
+
+
 SECTIONS = {"training": training_section, "model_checks": model_checks_section,
-            "op_checks": op_checks_section, "config": config_section}
+            "op_checks": op_checks_section, "config": config_section, "cli": cli_section}
 
 
 def load(checkout: str) -> types.SimpleNamespace:
     """``checkout``'s ``contextvit`` modules that the sections use."""
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
     return types.SimpleNamespace(**{m: importlib.import_module(f"contextvit.{m}")
-                                    for m in ("config", "context", "tensor", "train", "verify", "vit")})
+                                    for m in ("cli", "config", "context", "tensor", "train", "verify", "vit")})
 
 
 def fingerprint(cv) -> dict[str, str]:

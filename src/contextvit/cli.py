@@ -1,11 +1,18 @@
 """Command-line entry point.
 
 Every invocation builds its flat key=value config once, from the defaults,
-the config file and the overrides together, which checks every key.  The
-subcommand then checks the inputs it requires, reads its checkpoint and
-dataset (or generates its data) and builds its model, and only then makes
-a fresh run directory, named by the config hash and a timestamp, that logs
-the resolved config:
+the config file and the overrides together, which checks every key.  Then
+``main`` runs the subcommand's steps in this order: (1) the command's own
+config checks; (2) the checkpoint at ``checkpoint_path``, if it reads one;
+(3) the data, read from ``dataset_path`` or generated; (4) the model, fresh
+or restored, and the checks of what was read; (5) a fresh run directory,
+named by the config hash and a timestamp, that logs the resolved config;
+(6) the command itself; (7) ``summary.json``, headed by the command's name
+and the config hash.  So an input that fails leaves no run directory.  Each
+command declares what it reads: nothing, generated data, data, a fresh
+model or a model restored from ``checkpoint_path`` (each model with its
+data).  It takes ``(cfg, run_dir, data, model)`` and returns its exit
+status and its summary fields, or ``None`` for no summary:
 
   generate-data   write the synthetic benchmark + manifest
   train           fine-tune a model, save checkpoint + metrics
@@ -25,7 +32,7 @@ import math
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .checkpoint import CheckpointData, load_checkpoint, restore_into, save_checkpoint
 from .config import RunConfig, apply_overrides, config_hash, config_to_text, parse_config_file
@@ -46,8 +53,7 @@ __all__ = ["main"]
 
 
 def _make_run_dir(cfg: RunConfig) -> str:
-    """A new run directory holding ``resolved_config.txt``; made only once the
-    command's inputs are read, so a failed read leaves nothing behind."""
+    """A new run directory holding ``resolved_config.txt``."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     base = os.path.join(cfg.out_dir, f"{config_hash(cfg)[:12]}-{stamp}")
@@ -64,7 +70,7 @@ def _make_run_dir(cfg: RunConfig) -> str:
     return path
 
 
-def _load_or_generate(cfg: RunConfig, generate: bool = False) -> DatasetSplit:
+def _load_or_generate(cfg: RunConfig, generate: bool) -> DatasetSplit:
     """The dataset at ``dataset_path``, or if none is set (or ``generate``)
     the one of ``cfg``'s spec.  A loaded dataset whose image shape or class
     count disagrees with the model's keys, and a split with no images, over
@@ -86,7 +92,7 @@ def _load_or_generate(cfg: RunConfig, generate: bool = False) -> DatasetSplit:
     return data
 
 
-def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointData] = None) -> ContextViT:
+def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointData]) -> ContextViT:
     """A fresh model of ``cfg``, or one holding ``ckpt``'s parameters and ema
     state.  The oracle table registers the training groups of ``data``, or
     the groups ``ckpt`` stores."""
@@ -106,9 +112,10 @@ def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointDa
     return model
 
 
-def _require_checkpoint_path(cfg: RunConfig) -> None:
-    if not cfg.checkpoint_path:
-        raise ValueError("config key 'checkpoint_path' must name the checkpoint file this command reads")
+def _require_dataset_dir(cfg: RunConfig) -> None:
+    directory = os.path.dirname(cfg.dataset_path)
+    if directory and not os.path.isdir(directory):
+        raise ValueError(f"config key 'dataset_path' names a file in {directory!r}, which is not a directory")
 
 
 def _require_amortized_kind(cfg: RunConfig) -> None:
@@ -123,6 +130,12 @@ def _require_token_kind(cfg: RunConfig) -> None:
                          f"got {cfg.context_kind!r}")
 
 
+def _require_evaluable_split(cfg: RunConfig, data: DatasetSplit, model: ContextViT) -> None:
+    if cfg.analysis_split != "all" and not model.can_evaluate(data.splits()[cfg.analysis_split]):
+        raise ValueError(f"config key 'analysis_split' names split {cfg.analysis_split!r}, whose groups "
+                         f"the {cfg.context_kind} model infers no context for")
+
+
 def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
@@ -130,83 +143,48 @@ def _write_csv(path: str, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _report_dict(report) -> dict:
-    return {
-        "ood_gap": report.ood_gap,
-        "splits": {
-            name: {
-                "accuracy": m.accuracy,
-                "applicable": m.applicable,
-                "worst_group": m.worst_group,
-                "per_group": {str(k): v for k, v in m.per_group.items()},
-            }
-            for name, m in report.splits.items()
-        },
-    }
-
-
-def _cmd_generate_data(cfg: RunConfig) -> int:
-    data = _load_or_generate(cfg, generate=True)  # dataset_path names the file to write
-    run_dir = _make_run_dir(cfg)
+def _cmd_generate_data(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: None) -> tuple:
     path = cfg.dataset_path or os.path.join(run_dir, "dataset.cvds")
     manifest = save_dataset(data, path)
     print(f"dataset: {path}")
     print(f"manifest: {manifest}")
     for name, sub in data.splits().items():
         print(f"  {name}: {sub.size} images, groups {sorted(sub.partition)}")
-    return 0
+    return 0, None
 
 
-def _cmd_train(cfg: RunConfig) -> int:
-    data = _load_or_generate(cfg)
-    model = _build_model(cfg, data)
-    run_dir = _make_run_dir(cfg)
-    result = fine_tune(model, data, cfg.train_config())
-    return _write_trained(cfg, run_dir, data, result, "train", "")
+def _cmd_train(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: ContextViT) -> tuple:
+    return _write_trained(cfg, run_dir, data, fine_tune(model, data, cfg.train_config()), "")
 
 
-def _cmd_probe(cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(cfg.checkpoint_path)
-    data = _load_or_generate(cfg)
-    model = _build_model(cfg, data, ckpt)
-    run_dir = _make_run_dir(cfg)
+def _cmd_probe(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: ContextViT) -> tuple:
     result = linear_probe(model, data, cfg.train_config())
-    return _write_trained(cfg, run_dir, data, result, "probe", "probe_",
-                          source_checkpoint=cfg.checkpoint_path)
+    return _write_trained(cfg, run_dir, data, result, "probe_", source_checkpoint=cfg.checkpoint_path)
 
 
-def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, command: str, prefix: str,
-                   **extra) -> int:
-    """Checkpoint, per-epoch metrics, held-out report and summary of a trainer run."""
+def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, prefix: str, **extra) -> tuple:
+    """Checkpoint, per-epoch metrics and held-out report of a trainer run."""
     ckpt_path = os.path.join(run_dir, f"{prefix}checkpoint.cvck")
     save_checkpoint(ckpt_path, result.model.parameters(), config_hash(cfg), ema_state=result.model.ema_state)
     write_metrics_csv(result.metrics_rows, os.path.join(run_dir, f"{prefix}metrics.csv"))
     report = compute_report(result.model, data, cfg.eval_batch_size)
-    write_summary_json(
-        {
-            "command": command,
-            "config_hash": config_hash(cfg),
-            "kind": cfg.context_kind,
-            "seed": cfg.seed,
-            "best_epoch": result.best_epoch,
-            "best_val_accuracy": result.best_val_accuracy,
-            "report": _report_dict(report),
-            "checkpoint": ckpt_path,
-            **extra,
-        },
-        os.path.join(run_dir, "summary.json"),
-    )
     print(f"checkpoint: {ckpt_path}")
     print(f"best val accuracy {result.best_val_accuracy:.4f} (epoch {result.best_epoch})")
     print(f"id_test accuracy {report.splits['id_test'].accuracy:.4f}")
     print(f"ood_test accuracy {report.splits['ood_test'].accuracy:.4f} (gap {report.ood_gap:+.4f})")
-    return 0
+    return 0, {
+        "kind": cfg.context_kind,
+        "seed": cfg.seed,
+        "best_epoch": result.best_epoch,
+        "best_val_accuracy": result.best_val_accuracy,
+        "report": dataclasses.asdict(report),
+        "checkpoint": ckpt_path,
+        **extra,
+    }
 
 
-def _cmd_ablate(cfg: RunConfig) -> int:
+def _cmd_ablate(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: None) -> tuple:
     seeds = cfg.seed_list()
-    data = _load_or_generate(cfg)
-    run_dir = _make_run_dir(cfg)
     rows = run_ablation(data, cfg.vit_config(), cfg.train_config(), kinds=cfg.kind_list(), seeds=seeds,
                         eval_batch_size=cfg.eval_batch_size)
     table_path = os.path.join(run_dir, "ablation.csv")
@@ -215,62 +193,32 @@ def _cmd_ablate(cfg: RunConfig) -> int:
         ["kind", "ood_accuracy", "id_accuracy", "seconds", "error"],
         ([r.kind, repr(r.ood_accuracy), repr(r.id_accuracy), f"{r.seconds:.2f}", r.error or ""] for r in rows),
     )
-    write_summary_json(
-        {
-            "command": "ablate",
-            "config_hash": config_hash(cfg),
-            "seeds": seeds,
-            "rows": [dataclasses.asdict(r) for r in rows],
-        },
-        os.path.join(run_dir, "summary.json"),
-    )
     print(f"table: {table_path}")
     print(f"{'kind':34s} {'ood':>8s} {'id':>8s} {'secs':>8s}")
-    failed = False
     for r in rows:
         ood = f"{r.ood_accuracy:.4f}" if not math.isnan(r.ood_accuracy) else "-"
         idacc = f"{r.id_accuracy:.4f}" if not math.isnan(r.id_accuracy) else "-"
-        line = f"{r.kind:34s} {ood:>8s} {idacc:>8s} {r.seconds:8.1f}"
-        if r.error:
-            line += f"  ERROR {r.error}"
-            failed = True
-        print(line)
-    return 1 if failed else 0
+        error = f"  ERROR {r.error}" if r.error else ""
+        print(f"{r.kind:34s} {ood:>8s} {idacc:>8s} {r.seconds:8.1f}{error}")
+    status = 1 if any(r.error for r in rows) else 0
+    return status, {"seeds": seeds, "rows": [dataclasses.asdict(r) for r in rows]}
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(cfg.checkpoint_path)
-    data = _load_or_generate(cfg)
-    model = _build_model(cfg, data, ckpt)
-    run_dir = _make_run_dir(cfg)
+def _cmd_sweep(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: ContextViT) -> tuple:
     accuracies = batch_size_sweep(model, data.ood_test, cfg.size_list())
     sweep_path = os.path.join(run_dir, "sweep.csv")
     _write_csv(sweep_path, ["eval_batch_size", "ood_accuracy"],
                ([size, repr(accuracies[size])] for size in sorted(accuracies)))
-    write_summary_json(
-        {
-            "command": "sweep",
-            "config_hash": config_hash(cfg),
-            "kind": cfg.context_kind,
-            "checkpoint": cfg.checkpoint_path,
-            "ood_accuracy_by_size": {str(k): v for k, v in sorted(accuracies.items())},
-        },
-        os.path.join(run_dir, "summary.json"),
-    )
     print(f"sweep: {sweep_path}")
     for size in sorted(accuracies):
         print(f"  batch size {size:4d}: ood accuracy {accuracies[size]:.4f}")
-    return 0
+    return 0, {"kind": cfg.context_kind, "checkpoint": cfg.checkpoint_path, "ood_accuracy_by_size": accuracies}
 
 
-def _cmd_export_context(cfg: RunConfig) -> int:
-    ckpt = load_checkpoint(cfg.checkpoint_path)
-    data = _load_or_generate(cfg)
-    model = _build_model(cfg, data, ckpt)
-    run_dir = _make_run_dir(cfg)
+def _cmd_export_context(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: ContextViT) -> tuple:
     if cfg.analysis_split == "all":  # the held-out splits the model can infer context for
         subset = GroupedBatch.concat([sub for sub in (data.id_test, data.ood_test) if model.can_evaluate(sub)])
-    else:  # a split name, as RunConfig checks
+    else:  # a split the model can infer context for, as _require_evaluable_split checks
         subset = data.splits()[cfg.analysis_split]
     tokens, gids = collect_context_tokens(
         model,
@@ -289,53 +237,51 @@ def _cmd_export_context(cfg: RunConfig) -> int:
     pca_path = os.path.join(run_dir, "context_pca.csv")
     _write_csv(pca_path, ["group", "pc1", "pc2"],
                ([gid, repr(row[0]), repr(row[1])] for gid, row in zip(gids, pca.projections)))
-    write_summary_json(
-        {
-            "command": "export-context",
-            "config_hash": config_hash(cfg),
-            "kind": cfg.context_kind,
-            "layer": cfg.analysis_layer,
-            "tokens": tokens_path,
-            "pca": pca_path,
-            "separation_score": sep.score,
-            "separation_flags": {"infinite": sep.infinite, "degenerate": sep.degenerate},
-            "pca_explained_ratio": [float(v) for v in pca.explained_ratio],
-        },
-        os.path.join(run_dir, "summary.json"),
-    )
     print(f"tokens: {tokens_path}")
     print(f"pca projections: {pca_path}")
     print(f"separation score {sep.score:.3f} (infinite={sep.infinite}, degenerate={sep.degenerate})")
     print(f"2-component explained variance ratio {pca.explained_ratio.sum():.3f}")
-    return 0
+    return 0, {
+        "kind": cfg.context_kind,
+        "layer": cfg.analysis_layer,
+        "tokens": tokens_path,
+        "pca": pca_path,
+        "separation_score": sep.score,
+        "separation_flags": {"infinite": sep.infinite, "degenerate": sep.degenerate},
+        "pca_explained_ratio": [float(v) for v in pca.explained_ratio],
+    }
 
 
-def _cmd_grad_check(cfg: RunConfig) -> int:
-    run_dir = _make_run_dir(cfg)  # the suite reads no input
+def _cmd_grad_check(cfg: RunConfig, run_dir: str, data: None, model: None) -> tuple:
     results = run_gradient_suite()
     write_summary_json(
         {"command": "grad-check", "tolerance": TOLERANCE, "results": results},
         os.path.join(run_dir, "gradcheck.json"),
     )
-    failures = 0
+    failures = sum(err >= TOLERANCE for err in results.values())
     for name, err in results.items():
         status = "ok" if err < TOLERANCE else "FAIL"
-        if err >= TOLERANCE:
-            failures += 1
         print(f"{status:4s} {name:40s} {err:.3e}")
     print(f"{len(results) - failures}/{len(results)} gradient checks within {TOLERANCE:g}")
-    return 1 if failures else 0
+    return 1 if failures else 0, None
 
 
-# each command with the inputs it requires beyond a valid config, checked before anything is read
+class _Command(NamedTuple):
+    run: Callable  # (cfg, run_dir, data, model) -> (exit status, summary fields or None)
+    reads: str  # "nothing", "generated" data, "data", a "fresh" model or a model from a "checkpoint"
+    checks: tuple = ()  # (cfg) -> None, before anything is read
+    input_checks: tuple = ()  # (cfg, data, model) -> None, before the run directory is made
+
+
 _DISPATCH = {
-    "generate-data": (_cmd_generate_data, ()),
-    "train": (_cmd_train, ()),
-    "probe": (_cmd_probe, (_require_checkpoint_path,)),
-    "ablate": (_cmd_ablate, ()),
-    "sweep": (_cmd_sweep, (_require_amortized_kind, _require_checkpoint_path)),
-    "export-context": (_cmd_export_context, (_require_token_kind, _require_checkpoint_path)),
-    "grad-check": (_cmd_grad_check, ()),
+    "generate-data": _Command(_cmd_generate_data, "generated", (_require_dataset_dir,)),
+    "train": _Command(_cmd_train, "fresh"),
+    "probe": _Command(_cmd_probe, "checkpoint"),
+    "ablate": _Command(_cmd_ablate, "data"),
+    "sweep": _Command(_cmd_sweep, "checkpoint", (_require_amortized_kind,)),
+    "export-context": _Command(_cmd_export_context, "checkpoint", (_require_token_kind,),
+                               (_require_evaluable_split,)),
+    "grad-check": _Command(_cmd_grad_check, "nothing"),
 }
 
 
@@ -350,13 +296,27 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("overrides", nargs="*", help="key=value config overrides")
     args = parser.parse_args(argv)
-    command, requirements = _DISPATCH[args.command]
+    command = _DISPATCH[args.command]
     try:
         cfg = (parse_config_file(args.config, overrides=args.overrides) if args.config
                else apply_overrides(RunConfig(), args.overrides))
-        for require in requirements:
-            require(cfg)
-        return command(cfg)
+        for check in command.checks:
+            check(cfg)
+        ckpt = None
+        if command.reads == "checkpoint":
+            if not cfg.checkpoint_path:
+                raise ValueError("config key 'checkpoint_path' must name the checkpoint file this command reads")
+            ckpt = load_checkpoint(cfg.checkpoint_path)
+        data = None if command.reads == "nothing" else _load_or_generate(cfg, command.reads == "generated")
+        model = _build_model(cfg, data, ckpt) if command.reads in ("fresh", "checkpoint") else None
+        for check in command.input_checks:
+            check(cfg, data, model)
+        run_dir = _make_run_dir(cfg)
+        status, summary = command.run(cfg, run_dir, data, model)
+        if summary is not None:
+            write_summary_json({"command": args.command, "config_hash": config_hash(cfg), **summary},
+                               os.path.join(run_dir, "summary.json"))
+        return status
     except BrokenPipeError:
         raise
     except Exception as exc:

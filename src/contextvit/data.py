@@ -299,7 +299,10 @@ def save_dataset(split: DatasetSplit, path: str) -> str:
 
 def load_dataset(path: str) -> DatasetSplit:
     """Read a ``save_dataset`` file; a truncated or corrupt one raises a
-    ``ValueError`` that names the part that is wrong."""
+    ``ValueError`` that names the part that is wrong.  So does a label
+    outside ``[0, num_classes)``, a pixel that is not finite, and a group id
+    that is not one of the spec's ids for its split (``ood_group_ids`` for
+    ood_test, ``train_group_ids`` for the others)."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _MAGIC:
@@ -326,6 +329,15 @@ def load_dataset(path: str) -> DatasetSplit:
             images = np.frombuffer(_read_exact(f, n * h * w * c * 8, what + " images"), dtype="<f8")
             labels = np.frombuffer(_read_exact(f, n * 8, what + " labels"), dtype="<i8")
             groups = np.frombuffer(_read_exact(f, n * 8, what + " groups"), dtype="<i8")
+            if not np.isfinite(images).all():
+                raise ValueError(f"{what} in {path} has a pixel that is not finite")
+            bad = labels[(labels < 0) | (labels >= spec.num_classes)]
+            if bad.size:
+                raise ValueError(f"{what} in {path} has label {bad[0]}, outside [0, {spec.num_classes})")
+            group_ids = spec.ood_group_ids if name == "ood_test" else spec.train_group_ids
+            bad = groups[~np.isin(groups, group_ids)]
+            if bad.size:
+                raise ValueError(f"{what} in {path} has group id {bad[0]}, not one of the spec's {list(group_ids)}")
             subsets[name] = GroupedBatch(images.reshape(n, h, w, c).copy(), labels.copy(), groups.copy())
         trailing = f.read(1)
         if trailing:

@@ -426,10 +426,11 @@ def write_metrics_csv(rows, path: str) -> None:
 
 
 def _finite_or_null(value):
-    """``value`` with every non-finite float as None: RFC 8259 JSON has no
-    token for NaN or infinity, so they are written as null."""
+    """``value`` with every key a string and every non-finite float as None:
+    JSON keys are strings, and RFC 8259 JSON has no token for NaN or
+    infinity, so they are written as null."""
     if isinstance(value, dict):
-        return {key: _finite_or_null(v) for key, v in value.items()}
+        return {str(key): _finite_or_null(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_finite_or_null(v) for v in value]
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
@@ -438,8 +439,9 @@ def _finite_or_null(value):
 
 
 def write_summary_json(summary: dict, path: str) -> None:
-    """``summary`` as strict JSON; a NaN or infinite float (a split the model
-    cannot evaluate, a failed ablation row) is written as null."""
+    """``summary`` as strict JSON, keys sorted as strings (so ``10`` before
+    ``2``); a NaN or infinite float (a split the model cannot evaluate, a
+    failed ablation row) is written as null."""
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_finite_or_null(summary), f, indent=2, sort_keys=True, default=float, allow_nan=False)
         f.write("\n")

@@ -195,12 +195,15 @@ def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, ca
     ("export-context", "context_kind=none", "context_kind"),
     ("probe", "checkpoint_path=", "checkpoint_path"), ("sweep", "checkpoint_path=", "checkpoint_path"),
     ("export-context", "checkpoint_path=", "checkpoint_path"), ("grad-check", "epochs=0", "epochs"),
+    ("generate-data", "dataset_path=no-such-directory/data.cvds", "dataset_path"),
 ])
 def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, setting, key):
     """Each value once failed only after the run directory was made, the
     ablate and sweep kinds only after the data was made or read, and a zero
     ``heads`` or ``patch`` with a ``ZeroDivisionError`` that named no key.
-    Every command checks every key, ``grad-check`` included."""
+    Every command checks every key, ``grad-check`` included.  A dataset to
+    write into a directory that does not exist once failed only after the
+    data was generated and the run directory made."""
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
     rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
                "context_kind=mean_linear_detach", *setting.split()])
@@ -227,29 +230,45 @@ def test_config_file_and_overrides_are_checked_together(tmp_path, capsys, file_t
 
 
 @pytest.mark.parametrize("command", ["train", "probe", "sweep", "export-context"])
-@pytest.mark.parametrize("content", [None, b"garbage"])
+@pytest.mark.parametrize("content", [None, b"garbage", "label 99"])
 def test_an_input_that_fails_to_load_is_named_and_makes_no_run_dir(tmp_path, capsys, command, content):
     """``train`` reads a missing or corrupt dataset, the others a missing or
     corrupt checkpoint (which they read first); each fails before its run
-    directory is made."""
+    directory is made.  A dataset file whose one corrupt value is a train
+    label out of range once loaded, and ``train`` failed after its run
+    directory was made."""
     bad = tmp_path / "bad_input.bin"
-    if content is not None:
+    if content == "label 99":  # the dataset agrees with the config's shape and class count
+        data = generate_dataset(SyntheticShiftSpec(train_groups=2, ood_groups=1, images_per_group=16), seed=0)
+        data.train.labels[0] = 99
+        save_dataset(data, str(bad))
+    elif content is not None:
         bad.write_bytes(content)
     rc = main([command, f"out_dir={tmp_path / 'runs'}", "context_kind=mean_linear_detach",
                f"dataset_path={bad}" if command == "train" else f"checkpoint_path={bad}"])
     assert rc == 1
-    assert "bad_input.bin" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad_input.bin" in err
+    assert ("label 99" in err) == (content == "label 99" and command == "train")
     assert not (tmp_path / "runs").exists()
 
 
-def test_a_checkpoint_of_another_model_makes_no_run_dir(cli_env, tmp_path, capsys):
-    """The model is built from the checkpoint before the run directory is made."""
-    rc = main(["probe", "--config", str(cli_env["cfg"]), f"out_dir={tmp_path / 'runs'}",
-               f"dataset_path={cli_env['dataset']}", f"checkpoint_path={cli_env['train_dir'] / 'checkpoint.cvck'}",
-               "dim=32"])
-    assert rc == 1
-    assert "checkpoint" in capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
+def test_a_checkpoint_of_another_model_makes_no_run_dir(cli_env, oracle_train_dir, tmp_path, capsys):
+    """The model is built from the checkpoint, and checked against the
+    command, before the run directory is made: a probe at another width, and
+    an oracle's export of the held-out split, whose groups its table never
+    registered (that once raised an ``UnknownGroupError`` in a made run
+    directory)."""
+    for run_dir, overrides, named in [
+        (cli_env["train_dir"], ["probe", "dim=32"], "checkpoint"),
+        (oracle_train_dir, ["export-context", "context_kind=oracle", "analysis_split=ood_test"], "'analysis_split'"),
+    ]:
+        rc = main([overrides[0], "--config", str(cli_env["cfg"]), f"out_dir={tmp_path / 'runs'}",
+                   f"dataset_path={cli_env['dataset']}", f"checkpoint_path={run_dir / 'checkpoint.cvck'}",
+                   *overrides[1:]])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 def test_generated_data_with_an_empty_split_is_rejected(tmp_path, capsys):
@@ -413,10 +432,22 @@ def _reject_constant(token):
     raise ValueError(f"{token} is not JSON")
 
 
+# a file only the named command writes into its run directory
+_COMMAND_OF_FILE = {"checkpoint.cvck": "train", "probe_checkpoint.cvck": "probe", "ablation.csv": "ablate",
+                    "sweep.csv": "sweep", "context_tokens.csv": "export-context"}
+
+
 def test_every_summary_is_strict_json(cli_env, oracle_train_dir):
     """Every summary the commands above wrote parses with NaN and Infinity
-    refused; the oracle run's held-out split is among them."""
+    refused; the oracle run's held-out split is among them.  Each is headed
+    by its command's name and by the hash its ``resolved_config.txt`` logs."""
     paths = sorted((cli_env["root"] / "runs").glob("*/summary.json"))
     assert oracle_train_dir / "summary.json" in paths
     for path in paths:
-        json.loads(path.read_text(), parse_constant=_reject_constant)
+        summary = json.loads(path.read_text(), parse_constant=_reject_constant)
+        (command,) = [command for name, command in _COMMAND_OF_FILE.items() if (path.parent / name).exists()]
+        assert summary["command"] == command
+        (logged,) = [line.removeprefix("# config_hash=") for line in
+                     (path.parent / "resolved_config.txt").read_text().splitlines()
+                     if line.startswith("# config_hash=")]
+        assert summary["config_hash"] == logged

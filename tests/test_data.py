@@ -220,6 +220,26 @@ def test_dataset_file_rejects_corruption(tmp_path):
     with pytest.raises(ValueError):
         load_dataset(str(padded))
 
+    def offset(split, part):  # of the first value of ``part`` of ``split`` in the file
+        pos = _header_end(raw)
+        for name, sub in data.splits().items():
+            for key, nbytes in (("images", sub.images.size * 8), ("labels", sub.size * 8), ("groups", sub.size * 8)):
+                if (name, key) == (split, part):
+                    return pos
+                pos += nbytes
+
+    # each payload value once loaded, then failed in training, or trained and reported on the wrong group
+    for file, split, part, value, named in [
+        ("label.cvds", "train", "labels", np.int64(99).tobytes(), "label 99, outside"),
+        ("pixel.cvds", "val", "images", np.float64(np.nan).tobytes(), "a pixel that is not finite"),
+        ("group.cvds", "ood_test", "groups", np.int64(0).tobytes(), "group id 0, not one of"),
+    ]:
+        corrupt = bytearray(raw)
+        corrupt[offset(split, part):offset(split, part) + 8] = value
+        (tmp_path / file).write_bytes(bytes(corrupt))
+        with pytest.raises(ValueError, match=f"split '{split}' in .*{file} has {named}"):
+            load_dataset(str(tmp_path / file))
+
 
 def _saved_dataset(tmp_path):
     data = generate_dataset(_spec(images_per_group=8), seed=11)

@@ -394,10 +394,13 @@ def test_metrics_csv_round_trip(tmp_path):
 def test_summary_json_writes_non_finite_floats_as_null(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_json({"gap": math.nan, "score": np.float32(np.inf), "finite": np.float32(0.5),
-                        "rows": [{"ood": -math.inf, "per_seed": (math.nan, 0.25)}]}, str(path))
+                        "rows": [{"ood": -math.inf, "per_seed": (math.nan, 0.25)}],
+                        "by_size": {2: math.nan, 10: 0.75}}, str(path))
 
     def refuse(token):
         raise ValueError(token)
 
-    assert json.loads(path.read_text(), parse_constant=refuse) == {
-        "gap": None, "score": None, "finite": 0.5, "rows": [{"ood": None, "per_seed": [None, 0.25]}]}
+    summary = json.loads(path.read_text(), parse_constant=refuse)
+    assert summary == {"gap": None, "score": None, "finite": 0.5, "rows": [{"ood": None, "per_seed": [None, 0.25]}],
+                       "by_size": {"10": 0.75, "2": None}}
+    assert list(summary["by_size"]) == ["10", "2"]  # int keys are written, and sorted, as strings
