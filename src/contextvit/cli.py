@@ -94,18 +94,9 @@ def _load_or_generate(cfg: RunConfig, generate: bool) -> DatasetSplit:
 
 def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointData]) -> ContextViT:
     """A fresh model of ``cfg``, or one holding ``ckpt``'s parameters and ema
-    state.  The oracle table registers the training groups of ``data``, or
-    the groups ``ckpt`` stores."""
-    kind = cfg.kind()
-    group_ids = None
-    if kind.base == "oracle" and ckpt is None:
-        group_ids = sorted(data.train.partition)
-    elif kind.base == "oracle":
-        stored = ckpt.params.get("context.oracle_groups")
-        if stored is None:
-            raise ValueError("checkpoint is missing parameter 'context.oracle_groups'")
-        group_ids = [int(g) for g in stored]
-    model = ContextViT.create(cfg.vit_config(), kind, seed=cfg.seed, group_ids=group_ids)
+    state.  An oracle table has a row per training group of ``data``, so
+    ``restore_into`` rejects one of another group count by its name."""
+    model = ContextViT.create(cfg.vit_config(), cfg.kind(), seed=cfg.seed, group_ids=sorted(data.train.partition))
     if ckpt is not None:
         restore_into(model.parameters(), ckpt)
         model.ema_state = ckpt.ema_state()

@@ -87,10 +87,6 @@ class UnknownGroupError(KeyError):
     """Raised when a kind that memorizes groups meets an unregistered one."""
 
 
-# oracle ids are stored as float64, which holds every integer up to 2**53 exactly
-_MAX_ORACLE_ID = 2 ** 53
-
-
 @dataclass(frozen=True)
 class ContextKind:
     """One of the named context mechanisms in ``CONTEXT_KIND_NAMES``.
@@ -220,6 +216,8 @@ def init_context_params(
 ) -> dict[str, Tensor]:
     """Trainable context parameters for the chosen kind.
 
+    The oracle table's row g is group g's token, so the set of ``group_ids``
+    must be ``{0, ..., n-1}``; any other is a ``ValueError`` naming it.
     Linear heads exist for every layer whenever the kind has heads at all,
     so the same parameter set serves layerwise and single-shot variants
     (no node reads the unused heads, so they get no gradient).
@@ -227,14 +225,10 @@ def init_context_params(
     d = config.dim
     params: dict[str, Tensor] = {}
     if kind.base == "oracle":
-        if not group_ids:
-            raise ValueError("oracle kind needs the training group ids at init time")
-        unstorable = sorted(int(g) for g in set(group_ids) if abs(int(g)) > _MAX_ORACLE_ID)
-        if unstorable:
-            raise ValueError(f"oracle group ids {unstorable} exceed 2**53 and cannot be stored exactly as float64")
-        ids = np.asarray(sorted(int(g) for g in set(group_ids)), dtype=np.float64)
-        params["oracle_groups"] = Tensor(ids, requires_grad=False)
-        params["oracle_table"] = Tensor(np.zeros((ids.size, d)), requires_grad=True)
+        ids = sorted({int(g) for g in group_ids or ()})
+        if not ids or ids != list(range(len(ids))):
+            raise ValueError(f"oracle kind needs the training group ids 0..n-1, one table row each, got {ids}")
+        params["oracle_table"] = Tensor(np.zeros((len(ids), d)), requires_grad=True)
     elif kind.base == "mean_linear":
         for l in range(config.depth):
             params[f"ctx_head{l}.w"] = Tensor(np.zeros((d, d)), requires_grad=True)
@@ -288,25 +282,20 @@ def infer_context_mean(patch_embeds: Tensor, slots) -> Tensor:
     return T.matmul(T.constant(w), T.reshape(patch_embeds, (w.shape[1], d)))
 
 
-def _oracle_row(ids: np.ndarray, group: int) -> Optional[int]:
-    """Row of ``group`` in the oracle table with ids ``ids``; None if unregistered."""
-    # beyond 2**53 float(group) rounds onto a neighbouring id
-    hits = np.nonzero(ids == float(int(group)))[0] if abs(int(group)) <= _MAX_ORACLE_ID else ()
-    return int(hits[0]) if len(hits) else None
+def _unregistered(groups, table: Tensor) -> list:
+    """The ``groups`` the oracle table has no row for: row g is group g's token."""
+    return [g for g in groups if not 0 <= int(g) < table.shape[0]]
 
 
 def oracle_lookup(groups: Sequence[int], params: dict[str, Tensor]) -> Tensor:
-    """Trainable tokens [G, d] of registered groups; an unknown group is an error."""
-    ids = params["oracle_groups"].data
-    rows = []
-    for group in groups:
-        row = _oracle_row(ids, group)
-        if row is None:
-            raise UnknownGroupError(
-                f"unknown context: group {group} was never registered with the oracle table"
-            )
-        rows.append(row)
-    return T.index_rows(params["oracle_table"], rows)
+    """Trainable tokens [G, d] of ``groups``, row g for group g; an unregistered group is an error."""
+    table = params["oracle_table"]
+    unknown = _unregistered(groups, table)
+    if unknown:
+        raise UnknownGroupError(
+            f"unknown context: group {unknown[0]} was never registered with the oracle table"
+        )
+    return T.index_rows(table, [int(g) for g in groups])
 
 
 def ema_update(state: dict[int, np.ndarray], group: int, batch_mean: np.ndarray, lam: float) -> np.ndarray:
@@ -517,23 +506,18 @@ class ContextViT:
 
     def can_evaluate(self, subset: GroupedBatch) -> bool:
         """Whether this model infers a context for every group of ``subset``:
-        every kind does, except the oracle for groups its table never
-        registered (held-out groups, by design)."""
-        if self.kind.base != "oracle":
-            return True
-        ids = self.context["oracle_groups"].data
-        return all(_oracle_row(ids, group) is not None for group in subset.partition)
+        every kind does, except the oracle for groups its table has no row
+        for (held-out groups, by design), the ones ``oracle_lookup`` rejects."""
+        return self.kind.base != "oracle" or not _unregistered(subset.partition, self.context["oracle_table"])
 
     def to_float32(self) -> None:
-        """Cast the trainable parameters and the ema state to float32, in
-        place: the one place that sets the dtype fine-tuning computes in.
+        """Cast every parameter and the ema state to float32, in place: the
+        one place that sets the dtype fine-tuning computes in.
 
         Every op follows its inputs' dtype, so the forward, the backward and
         the optimizer state of this model then run in float32.
-        ``oracle_groups`` needs no gradient and stays float64: it is an id
-        table, and float32 would corrupt ids above 2**24.
         """
-        for p in self.trainable_parameters().values():
+        for p in self.parameters().values():
             p.data = p.data.astype(np.float32)
         for gid, value in self.ema_state.items():
             self.ema_state[gid] = value.astype(np.float32)

@@ -7,10 +7,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import contextvit
 from contextvit import cli
+from contextvit.checkpoint import load_checkpoint, save_checkpoint
 from contextvit.cli import main
 from contextvit.data import SyntheticShiftSpec, generate_dataset, save_dataset
 
@@ -255,17 +257,28 @@ def test_an_input_that_fails_to_load_is_named_and_makes_no_run_dir(tmp_path, cap
 
 def test_a_checkpoint_of_another_model_makes_no_run_dir(cli_env, oracle_train_dir, tmp_path, capsys):
     """The model is built from the checkpoint, and checked against the
-    command, before the run directory is made: a probe at another width, and
-    an oracle's export of the held-out split, whose groups its table never
+    command, before the run directory is made: a probe at another width; an
+    oracle's export of the held-out split, whose groups its table never
     registered (that once raised an ``UnknownGroupError`` in a made run
-    directory)."""
-    for run_dir, overrides, named in [
-        (cli_env["train_dir"], ["probe", "dim=32"], "checkpoint"),
-        (oracle_train_dir, ["export-context", "context_kind=oracle", "analysis_split=ood_test"], "'analysis_split'"),
+    directory); an oracle restored against a dataset with another number of
+    training groups; and an oracle checkpoint that still carries the id
+    column ``context.oracle_groups``, which the table no longer has."""
+    oracle_ckpt = oracle_train_dir / "checkpoint.cvck"
+    three_groups = tmp_path / "three_groups.cvds"
+    save_dataset(generate_dataset(SyntheticShiftSpec(num_classes=2, train_groups=3, ood_groups=1,
+                                                     images_per_group=16), seed=0), str(three_groups))
+    stored = load_checkpoint(str(oracle_ckpt))
+    with_ids = tmp_path / "with_ids.cvck"
+    save_checkpoint(str(with_ids), {"context.oracle_groups": np.arange(2.0), **stored.params}, stored.config_hash)
+    for ckpt, dataset, overrides, named in [
+        (cli_env["train_dir"] / "checkpoint.cvck", cli_env["dataset"], ["probe", "dim=32"], "checkpoint"),
+        (oracle_ckpt, cli_env["dataset"], ["export-context", "context_kind=oracle", "analysis_split=ood_test"],
+         "'analysis_split'"),
+        (oracle_ckpt, three_groups, ["probe", "context_kind=oracle"], "'context.oracle_table'"),
+        (with_ids, cli_env["dataset"], ["probe", "context_kind=oracle"], "'context.oracle_groups'"),
     ]:
         rc = main([overrides[0], "--config", str(cli_env["cfg"]), f"out_dir={tmp_path / 'runs'}",
-                   f"dataset_path={cli_env['dataset']}", f"checkpoint_path={run_dir / 'checkpoint.cvck'}",
-                   *overrides[1:]])
+                   f"dataset_path={dataset}", f"checkpoint_path={ckpt}", *overrides[1:]])
         assert rc == 1
         assert named in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
@@ -361,11 +374,11 @@ def test_console_script_is_installed(tmp_path):
 
 
 def test_oracle_model_from_checkpoint_without_its_groups_is_rejected(cli_env, capsys):
-    """The shared checkpoint was trained as mean_linear_detach, so it stores no oracle ids."""
+    """The shared checkpoint was trained as mean_linear_detach, so it stores no oracle table."""
     rc = main(["probe", "--config", str(cli_env["cfg"]), f"dataset_path={cli_env['dataset']}",
                f"checkpoint_path={cli_env['train_dir'] / 'checkpoint.cvck'}", "context_kind=oracle"])
     assert rc == 1
-    assert "'context.oracle_groups'" in capsys.readouterr().err
+    assert "'context.oracle_table'" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

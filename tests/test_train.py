@@ -276,20 +276,18 @@ def test_fine_tune_runs_and_reports(toy_config):
 
 @pytest.mark.parametrize("kind_name", CONTEXT_KIND_NAMES)
 def test_fine_tune_computes_in_float32(kind_name):
-    """``create`` builds float64; ``fine_tune`` casts the trainable parameters
-    and the ema state to float32 once, and then every node output and every
+    """``create`` builds float64; ``fine_tune`` casts every parameter and
+    the ema state to float32 once, and then every node output and every
     leaf gradient of a step is float32.  numpy promotes float32 with float64
     silently, so a stray float64 array in the model path fails here, not
     with an error."""
     data, _, model = _tiny_setup(kind=kind_name)
     assert {p.data.dtype for p in model.parameters().values()} == {np.dtype(np.float64)}
     fine_tune(model, data, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, seed=0, context_kind=kind_name))
-    params = model.trainable_parameters()
+    params = model.parameters()
     assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
     assert all(v.dtype == np.float32 for v in model.ema_state.values())
     assert (kind_name == "ema") == bool(model.ema_state)
-    if kind_name == "oracle":  # an id table, not a parameter: stays exact
-        assert model.context["oracle_groups"].data.dtype == np.float64
     batch = make_batch(data.train, np.arange(8))
     with Tape() as tape:
         _, logits = model.forward(batch, train=True)
