@@ -18,10 +18,10 @@ entries have no dtype code and a float64 payload, still load, as float64.
 Entries are written in insertion order of the source dicts, so loading
 and re-saving reproduces the file byte for byte.  Every size read from the
 file is checked against the bytes left in it before anything is read, so
-a truncated or corrupted file raises a ``ValueError`` naming the field.
-Names are checked the same way: the config hash and every entry name must
-be UTF-8, no section may name an entry twice, and every state entry must
-be named ``ema.<group id>`` as the writer spells it.
+a truncated or corrupted file raises a ``ValueError`` naming the file and
+the field.  Names are checked the same way: the config hash and every
+entry name must be UTF-8, no section may name an entry twice, and every
+state entry must be named ``ema.<group id>`` as the writer spells it.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ def _write_u64(f, value: int) -> None:
 
 def _read_exact(f, n: int, what: str) -> bytes:
     """The next ``n`` bytes of binary file ``f``; a size the rest of the file
-    cannot hold is rejected before any read or allocation."""
+    cannot hold is rejected, naming the file, before any read or allocation."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if not 0 <= n <= left:
-        raise ValueError(f"truncated or corrupt file: {what} needs {n} bytes, {left} left")
+        raise ValueError(f"truncated or corrupt file {f.name}: {what} needs {n} bytes, {left} left")
     return f.read(n)
 
 
@@ -168,7 +168,7 @@ def load_checkpoint(path: str) -> CheckpointData:
             if not _STATE_NAME.fullmatch(name):
                 raise ValueError(f"corrupt checkpoint: state entry {name!r} is not named 'ema.<group id>'")
         if f.read(1):
-            raise ValueError("trailing bytes after checkpoint payload; file corrupt")
+            raise ValueError(f"trailing bytes after checkpoint payload in {path}; file corrupt")
     return CheckpointData(config_hash=config_hash, params=params, state=state)
 
 

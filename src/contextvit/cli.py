@@ -224,10 +224,10 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str, data: DatasetSplit, model:
 
     tokens_path = os.path.join(run_dir, "context_tokens.csv")
     _write_csv(tokens_path, ["group"] + [f"dim{i}" for i in range(tokens.shape[1])],
-               ([gid] + [repr(v) for v in row] for gid, row in zip(gids, tokens)))
+               ([gid] + [repr(float(v)) for v in row] for gid, row in zip(gids, tokens)))
     pca_path = os.path.join(run_dir, "context_pca.csv")
     _write_csv(pca_path, ["group", "pc1", "pc2"],
-               ([gid, repr(row[0]), repr(row[1])] for gid, row in zip(gids, pca.projections)))
+               ([gid, repr(float(row[0])), repr(float(row[1]))] for gid, row in zip(gids, pca.projections)))
     print(f"tokens: {tokens_path}")
     print(f"pca projections: {pca_path}")
     print(f"separation score {sep.score:.3f} (infinite={sep.infinite}, degenerate={sep.degenerate})")

@@ -341,5 +341,5 @@ def load_dataset(path: str) -> DatasetSplit:
             subsets[name] = GroupedBatch(images.reshape(n, h, w, c).copy(), labels.copy(), groups.copy())
         trailing = f.read(1)
         if trailing:
-            raise ValueError("trailing bytes after the last split; file corrupt")
+            raise ValueError(f"trailing bytes after the last split in {path}; file corrupt")
     return DatasetSplit(seed=seed, spec=spec, **subsets)

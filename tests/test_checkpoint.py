@@ -131,7 +131,7 @@ def test_truncation_rejected(tmp_path, toy_model):
     path, _ = _save_and_load(tmp_path, toy_model)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[: len(blob) // 2])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match=f"truncated or corrupt file {re.escape(str(path))}: "):
         load_checkpoint(path)
 
 
@@ -139,7 +139,7 @@ def test_trailing_garbage_rejected(tmp_path, toy_model):
     path, _ = _save_and_load(tmp_path, toy_model)
     with open(path, "ab") as f:
         f.write(b"\x00junk")
-    with pytest.raises(ValueError, match="trailing bytes"):
+    with pytest.raises(ValueError, match=f"trailing bytes .* in {re.escape(str(path))}"):
         load_checkpoint(path)
 
 

@@ -428,6 +428,9 @@ def test_oracle_export_context_covers_the_registered_groups(cli_env, oracle_trai
     (run_dir,) = set(runs.iterdir()) - before
     groups = {line.split(",")[0] for line in (run_dir / "context_tokens.csv").read_text().splitlines()[1:]}
     assert groups == {"0", "1"}  # id_test's groups; the held-out group 2 has no oracle token
+    for name in ("context_tokens.csv", "context_pca.csv"):  # every cell after the group parses as a float
+        rows = [line.split(",") for line in (run_dir / name).read_text().splitlines()[1:]]
+        assert rows and all(np.isfinite([float(cell) for cell in row[1:]]).all() for row in rows), name
 
 
 def test_ablate_summary_rows_hold_every_row_field(cli_env):

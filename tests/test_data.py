@@ -2,6 +2,7 @@
 contracts, and the binary dataset format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ def test_dataset_file_rejects_corruption(tmp_path):
 
     padded = tmp_path / "padded.cvds"
     padded.write_bytes(bytes(raw) + b"\x00" * 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"trailing bytes .* in {re.escape(str(padded))}"):
         load_dataset(str(padded))
 
     def offset(split, part):  # of the first value of ``part`` of ``split`` in the file
@@ -265,7 +266,7 @@ def _header_end(raw: bytes) -> int:
 def test_truncated_dataset_names_the_missing_part(tmp_path, cut, named):
     path, raw = _saved_dataset(tmp_path)
     open(path, "wb").write(raw[: cut(raw)])
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(ValueError, match=f"file {re.escape(path)}: .*{named}"):
         load_dataset(path)
 
 
