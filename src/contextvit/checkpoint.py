@@ -72,7 +72,7 @@ def _read_text(f, what: str) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
-        raise ValueError(f"corrupt checkpoint: {what} {raw!r} is not UTF-8") from None
+        raise ValueError(f"corrupt checkpoint {f.name}: {what} {raw!r} is not UTF-8") from None
 
 
 def _write_entry(f, name: str, array: np.ndarray) -> None:
@@ -94,7 +94,7 @@ def _read_entry(f, version: int, what: str) -> tuple[str, np.ndarray]:
     if version >= 2:
         code = _read_exact(f, 1, f"entry {name!r} dtype code")[0]
         if code not in _DTYPES:
-            raise ValueError(f"corrupt checkpoint: entry {name!r} has unknown dtype code {code}")
+            raise ValueError(f"corrupt checkpoint {f.name}: entry {name!r} has unknown dtype code {code}")
         dtype = _DTYPES[code]
     ndim = _read_u32(f, f"entry {name!r} rank")
     shape = tuple(int(d) for d in np.frombuffer(_read_exact(f, 8 * ndim, f"entry {name!r} dims"), dtype="<u8"))
@@ -108,7 +108,7 @@ def _read_entries(f, version: int, section: str) -> dict[str, np.ndarray]:
     for i in range(_read_u32(f, f"{section} count")):
         name, array = _read_entry(f, version, f"{section} entry {i}")
         if name in entries:
-            raise ValueError(f"corrupt checkpoint: {section} entry {i} repeats the name {name!r}")
+            raise ValueError(f"corrupt checkpoint {f.name}: {section} entry {i} repeats the name {name!r}")
         entries[name] = array
     return entries
 
@@ -158,15 +158,15 @@ def load_checkpoint(path: str) -> CheckpointData:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r}) at {path}")
         version = _read_u32(f, "version")
         if version not in _VERSIONS:
-            raise ValueError(f"checkpoint format version {version} unsupported (expected one of {_VERSIONS})")
+            raise ValueError(f"checkpoint format version {version} unsupported (expected one of {_VERSIONS}) at {path}")
         config_hash = _read_text(f, "config hash")
         params = _read_entries(f, version, "parameter")
         if _read_exact(f, 1, "optimizer flag") != b"\x00":
-            raise ValueError("corrupt checkpoint: bad optimizer flag byte")
+            raise ValueError(f"corrupt checkpoint {path}: bad optimizer flag byte")
         state = _read_entries(f, version, "state")
         for name in state:
             if not _STATE_NAME.fullmatch(name):
-                raise ValueError(f"corrupt checkpoint: state entry {name!r} is not named 'ema.<group id>'")
+                raise ValueError(f"corrupt checkpoint {path}: state entry {name!r} is not named 'ema.<group id>'")
         if f.read(1):
             raise ValueError(f"trailing bytes after checkpoint payload in {path}; file corrupt")
     return CheckpointData(config_hash=config_hash, params=params, state=state)

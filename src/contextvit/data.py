@@ -309,7 +309,7 @@ def load_dataset(path: str) -> DatasetSplit:
             raise ValueError(f"not a dataset file (bad magic {magic!r}) at {path}")
         version = _read_u32(f, "dataset version")
         if version != _VERSION:
-            raise ValueError(f"dataset format version {version} unsupported (expected {_VERSION})")
+            raise ValueError(f"dataset format version {version} unsupported (expected {_VERSION}) at {path}")
         header_len = _read_u32(f, "dataset header length")
         raw = _read_exact(f, header_len, "dataset header")
         try:

@@ -79,7 +79,7 @@ def test_optimizer_flag_byte_is_zero_and_one_is_rejected(tmp_path, toy_model):
     raw[flag_at] = 1
     with open(path, "wb") as f:
         f.write(bytes(raw))
-    with pytest.raises(ValueError, match="bad optimizer flag byte"):
+    with pytest.raises(ValueError, match=f"corrupt checkpoint {re.escape(path)}: bad optimizer flag byte"):
         load_checkpoint(path)
 
 
@@ -123,7 +123,7 @@ def test_unsupported_version_rejected(tmp_path, toy_model):
     blob = bytearray(open(path, "rb").read())
     blob[4:8] = (99).to_bytes(4, "little")
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(ValueError, match="version 99"):
+    with pytest.raises(ValueError, match=f"version 99 .* at {re.escape(path)}"):
         load_checkpoint(path)
 
 
@@ -175,7 +175,7 @@ def test_unknown_dtype_code_names_entry(tmp_path, toy_model, code):
     assert blob[offset] == 8  # float64
     blob[offset] = code
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(ValueError, match=f"entry '{first}' has unknown dtype code {code}"):
+    with pytest.raises(ValueError, match=f"{re.escape(path)}: entry '{first}' has unknown dtype code {code}"):
         load_checkpoint(path)
 
 
@@ -238,7 +238,8 @@ def test_repeated_entry_name_rejected(tmp_path, section):
     pairs = [(name, np.zeros(2)), (name, np.zeros(3))]
     path = tmp_path / "dup.cvck"
     path.write_bytes(_checkpoint_file(pairs) if section == "parameter" else _checkpoint_file([], pairs))
-    with pytest.raises(ValueError, match=f"{section} entry 1 repeats the name '{name.decode()}'"):
+    with pytest.raises(ValueError,
+                       match=f"{re.escape(str(path))}: {section} entry 1 repeats the name '{name.decode()}'"):
         load_checkpoint(str(path))
 
 
@@ -249,7 +250,7 @@ def test_name_that_is_not_utf8_names_the_field(tmp_path, field):
     state = [(bad if field.startswith("state") else b"ema.0", np.zeros(1))]
     path = tmp_path / "utf8.cvck"
     path.write_bytes(_checkpoint_file(params, state, bad if field == "config hash" else b"h"))
-    with pytest.raises(ValueError, match=f"{field} .* is not UTF-8"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {field} .* is not UTF-8"):
         load_checkpoint(str(path))
 
 
@@ -260,5 +261,5 @@ def test_state_entry_not_named_by_group_id_rejected(tmp_path, name):
     path = tmp_path / "state.cvck"
     state = [(b"ema.1", np.zeros(2)), (name.encode(), np.zeros(2))]
     path.write_bytes(_checkpoint_file([(b"w", np.zeros(1))], state))
-    with pytest.raises(ValueError, match=f"state entry '{re.escape(name)}' is not named"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: state entry '{re.escape(name)}' is not named"):
         load_checkpoint(str(path))
