@@ -94,8 +94,8 @@ def _load_or_generate(cfg: RunConfig, generate: bool) -> DatasetSplit:
 
 def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointData]) -> ContextViT:
     """A fresh model of ``cfg``, or one holding ``ckpt``'s parameters and ema
-    state.  An oracle table has a row per training group of ``data``, so
-    ``restore_into`` rejects one of another group count by its name."""
+    state.  An oracle table has one row per training group of ``data``, and
+    ``restore_into`` rejects a checkpoint whose table has another row count."""
     model = ContextViT.create(cfg.vit_config(), cfg.kind(), seed=cfg.seed, group_ids=sorted(data.train.partition))
     if ckpt is not None:
         restore_into(model.parameters(), ckpt)

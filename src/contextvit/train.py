@@ -8,8 +8,8 @@ value.  Decay is decoupled and skipped for biases, norm parameters, the
 CLS token, and context tokens.  Everything is seeded, so a fixed config
 reproduces the exact trajectory.
 
-Fine-tuning computes in float32: ``fine_tune`` casts the model's trainable
-parameters and ema state once, on entry (``ContextViT.to_float32``), and
+Fine-tuning computes in float32: ``fine_tune`` casts every parameter of
+the model and its ema state once, on entry (``ContextViT.to_float32``), and
 every op, gradient and optimizer moment follows that dtype.  Probing and
 evaluation run in whatever dtype the model holds, so a freshly created
 model (float64, as the gradient checks use) stays float64.
