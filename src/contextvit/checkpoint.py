@@ -12,8 +12,7 @@ little-endian float32, 8 for float64; any other code is rejected with an
 error naming the entry.  A float32 array is stored as float32 and anything
 else as float64, the rule ``Tensor`` applies, and ``load_checkpoint``
 returns each entry in its stored dtype, so a model restored from a
-checkpoint computes in the dtype it was saved in.  Version 1 files, whose
-entries have no dtype code and a float64 payload, still load, as float64.
+checkpoint computes in the dtype it was saved in.
 
 Entries are written in insertion order of the source dicts, so loading
 and re-saving reproduces the file byte for byte.  Every size read from the
@@ -40,7 +39,6 @@ __all__ = ["CheckpointData", "save_checkpoint", "load_checkpoint", "restore_into
 
 _MAGIC = b"CVCK"
 _VERSION = 2
-_VERSIONS = (1, 2)  # version 1: every entry float64, no dtype code
 _DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}  # dtype code (byte width) -> payload dtype
 _STATE_NAME = re.compile(r"ema\.(0|-?[1-9][0-9]*)")  # f"ema.{group_id}"
 
@@ -88,25 +86,23 @@ def _write_entry(f, name: str, array: np.ndarray) -> None:
     f.write(arr.tobytes())
 
 
-def _read_entry(f, version: int, what: str) -> tuple[str, np.ndarray]:
+def _read_entry(f, what: str) -> tuple[str, np.ndarray]:
     name = _read_text(f, f"{what} name")
-    dtype = _DTYPES[8]
-    if version >= 2:
-        code = _read_exact(f, 1, f"entry {name!r} dtype code")[0]
-        if code not in _DTYPES:
-            raise ValueError(f"corrupt checkpoint {f.name}: entry {name!r} has unknown dtype code {code}")
-        dtype = _DTYPES[code]
+    code = _read_exact(f, 1, f"entry {name!r} dtype code")[0]
+    if code not in _DTYPES:
+        raise ValueError(f"corrupt checkpoint {f.name}: entry {name!r} has unknown dtype code {code}")
+    dtype = _DTYPES[code]
     ndim = _read_u32(f, f"entry {name!r} rank")
     shape = tuple(int(d) for d in np.frombuffer(_read_exact(f, 8 * ndim, f"entry {name!r} dims"), dtype="<u8"))
     payload = _read_exact(f, dtype.itemsize * math.prod(shape), f"entry {name!r} of shape {shape}")
     return name, np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
-def _read_entries(f, version: int, section: str) -> dict[str, np.ndarray]:
+def _read_entries(f, section: str) -> dict[str, np.ndarray]:
     """One section's count and entries; a name seen twice is rejected."""
     entries = {}
     for i in range(_read_u32(f, f"{section} count")):
-        name, array = _read_entry(f, version, f"{section} entry {i}")
+        name, array = _read_entry(f, f"{section} entry {i}")
         if name in entries:
             raise ValueError(f"corrupt checkpoint {f.name}: {section} entry {i} repeats the name {name!r}")
         entries[name] = array
@@ -157,13 +153,13 @@ def load_checkpoint(path: str) -> CheckpointData:
         if magic != _MAGIC:
             raise ValueError(f"not a checkpoint file (bad magic {magic!r}) at {path}")
         version = _read_u32(f, "version")
-        if version not in _VERSIONS:
-            raise ValueError(f"checkpoint format version {version} unsupported (expected one of {_VERSIONS}) at {path}")
+        if version != _VERSION:
+            raise ValueError(f"checkpoint format version {version} unsupported (expected {_VERSION}) at {path}")
         config_hash = _read_text(f, "config hash")
-        params = _read_entries(f, version, "parameter")
+        params = _read_entries(f, "parameter")
         if _read_exact(f, 1, "optimizer flag") != b"\x00":
             raise ValueError(f"corrupt checkpoint {path}: bad optimizer flag byte")
-        state = _read_entries(f, version, "state")
+        state = _read_entries(f, "state")
         for name in state:
             if not _STATE_NAME.fullmatch(name):
                 raise ValueError(f"corrupt checkpoint {path}: state entry {name!r} is not named 'ema.<group id>'")

@@ -2,7 +2,9 @@
 
 A ``Tensor`` wraps a float32 or float64 ndarray plus a ``requires_grad``
 flag; float32 data stays float32 and anything else becomes float64
-(``as_float_array``).  Every op computes in its inputs' dtype and every vjp
+(``as_float_array``).  Every op takes ``Tensor`` operands (an array is
+wrapped by ``tensor`` or ``constant`` first).  Every op computes in its
+inputs' dtype and every vjp
 returns each input's gradient in that input's dtype, so a graph built from
 float32 parameters runs in float32 end to end.  An op whose inputs need
 gradients records itself on the active ``Tape`` when one exists, and only
@@ -147,10 +149,6 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 class _Node:
     """One recorded primitive: output, inputs, and a vector-Jacobian hook."""
 
@@ -231,7 +229,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """``a + b`` for equal shapes, or for a ``b`` of ``a``'s trailing shape, added along ``a``'s leading axes."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if b.data.ndim > a.data.ndim or a.data.shape[a.data.ndim - b.data.ndim:] != b.data.shape:
         raise ValueError(f"add takes equal shapes or a right operand of the left's trailing shape, "
                          f"got {a.data.shape} + {b.data.shape}")
@@ -266,14 +263,12 @@ def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[..., m, k] @ [k, n] -> [..., m, n]; the right operand is a matrix."""
-    a, b = _as_tensor(a), _as_tensor(b)
     _check_matmul(a, b)
     return _record(a.data @ b.data, (a, b), lambda g: _matmul_vjp(g, a, b))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` as one node; ``b`` broadcasts over the rows."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     _check_matmul(x, w)
     out = x.data @ w.data
     out += b.data
@@ -295,7 +290,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     [B, heads, Sq, Sk] are kept for the reverse pass, which uses the softmax
     identity dS = P * (dP - rowsum(dP * P)).
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if (not q.data.ndim == k.data.ndim == v.data.ndim == 3 or q.data.shape[0] != k.data.shape[0]
             or q.data.shape[2] != k.data.shape[2] or k.data.shape[:2] != v.data.shape[:2]):
         raise ValueError(f"attention_core shapes disagree: q {q.data.shape}, k {k.data.shape}, v {v.data.shape}")
@@ -342,7 +336,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise ValueError("concat of an empty sequence")
     axis = int(axis)

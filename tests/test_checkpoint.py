@@ -118,12 +118,15 @@ def test_bad_magic_rejected(tmp_path, toy_model):
         load_checkpoint(path)
 
 
-def test_unsupported_version_rejected(tmp_path, toy_model):
+@pytest.mark.parametrize("version", [0, 1, 3, 99])
+def test_unsupported_version_rejected(tmp_path, toy_model, version):
+    """Only version 2 loads; version 1, whose entries had no dtype code, is
+    rejected by its version before any entry is read."""
     path, _ = _save_and_load(tmp_path, toy_model)
     blob = bytearray(open(path, "rb").read())
-    blob[4:8] = (99).to_bytes(4, "little")
+    blob[4:8] = version.to_bytes(4, "little")
     open(path, "wb").write(bytes(blob))
-    with pytest.raises(ValueError, match=f"version 99 .* at {re.escape(path)}"):
+    with pytest.raises(ValueError, match=f"version {version} unsupported .* at {re.escape(path)}"):
         load_checkpoint(path)
 
 
@@ -195,20 +198,18 @@ def test_float32_model_restores_bitwise_into_a_fresh_float64_model(tmp_path, toy
     assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
 
 
-def _checkpoint_file(params, state=(), config_hash=b"h", version=2) -> bytes:
+def _checkpoint_file(params, state=(), config_hash=b"h") -> bytes:
     """A checkpoint from (name bytes, float64 array) pairs, so a test can
-    write names that ``save_checkpoint`` never would; version 1 has no
-    dtype codes."""
-    code = b"\x08" if version >= 2 else b""
+    write names that ``save_checkpoint`` never would."""
 
     def entries(pairs):
         out = [struct.pack("<I", len(pairs))]
         for name, a in pairs:
-            out += [struct.pack("<I", len(name)), name, code, struct.pack("<I", a.ndim),
+            out += [struct.pack("<I", len(name)), name, b"\x08", struct.pack("<I", a.ndim),
                     struct.pack(f"<{a.ndim}Q", *a.shape), a.astype("<f8").tobytes()]
         return out
 
-    out = [b"CVCK", struct.pack("<II", version, len(config_hash)), config_hash, *entries(list(params)), b"\x00",
+    out = [b"CVCK", struct.pack("<II", 2, len(config_hash)), config_hash, *entries(list(params)), b"\x00",
            *entries(list(state))]
     return b"".join(out)
 
@@ -219,16 +220,6 @@ def test_checkpoint_file_writes_what_save_checkpoint_writes(tmp_path):
     save_checkpoint(str(tmp_path / "saved.cvck"), arrays, config_hash="h", ema_state=ema)
     want = _checkpoint_file([(n.encode(), a) for n, a in arrays.items()], [(b"ema.3", ema[3])])
     assert (tmp_path / "saved.cvck").read_bytes() == want
-
-
-def test_version_1_file_loads_as_float64(tmp_path):
-    arrays = {"w": np.arange(6.0).reshape(2, 3) / 7.0, "b": np.array([0.25, -1.5])}
-    path = tmp_path / "v1.cvck"
-    path.write_bytes(_checkpoint_file([(n.encode(), a) for n, a in arrays.items()], version=1))
-    ckpt = load_checkpoint(str(path))
-    assert ckpt.config_hash == "h" and ckpt.state == {}
-    for name, a in arrays.items():
-        assert ckpt.params[name].dtype == np.float64 and np.array_equal(ckpt.params[name], a), name
 
 
 @pytest.mark.parametrize("section", ["parameter", "state"])
