@@ -18,9 +18,11 @@ Entries are written in insertion order of the source dicts, so loading
 and re-saving reproduces the file byte for byte.  Every size read from the
 file is checked against the bytes left in it before anything is read, so
 a truncated or corrupted file raises a ``ValueError`` naming the file and
-the field.  Names are checked the same way: the config hash and every
-entry name must be UTF-8, no section may name an entry twice, and every
-state entry must be named ``ema.<group id>`` as the writer spells it.
+the field.  So does an entry that holds a NaN or an infinity, which no
+trained model holds.  Names are checked the same way: the config hash
+and every entry name must be UTF-8, no section may name an entry twice,
+and every state entry must be named ``ema.<group id>`` as the writer
+spells it.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _write_entry(f, name: str, array: np.ndarray) -> None:
     _write_u32(f, len(raw))
     f.write(raw)
     code = as_float_array(array).itemsize
-    arr = np.ascontiguousarray(array, dtype=_DTYPES[code])
+    arr = np.asarray(array, dtype=_DTYPES[code])  # ascontiguousarray would make a 0-d entry 1-d
     f.write(bytes([code]))
     _write_u32(f, arr.ndim)
     for dim in arr.shape:
@@ -99,12 +101,15 @@ def _read_entry(f, what: str) -> tuple[str, np.ndarray]:
 
 
 def _read_entries(f, section: str) -> dict[str, np.ndarray]:
-    """One section's count and entries; a name seen twice is rejected."""
+    """One section's count and entries; a name seen twice, or an entry that
+    holds a NaN or an infinity, is rejected."""
     entries = {}
     for i in range(_read_u32(f, f"{section} count")):
         name, array = _read_entry(f, f"{section} entry {i}")
         if name in entries:
             raise ValueError(f"corrupt checkpoint {f.name}: {section} entry {i} repeats the name {name!r}")
+        if not np.isfinite(array).all():
+            raise ValueError(f"corrupt checkpoint {f.name}: {section} entry {name!r} holds a non-finite value")
         entries[name] = array
     return entries
 

@@ -2,8 +2,9 @@
 
 Every invocation builds its flat key=value config once, from the defaults,
 the config file and the overrides together, which checks every key.  Then
-``main`` runs the subcommand's steps in this order: (1) the command's own
-config checks; (2) the checkpoint at ``checkpoint_path``, if it reads one;
+``main`` runs the subcommand's steps in this order: (1) the config checks
+of the paths it will write (``out_dir`` for every command) and the
+command's own; (2) the checkpoint at ``checkpoint_path``, if it reads one;
 (3) the data, read from ``dataset_path`` or generated; (4) the model, fresh
 or restored, and the checks of what was read; (5) a fresh run directory,
 named by the config hash and a timestamp, that logs the resolved config;
@@ -103,7 +104,18 @@ def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointDa
     return model
 
 
+def _require_out_dir(cfg: RunConfig) -> None:
+    """``out_dir``, or the nearest of its parents that exists, is a directory."""
+    path = os.path.abspath(cfg.out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"config key 'out_dir' names {cfg.out_dir!r}, but {path!r} is not a directory")
+
+
 def _require_dataset_dir(cfg: RunConfig) -> None:
+    if os.path.isdir(cfg.dataset_path):
+        raise ValueError(f"config key 'dataset_path' names {cfg.dataset_path!r}, which is a directory, not a file")
     directory = os.path.dirname(cfg.dataset_path)
     if directory and not os.path.isdir(directory):
         raise ValueError(f"config key 'dataset_path' names a file in {directory!r}, which is not a directory")
@@ -177,7 +189,8 @@ def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, pre
 def _cmd_ablate(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: None) -> tuple:
     seeds = cfg.seed_list()
     rows = run_ablation(data, cfg.vit_config(), cfg.train_config(), kinds=cfg.kind_list(), seeds=seeds,
-                        eval_batch_size=cfg.eval_batch_size)
+                        eval_batch_size=cfg.eval_batch_size, context_patches=cfg.context_patches,
+                        ema_lambda=cfg.ema_lambda)
     table_path = os.path.join(run_dir, "ablation.csv")
     _write_csv(
         table_path,
@@ -291,7 +304,7 @@ def main(argv=None) -> int:
     try:
         cfg = (parse_config_file(args.config, overrides=args.overrides) if args.config
                else apply_overrides(RunConfig(), args.overrides))
-        for check in command.checks:
+        for check in (_require_out_dir, *command.checks):
             check(cfg)
         ckpt = None
         if command.reads == "checkpoint":

@@ -100,10 +100,9 @@ class RunConfig(ViTConfig, SyntheticShiftSpec, TrainConfig):
 
     def kind_list(self) -> list[str]:
         kinds = _split_list("ablate_kinds", self.ablate_kinds, str)
-        for i, kind in enumerate(kinds):
-            if kind not in CONTEXT_KIND_NAMES or kind in kinds[:i]:
-                raise ValueError(f"config key 'ablate_kinds' must list distinct kinds of {CONTEXT_KIND_NAMES}, "
-                                 f"got {kind!r}{' twice' if kind in kinds[:i] else ''}")
+        for kind in kinds:
+            if kind not in CONTEXT_KIND_NAMES:
+                raise ValueError(f"config key 'ablate_kinds' must list kinds of {CONTEXT_KIND_NAMES}, got {kind!r}")
         return kinds
 
     def seed_list(self) -> list[int]:
@@ -127,8 +126,9 @@ def _check_seed(key: str, seed: int) -> None:
 
 def _split_list(key: str, text: str, parse) -> list:
     """The comma-separated entries of config key ``key``, each read by
-    ``parse``; blank entries are skipped, and an empty list or a malformed
-    entry is an error that names the key."""
+    ``parse``; blank entries are skipped, and an empty list, a malformed
+    entry or an entry read twice (a seed trained twice would count twice
+    in every median) is an error that names the key."""
     try:
         values = [parse(item.strip()) for item in text.split(",") if item.strip()]
     except ValueError:
@@ -136,6 +136,9 @@ def _split_list(key: str, text: str, parse) -> list:
                          f"got {text!r}") from None
     if not values:
         raise ValueError(f"config key {key!r} lists no values")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"config key {key!r} lists {value!r} twice, got {text!r}")
     return values
 
 

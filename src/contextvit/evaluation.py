@@ -98,11 +98,15 @@ def run_ablation(
     kinds: Sequence[str],
     seeds: Sequence[int],
     eval_batch_size: Optional[int] = None,
+    context_patches: int = 256,
+    ema_lambda: float = 0.99,
 ) -> list[AblationRow]:
     """Train every kind with every seed; one aggregated row per kind.
 
-    Rows keep the order of ``kinds``; a failed run is recorded in the
-    row's error field and the table is still returned in full.
+    Each kind is built with ``context_patches`` and ``ema_lambda``, which
+    only the kinds that read them keep (``ContextKind.from_name``).  Rows
+    keep the order of ``kinds``; a failed run is recorded in the row's
+    error field and the table is still returned in full.
     """
     if not kinds:
         raise ValueError("ablation needs at least one kind")
@@ -115,7 +119,7 @@ def run_ablation(
         row = AblationRow(kind=kind_name, ood_accuracy=math.nan, id_accuracy=math.nan, seconds=0.0)
         start = time.perf_counter()
         try:
-            kind = ContextKind.from_name(kind_name)
+            kind = ContextKind.from_name(kind_name, patches=context_patches, ema_lambda=ema_lambda)
             for seed in seeds:
                 model = ContextViT.create(vit_config, kind, seed=seed, group_ids=group_ids)
                 cfg = replace(train_config, seed=seed, context_kind=kind_name)

@@ -3,9 +3,13 @@
 import os
 import re
 import struct
+import tempfile
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextvit.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from contextvit.context import ContextViT
@@ -93,6 +97,65 @@ def test_ema_state_round_trip(tmp_path, toy_model):
         assert np.array_equal(loaded[gid], vec)
 
 
+@pytest.mark.parametrize("section, name, value", [("parameter", "layer0.attn.wq", np.nan), ("state", "ema.-3", np.inf)])
+def test_non_finite_entry_rejected_naming_it(tmp_path, toy_model, section, name, value):
+    """A checkpoint with one NaN weight once loaded; ``sweep`` then failed on
+    a non-finite attention score and ``probe`` reported a divergence in
+    training, each in a run directory it had made."""
+    params = {n: p.data.copy() for n, p in toy_model.parameters().items()}
+    ema = {0: np.ones(16), -3: np.ones(16)}
+    if section == "parameter":
+        params[name][0, 0] = value
+    else:
+        ema[-3][5] = value
+    path = str(tmp_path / "non_finite.cvck")
+    save_checkpoint(path, params, ema_state=ema)
+    with pytest.raises(ValueError, match=f"{re.escape(path)}: {section} entry '{re.escape(name)}' holds a non-finite"):
+        load_checkpoint(path)
+
+
+def _entries(keys):
+    """A dict from ``keys`` to float32 or float64 arrays of rank 0 to 3, zero-size axes included."""
+    def array(dtype):
+        return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                          elements=st.floats(allow_nan=False, allow_infinity=False, width=8 * dtype().itemsize))
+
+    return st.dictionaries(keys, st.sampled_from([np.float32, np.float64]).flatmap(array), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_entries(st.text(max_size=6)), ema=_entries(st.integers(-2**40, 2**40)),
+       config_hash=st.text(max_size=6), data=st.data())
+def test_any_checkpoint_round_trips_and_rejects_a_non_finite_payload(params, ema, config_hash, data):
+    """Any names, ranks, sizes, dtypes and ema ids: every entry loads bitwise
+    in its dtype, a load and re-save reproduces the file byte for byte, and
+    a NaN or infinity written into any entry is rejected naming that entry."""
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.cvck"), os.path.join(tmp, "b.cvck")
+        save_checkpoint(first, params, config_hash, ema_state=ema)
+        ckpt = load_checkpoint(first)
+        assert ckpt.config_hash == config_hash
+        for stored, written in [(ckpt.params, params), (ckpt.ema_state(), ema)]:
+            assert list(stored) == list(written)
+            for key, a in written.items():
+                b = stored[key]
+                assert b.dtype == a.dtype and b.shape == a.shape and b.tobytes() == a.tobytes(), key
+        save_checkpoint(second, ckpt.params, ckpt.config_hash, ema_state=ckpt.ema_state())
+        assert open(first, "rb").read() == open(second, "rb").read()
+
+        filled = [("parameter", name, params) for name, a in params.items() if a.size]
+        filled += [("state", f"ema.{gid}", ema) for gid, a in ema.items() if a.size]
+        if filled:
+            section, name, entries = data.draw(st.sampled_from(filled))
+            key = name if section == "parameter" else int(name[4:])
+            bad = entries[key].copy()
+            bad.flat[data.draw(st.integers(0, bad.size - 1))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            save_checkpoint(first, {**params, key: bad} if section == "parameter" else params, config_hash,
+                            ema_state={**ema, key: bad} if section == "state" else ema)
+            with pytest.raises(ValueError, match=re.escape(f"{first}: {section} entry {name!r} holds a non-finite")):
+                load_checkpoint(first)
+
+
 def test_default_model_checkpoint_under_five_megabytes(tmp_path):
     from contextvit.config import RunConfig
 
@@ -118,7 +181,7 @@ def test_bad_magic_rejected(tmp_path, toy_model):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [0, 1, 3, 99])
+@pytest.mark.parametrize("version", [1, 99])
 def test_unsupported_version_rejected(tmp_path, toy_model, version):
     """Only version 2 loads; version 1, whose entries had no dtype code, is
     rejected by its version before any entry is read."""

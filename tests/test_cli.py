@@ -14,6 +14,8 @@ import contextvit
 from contextvit import cli
 from contextvit.checkpoint import load_checkpoint, save_checkpoint
 from contextvit.cli import main
+from contextvit.config import RunConfig
+from contextvit.context import ContextKind, ContextViT
 from contextvit.data import SyntheticShiftSpec, generate_dataset, save_dataset
 
 
@@ -148,6 +150,8 @@ def test_bad_train_settings_rejected_before_data_is_read(tmp_path, capsys):
     ("ablate", "ablate_seeds=", "ablate_seeds"), ("ablate", "ablate_seeds=0,x", "ablate_seeds"),
     ("ablate", "ablate_kinds=,", "ablate_kinds"), ("sweep", "sweep_sizes=", "sweep_sizes"),
     ("sweep", "sweep_sizes=1,two", "sweep_sizes"),
+    ("ablate", "ablate_seeds=0,0,1", "ablate_seeds"), ("ablate", "ablate_seeds=1,01", "ablate_seeds"),
+    ("sweep", "sweep_sizes=4,4", "sweep_sizes"),
 ])
 def test_bad_list_settings_rejected_before_data_is_read(tmp_path, capsys, command, setting, key):
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
@@ -198,17 +202,22 @@ def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, ca
     ("probe", "checkpoint_path=", "checkpoint_path"), ("sweep", "checkpoint_path=", "checkpoint_path"),
     ("export-context", "checkpoint_path=", "checkpoint_path"), ("grad-check", "epochs=0", "epochs"),
     ("generate-data", "dataset_path=no-such-directory/data.cvds", "dataset_path"),
+    ("generate-data", "dataset_path={tmp}", "dataset_path"),
+    ("grad-check", "out_dir={tmp}/a_file", "out_dir"), ("train", "out_dir={tmp}/a_file/runs", "out_dir"),
 ])
 def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, setting, key):
     """Each value once failed only after the run directory was made, the
     ablate and sweep kinds only after the data was made or read, and a zero
     ``heads`` or ``patch`` with a ``ZeroDivisionError`` that named no key.
     Every command checks every key, ``grad-check`` included.  A dataset to
-    write into a directory that does not exist once failed only after the
-    data was generated and the run directory made."""
+    write into a directory that does not exist, or onto a directory, once
+    failed only after the data was generated and the run directory made; an
+    ``out_dir`` at or under a file failed only after the data was read, with
+    an error that named no key."""
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
+    (tmp_path / "a_file").write_text("")
     rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
-               "context_kind=mean_linear_detach", *setting.split()])
+               "context_kind=mean_linear_detach", *setting.format(tmp=tmp_path).split()])
     assert rc == 1
     err = capsys.readouterr().err
     assert key in err and "ghost" not in err
@@ -231,19 +240,31 @@ def test_config_file_and_overrides_are_checked_together(tmp_path, capsys, file_t
     assert "ghost.cvds" in err and past not in err
 
 
-@pytest.mark.parametrize("command", ["train", "probe", "sweep", "export-context"])
-@pytest.mark.parametrize("content", [None, b"garbage", "label 99"])
+_READERS = ["train", "probe", "sweep", "export-context"]  # train reads a dataset, the others a checkpoint
+
+
+@pytest.mark.parametrize("content, command", [
+    *((content, command) for content in (None, b"garbage", "label 99") for command in _READERS),
+    *(("non-finite", command) for command in _READERS[1:]),
+])
 def test_an_input_that_fails_to_load_is_named_and_makes_no_run_dir(tmp_path, capsys, command, content):
     """``train`` reads a missing or corrupt dataset, the others a missing or
     corrupt checkpoint (which they read first); each fails before its run
     directory is made.  A dataset file whose one corrupt value is a train
     label out of range once loaded, and ``train`` failed after its run
-    directory was made."""
+    directory was made.  A checkpoint of the config's model with one NaN
+    weight once loaded too: ``sweep`` failed on a non-finite attention
+    score and ``probe`` reported a divergence in training."""
     bad = tmp_path / "bad_input.bin"
     if content == "label 99":  # the dataset agrees with the config's shape and class count
         data = generate_dataset(SyntheticShiftSpec(train_groups=2, ood_groups=1, images_per_group=16), seed=0)
         data.train.labels[0] = 99
         save_dataset(data, str(bad))
+    elif content == "non-finite":  # a checkpoint of the config's own model
+        cfg = RunConfig(context_kind="mean_linear_detach")
+        params = ContextViT.create(cfg.vit_config(), cfg.kind(), seed=0).parameters()
+        params["layer0.attn.wq"].data[0, 0] = np.nan
+        save_checkpoint(str(bad), params)
     elif content is not None:
         bad.write_bytes(content)
     rc = main([command, f"out_dir={tmp_path / 'runs'}", "context_kind=mean_linear_detach",
@@ -252,6 +273,7 @@ def test_an_input_that_fails_to_load_is_named_and_makes_no_run_dir(tmp_path, cap
     err = capsys.readouterr().err
     assert "bad_input.bin" in err
     assert ("label 99" in err) == (content == "label 99" and command == "train")
+    assert ("parameter entry 'layer0.attn.wq' holds a non-finite" in err) == (content == "non-finite")
     assert not (tmp_path / "runs").exists()
 
 
@@ -326,6 +348,26 @@ def test_ablate_with_no_seeds_exits_one(cli_env, capsys):
                "ablate_kinds=none", "ablate_seeds= , "])
     assert rc == 1
     assert "ablate_seeds" in capsys.readouterr().err
+
+
+def test_ablate_builds_each_kind_with_the_run_kind_settings(cli_env, tmp_path, monkeypatch):
+    """``ablate`` once built every kind with K=256 and lambda=0.99, whatever
+    ``context_patches`` and ``ema_lambda`` said, while the config hash
+    recorded the run's values.  The spy records each kind and fails the run,
+    so nothing trains."""
+    built = []
+
+    def spy(vit_config, kind, **kwargs):
+        built.append(kind)
+        raise RuntimeError("no training here")
+
+    monkeypatch.setattr(ContextViT, "create", spy)
+    rc = main(["ablate", "--config", str(cli_env["cfg"]), f"out_dir={tmp_path / 'runs'}",
+               f"dataset_path={cli_env['dataset']}", "ablate_kinds=in_context_patches,ema", "ablate_seeds=0",
+               "context_patches=8", "ema_lambda=0.5"])
+    assert rc == 1  # every row records the spy's error
+    assert built == [ContextKind.from_name("in_context_patches", patches=8),
+                     ContextKind.from_name("ema", ema_lambda=0.5)]
 
 
 def test_missing_config_file_is_named(tmp_path, capsys):

@@ -185,7 +185,8 @@ def test_data_and_model_configs_reject_values_that_can_only_fail_later(sub_confi
     ("ablate_seeds", "", RunConfig.seed_list), ("ablate_seeds", " , ", RunConfig.seed_list),
     ("ablate_seeds", "0,x", RunConfig.seed_list), ("ablate_seeds", "1.5", RunConfig.seed_list),
     ("sweep_sizes", "", RunConfig.size_list), ("sweep_sizes", "8,,sixteen", RunConfig.size_list),
-    ("ablate_kinds", ",", RunConfig.kind_list),
+    ("ablate_kinds", ",", RunConfig.kind_list), ("ablate_seeds", "0,0,1", RunConfig.seed_list),
+    ("sweep_sizes", "4,4", RunConfig.size_list),
 ])
 def test_list_keys_reject_empty_lists_and_malformed_entries(key, value, parse):
     with pytest.raises(ValueError, match=key):
