@@ -105,7 +105,9 @@ def _build_model(cfg: RunConfig, data: DatasetSplit, ckpt: Optional[CheckpointDa
 
 
 def _require_out_dir(cfg: RunConfig) -> None:
-    """``out_dir``, or the nearest of its parents that exists, is a directory."""
+    """``out_dir`` is set, and it, or the nearest of its parents that exists, is a directory."""
+    if not cfg.out_dir:
+        raise ValueError("config key 'out_dir' must name the directory that holds the run directories")
     path = os.path.abspath(cfg.out_dir)
     while not os.path.exists(path):
         path = os.path.dirname(path)

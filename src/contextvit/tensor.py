@@ -2,14 +2,14 @@
 
 A ``Tensor`` wraps a float32 or float64 ndarray plus a ``requires_grad``
 flag; float32 data stays float32 and anything else becomes float64
-(``as_float_array``).  Every op takes ``Tensor`` operands (an array is
-wrapped by ``tensor`` or ``constant`` first).  Every op computes in its
-inputs' dtype and every vjp
-returns each input's gradient in that input's dtype, so a graph built from
-float32 parameters runs in float32 end to end.  An op whose inputs need
-gradients records itself on the active ``Tape`` when one exists, and only
-computes when none does, so forward-only passes (evaluation, finite
-differences) keep no graph; the values are the same either way.
+(``as_float_array``).  Every op takes ``Tensor`` operands; an array is
+wrapped by ``tensor`` or ``constant`` first.  Every op computes in its
+inputs' dtype and every vjp returns each input's gradient in that input's
+dtype, so a graph built from float32 parameters runs in float32 end to
+end.  An op whose inputs need gradients records itself on the active
+``Tape`` when one exists, and only computes when none does, so
+forward-only passes (evaluation, finite differences) keep no graph; the
+values are the same either way.
 ``backward`` replays the tape in reverse and accumulates vector-Jacobian
 products; a grad-enabled loss that is not the output of a node on that
 tape (its forward ran outside the tape) is an error.  The accumulation

@@ -204,6 +204,7 @@ def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, ca
     ("generate-data", "dataset_path=no-such-directory/data.cvds", "dataset_path"),
     ("generate-data", "dataset_path={tmp}", "dataset_path"),
     ("grad-check", "out_dir={tmp}/a_file", "out_dir"), ("train", "out_dir={tmp}/a_file/runs", "out_dir"),
+    ("grad-check", "out_dir=", "out_dir"),
 ])
 def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, setting, key):
     """Each value once failed only after the run directory was made, the
@@ -212,8 +213,8 @@ def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, se
     Every command checks every key, ``grad-check`` included.  A dataset to
     write into a directory that does not exist, or onto a directory, once
     failed only after the data was generated and the run directory made; an
-    ``out_dir`` at or under a file failed only after the data was read, with
-    an error that named no key."""
+    ``out_dir`` that is empty, or at or under a file, failed only after the
+    data was read, with an error that named no key."""
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
     (tmp_path / "a_file").write_text("")
     rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
