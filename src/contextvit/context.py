@@ -12,15 +12,18 @@ member patches, from an exponential moving average of batch means, or
 the sequence can instead be extended with raw patches sampled from the
 group (``in_context_patches``).
 
-Every kind infers the tokens of all of a batch's G groups at once, so a
-forward records the same tape nodes for one group as for sixteen: one
-product with the batch's pooling matrix (built from ``GroupedBatch.slots``)
-pools each group's member rows into a [G, d] stack, the kind maps that
-stack to a [G, 1, d] stack of tokens (a table gather, a linear head, the
-deep-sets networks), and one ``index_rows`` hands every image its group's
-token.
-``in_context_patches`` draws each group's rows with its own seed and
-gathers every image's draws in one ``index_rows``.
+Every kind infers all of a batch's G contexts at once, so a forward
+records the same tape nodes for one context as for sixteen: one product
+with the batch's pooling matrix (built from ``GroupedBatch.slots``) pools
+each context's member rows into a [G, d] stack, the kind maps that stack
+to a [G, 1, d] stack of tokens (a table gather, a linear head, the
+deep-sets networks), and one ``index_rows`` hands every image its
+context's token.  A context is one group of the batch
+(``GroupedBatch.contexts``); a packed batch, which holds several
+evaluation batches (``GroupedBatch.sets``), has one per (set, group), so
+each image sees the context it would see in its own batch.
+``in_context_patches`` draws each context's rows with its group's seed
+and gathers every image's draws in one ``index_rows``.
 
 The pooled kinds work for any group, including ones never seen in
 training and groups with a single member; the oracle table raises for
@@ -153,11 +156,18 @@ class GroupedBatch:
     """Images with their labels and group ids, index-aligned: a model batch
     and equally a whole dataset split.  The partition, derived from
     ``groups`` on first read, maps each group to the member indices in input
-    order, groups keyed by first occurrence."""
+    order, groups keyed by first occurrence.
+
+    ``sets``, when given, names each image's evaluation batch: the batch
+    then packs several of them into one forward, and the forward infers
+    one context per (set, group) instead of one per group (``contexts``).
+    Training batches leave it None.
+    """
 
     images: np.ndarray  # [B, H, W, C]
     labels: np.ndarray  # [B] int
     groups: np.ndarray  # [B] int group ids
+    sets: Optional[np.ndarray] = None  # [B] int evaluation batch of each image, or None: one batch
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
@@ -168,10 +178,26 @@ class GroupedBatch:
         b = self.images.shape[0]
         if self.labels.shape != (b,) or self.groups.shape != (b,):
             raise ValueError("labels/groups must have one entry per image")
+        if self.sets is not None:
+            self.sets = np.asarray(self.sets, dtype=np.int64)
+            if self.sets.shape != (b,):
+                raise ValueError(f"sets must have one entry per image, got shape {self.sets.shape} for {b} images")
 
     @functools.cached_property
     def partition(self) -> dict[int, list[int]]:
         return group_partition(self.groups)
+
+    @functools.cached_property
+    def contexts(self) -> list[tuple[int, list[int]]]:
+        """(group id, member indices) of each context the forward infers, in
+        first-occurrence order: ``partition``'s items, or with ``sets`` one
+        entry per (set, group), so a group in two sets has two contexts."""
+        if self.sets is None:
+            return list(self.partition.items())
+        out: dict[tuple[int, int], list[int]] = {}
+        for i, key in enumerate(zip(self.sets.tolist(), self.groups.tolist())):
+            out.setdefault(key, []).append(i)
+        return [(gid, members) for (_, gid), members in out.items()]
 
     @property
     def size(self) -> int:
@@ -180,7 +206,8 @@ class GroupedBatch:
     def take(self, idx) -> "GroupedBatch":
         """The records at integer positions ``idx``, in that order."""
         idx = np.asarray(idx, dtype=np.int64)
-        return GroupedBatch(self.images[idx], self.labels[idx], self.groups[idx])
+        sets = None if self.sets is None else self.sets[idx]
+        return GroupedBatch(self.images[idx], self.labels[idx], self.groups[idx], sets)
 
     @classmethod
     def concat(cls, parts: Sequence["GroupedBatch"]) -> "GroupedBatch":
@@ -193,9 +220,9 @@ class GroupedBatch:
 
     @functools.cached_property
     def slots(self) -> np.ndarray:
-        """Each image's group slot: its group's position in ``partition``."""
+        """Each image's context slot: its context's position in ``contexts``."""
         out = np.empty(self.size, dtype=np.int64)
-        for slot, members in enumerate(self.partition.values()):
+        for slot, (_, members) in enumerate(self.contexts):
             out[members] = slot
         return out
 
@@ -375,17 +402,19 @@ def _frozen_input(layer: int, computed: Tensor, frozen: Optional[dict]) -> Tenso
 
 def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: "ContextViT", train: bool,
                   frozen: Optional[dict]) -> Tensor:
-    """Context tokens [G, 1, d] of the batch's groups, in partition order,
-    from patch tokens [B, N, d]; evaluation updates a copy of the ema state.
+    """Context tokens [G, 1, d] of the batch's contexts, in ``contexts``
+    order, from patch tokens [B, N, d].  Training updates the ema state;
+    at evaluation a context whose group has no state adopts its own pooled
+    mean, as a first sighting would, and the state is left alone.
 
     A detached kind reads the patch tokens through ``stop_gradient``, so its
-    pooling records nothing.  Each group's row is a [1, d] matrix of the
+    pooling records nothing.  Each context's row is a [1, d] matrix of the
     stack, so a head or rho gives it the bits it would get alone.
     """
     kind, params = model.kind, model.context
     if kind.detach:
         patch_tokens = T.stop_gradient(patch_tokens)
-    groups = list(batch.partition)
+    groups = [gid for gid, _ in batch.contexts]
     b, n, d = patch_tokens.shape
     stack = (len(groups), 1, d)
     if kind.base == "oracle":
@@ -395,11 +424,14 @@ def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: 
         return T.reshape(deep_sets_infer(rows, params, np.repeat(batch.slots, n)), stack)
     pooled = infer_context_mean(patch_tokens, batch.slots)
     if kind.base == "ema":
-        state = model.ema_state if train else dict(model.ema_state)
-        for gid, batch_mean in zip(groups, pooled.data):
-            if train or gid not in state:
+        state = model.ema_state
+        if train:
+            for gid, batch_mean in zip(groups, pooled.data):
                 ema_update(state, gid, batch_mean, kind.ema_lambda)
-        pooled = T.constant(np.stack([state[g] for g in groups]))
+            means = [state[g] for g in groups]
+        else:
+            means = [state.get(g, batch_mean) for g, batch_mean in zip(groups, pooled.data)]
+        pooled = T.constant(np.stack(means))
     src = T.reshape(_frozen_input(layer, pooled, frozen), stack)
     if kind.base == "mean":
         return src
@@ -427,13 +459,18 @@ def contextvit_forward(
     the last.
 
     ``train`` lets the ema kind update the model's state (evaluation
-    updates a copy); ``sample_seed`` seeds the in-context patch draws.
+    only reads it); ``sample_seed`` seeds the in-context patch draws.
     ``frozen_context_inputs`` maps a layer to the array at its record/replay
     boundary (``_frozen_input``), which every pooled kind, ``mean``
     included, passes its token map's input through: layers it lacks are
     recorded into it and layers it holds are replayed as constants.
-    ``capture_context_tokens`` maps (layer, group) to the group's token.
+    ``capture_context_tokens`` maps (layer, group) to the group's token; a
+    packed batch (``GroupedBatch.sets``), where a group can have several
+    contexts, is a ``ValueError``.
     """
+    if capture_context_tokens is not None and batch.sets is not None:
+        raise ValueError("capture_context_tokens keys tokens by (layer, group), but a packed batch "
+                         "(sets given) can infer several contexts for one group")
     backbone, config, kind = model.backbone, model.config, model.kind
     patches = T.constant(patchify_batch(batch.images, config.patch, backbone["patch_projection"].data.dtype))
     patch_tokens = embed_patches(patches, backbone)  # pre-positional, pooled from
@@ -443,17 +480,17 @@ def contextvit_forward(
     if kind.base == "in_context_patches":
         drawn = [
             sample_context_patches(_patch_rows(members, n), kind.patches, child_seed(sample_seed, "in_context", gid))
-            for gid, members in batch.partition.items()
+            for gid, members in batch.contexts
         ]
         suffix = (T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[batch.slots]),)  # [B, K, d]
     elif kind.has_token_slot:
         slots = batch.slots
 
         def column(x: Tensor, layer: int) -> Tensor:
-            """[B, 1, d] context slot contents: each image gets its group's token."""
+            """[B, 1, d] context slot contents: each image gets its context's token."""
             group_tokens = _group_tokens(x, batch, layer, model, train, frozen_context_inputs)
             if capture_context_tokens is not None:
-                for gid, token in zip(batch.partition, group_tokens.data):
+                for (gid, _), token in zip(batch.contexts, group_tokens.data):
                     capture_context_tokens[(layer, gid)] = token[0].copy()
             return T.index_rows(group_tokens, slots)
 

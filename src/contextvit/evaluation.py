@@ -1,7 +1,9 @@
 """Metrics, the ablation grid, batch-size sensitivity, and token analysis.
 
 Accuracies are computed deterministically over sequential batches, with
-context inferred from each evaluation batch's own group partition.  The
+context inferred from each evaluation batch's own group partition
+(``train.predictions``, which runs several consecutive small batches in one
+forward and still infers each batch's contexts on their own).  The
 ablation runner trains one model per (kind, seed) from a shared init
 seed family and reports per-kind medians; the sweep re-evaluates a
 trained amortized model at several evaluation batch sizes, down to

@@ -829,6 +829,7 @@ def test_grouped_batch_partition_take_and_concat_property(groups, data):
     assert list(x.partition) == list(dict.fromkeys(groups))  # first-occurrence order
     for gid, part in x.partition.items():
         assert all(ids[i] == gid for i in part)
+    assert x.contexts == list(x.partition.items())  # with no sets, one context per group
     slots = x.slots
     for slot, part in enumerate(x.partition.values()):
         assert all(slots[i] == slot for i in part)  # slots inverts the partition
@@ -840,3 +841,101 @@ def test_grouped_batch_partition_take_and_concat_property(groups, data):
     for name in ("images", "labels", "groups"):
         assert getattr(joined, name).tobytes() == getattr(want, name).tobytes()
     assert joined.partition == want.partition
+
+
+# ------------------------------------------------------------ packed batches
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 4)), min_size=1, max_size=24), data=st.data())
+def test_packed_contexts_are_one_per_set_and_group_property(pairs, data):
+    """With ``sets``, a context is a (set, group) pair's members, keyed by
+    first occurrence; ``slots`` inverts the contexts, and ``take`` carries
+    the sets."""
+    sets, groups = (list(column) for column in zip(*pairs))
+    x = GroupedBatch(_indexed_record(groups).images, np.arange(len(groups)), groups, sets)
+    keys = list(dict.fromkeys(pairs))
+    assert [gid for gid, _ in x.contexts] == [g for _, g in keys]
+    for (gid, members), key in zip(x.contexts, keys):
+        assert members == [i for i, pair in enumerate(pairs) if pair == key]
+    for slot, (_, members) in enumerate(x.contexts):
+        assert all(x.slots[i] == slot for i in members)
+    assert x.partition == group_partition(groups)  # the partition keeps its meaning
+    rows = data.draw(st.lists(st.integers(0, x.size - 1), max_size=12))
+    assert x.take(rows).sets.tolist() == [sets[i] for i in rows]
+
+
+def test_sets_need_one_entry_per_image(small_data):
+    batch = make_batch(small_data.train, [0, 1, 2])
+    with pytest.raises(ValueError):
+        GroupedBatch(batch.images, batch.labels, batch.groups, sets=[0, 1])
+    assert make_batch(small_data.train, [0, 1]).take([1, 0]).sets is None
+
+
+def _packed(images, groups, sets) -> GroupedBatch:
+    return GroupedBatch(images, np.zeros(len(groups), dtype=int), groups, sets)
+
+
+def _sets_alone(images, groups, sets) -> list:
+    """Each set of a packed batch as a batch of its own, in set order."""
+    sets = np.asarray(sets)
+    return [GroupedBatch(images[sets == j], np.zeros(int((sets == j).sum()), dtype=int), np.asarray(groups)[sets == j])
+            for j in np.unique(sets)]
+
+
+def test_packed_ema_infers_each_sets_mean_for_a_group_without_state(toy_config):
+    """Group 3 has no state and appears in both sets: each set's images get
+    their own set's mean, as in their own batch.  Group 0 has state: every
+    one of its images reads it.  Evaluation leaves the state alone."""
+    model = _model(toy_config, "ema")
+    for p in model.context.values():
+        p.data = p.data + generator(34).normal(size=p.data.shape) * 0.3
+    state = generator(35).normal(size=toy_config.dim)
+    model.ema_state = {0: state.copy()}
+    images = np.random.default_rng(36).random((6, 16, 16, 3))
+    groups, sets = [0, 3, 3, 3, 0, 3], [0, 0, 0, 1, 1, 1]
+    got = _slot_one(model, _packed(images, groups, sets))
+    want = np.concatenate([_slot_one(model, batch) for batch in _sets_alone(images, groups, sets)])
+    assert _relative_gap(got, want) <= 1e-12
+    head = state @ model.context["ctx_head0.w"].data + model.context["ctx_head0.b"].data
+    np.testing.assert_allclose(got[[0, 4]], [head, head], rtol=1e-12)
+    assert np.max(np.abs(got[1] - got[3])) > 1e-3  # group 3's two sets have their own means
+    assert list(model.ema_state) == [0] and np.array_equal(model.ema_state[0], state)
+
+
+def test_packed_in_context_patch_draws_equal_each_sets_own_draws(toy_config, monkeypatch):
+    """Each context draws with its group's seed from its own members, so a
+    set's draws are its own batch's, shifted by the rows before it."""
+    model = _model(toy_config, "in_context_patches")
+    draws = []
+    real = ctx_mod.sample_context_patches
+
+    def spy(rows, k, seed):
+        draws.append(real(rows, k, seed))
+        return draws[-1]
+
+    monkeypatch.setattr(ctx_mod, "sample_context_patches", spy)
+    images = np.random.default_rng(37).random((7, 16, 16, 3))
+    groups, sets = [0, 1, 0, 1, 1, 0, 2], [0, 0, 0, 1, 1, 1, 1]
+    n = (16 // toy_config.patch) ** 2
+    with Tape():
+        model.forward(_packed(images, groups, sets))
+        packed, alone, offset = list(draws), [], 0
+        for batch in _sets_alone(images, groups, sets):
+            draws.clear()
+            model.forward(batch)
+            alone += [d + offset * n for d in draws]
+            offset += batch.size
+    assert len(packed) == len(alone) == 5  # (0, 0), (0, 1), (1, 1), (1, 0), (1, 2)
+    for got, want in zip(packed, alone):
+        assert np.array_equal(got, want)
+
+
+def test_capturing_tokens_of_a_packed_batch_is_rejected(small_data, toy_config):
+    """Captured tokens are keyed by (layer, group), and a packed batch can
+    hold one group in two contexts."""
+    model = _model(toy_config, "mean_linear_detach")
+    batch = make_batch(small_data.train, [0, 1, 2, 3])
+    with Tape(), pytest.raises(ValueError):
+        model.forward(GroupedBatch(batch.images, batch.labels, batch.groups, [0, 0, 1, 1]),
+                      capture_context_tokens={})

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from contextvit.context import ContextKind, ContextViT
+from contextvit.context import CONTEXT_KIND_NAMES, ContextKind, ContextViT
 from contextvit.data import SyntheticShiftSpec, generate_dataset
 from contextvit.evaluation import (
     batch_size_sweep,
@@ -18,7 +18,8 @@ from contextvit.evaluation import (
     separation_score,
 )
 from contextvit.tensor import constant
-from contextvit.train import TrainConfig, fine_tune
+from contextvit.rng import generator
+from contextvit.train import EVAL_IMAGES_PER_FORWARD, TrainConfig, fine_tune, predictions
 from contextvit.vit import ViTConfig
 
 
@@ -253,6 +254,53 @@ def test_separation_preconditions():
         separation_score(np.zeros((4, 2)), [0, 0, 0, 0])  # one group
     with pytest.raises(ValueError):
         separation_score(np.zeros((3, 2)), [0, 0, 1])  # singleton group
+
+
+# ---------------------------------------------------------- packed evaluation
+
+
+def _nudged_model(config, name, dtype):
+    """A model of ``name`` off its zero init, so every context head shapes
+    the logits; an ema model holds state for group 0 only."""
+    model = ContextViT.create(config, ContextKind.from_name(name, patches=6), seed=3, group_ids=[0, 1, 2])
+    for key, p in sorted(model.trainable_parameters().items()):
+        p.data = p.data + 0.05 * generator(len(key)).normal(size=p.data.shape)
+    if name == "ema":
+        model.ema_state = {0: generator(5).normal(size=config.dim)}
+    if dtype == "float32":
+        model.to_float32()
+    return model
+
+
+@pytest.mark.parametrize("dtype, rtol", [("float64", 1e-12), ("float32", 1e-5)])
+@pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
+def test_packed_predictions_match_one_forward_per_batch(small_data, toy_config, monkeypatch, name, dtype, rtol):
+    """``predictions`` packs consecutive batches into forwards of at most
+    ``EVAL_IMAGES_PER_FORWARD`` images; its logits equal those of one forward
+    per batch to rounding, and its predictions are theirs.  The subset is
+    group-shuffled, so batches mix the training groups (which the oracle
+    has rows for)."""
+    model = _nudged_model(toy_config, name, dtype)
+    subset = small_data.train.take(np.random.default_rng(7).permutation(small_data.train.size))
+    real_forward = ContextViT.forward
+    for size in (1, 3, 8, 64):
+        packed = []
+
+        def spy(self, batch, *args, **kwargs):
+            out = real_forward(self, batch, *args, **kwargs)
+            packed.append((batch.size, out[1].data))
+            return out
+
+        monkeypatch.setattr(ContextViT, "forward", spy)
+        preds = predictions(model, subset, size)
+        monkeypatch.setattr(ContextViT, "forward", real_forward)
+        per_batch = np.concatenate([model.forward(subset.take(np.arange(start, min(start + size, subset.size))))[1].data
+                                    for start in range(0, subset.size, size)])
+        assert max(b for b, _ in packed) == min(max(EVAL_IMAGES_PER_FORWARD // size, 1) * size, subset.size)
+        got = np.concatenate([logits for _, logits in packed])
+        assert got.dtype == per_batch.dtype == np.dtype(dtype)
+        assert np.max(np.abs(got - per_batch)) <= rtol * np.max(np.abs(per_batch)), size
+        assert np.array_equal(preds, np.argmax(per_batch, axis=1)), size
 
 
 # ---------------------------------------------------------- token collection
