@@ -36,9 +36,9 @@ class RunConfig(ViTConfig, SyntheticShiftSpec, TrainConfig):
     """A run's three sections, whose fields and defaults it inherits, plus
     the run-level keys below; any instance is valid for every command."""
 
-    # context
-    context_patches: int = 256
-    ema_lambda: float = 0.99
+    # context: the kind settings, whose defaults are ``ContextKind``'s
+    context_patches: int = ContextKind.patches
+    ema_lambda: float = ContextKind.ema_lambda
     # evaluation / analysis
     eval_batch_size: int = 64
     ablate_kinds: str = "none,mean,mean_linear,mean_linear_detach,layerwise_mean_linear_detach"

@@ -140,13 +140,14 @@ class ContextKind:
         return self.base not in ("none", "in_context_patches")
 
     @classmethod
-    def from_name(cls, name: str, patches: int = 256, ema_lambda: float = 0.99) -> "ContextKind":
-        """The kind ``name``; ``patches`` and ``ema_lambda`` are kept only by
-        the kinds that read them, so equal kinds compare equal."""
+    def from_name(cls, name: str, patches: Optional[int] = None, ema_lambda: Optional[float] = None) -> "ContextKind":
+        """The kind ``name``; ``patches`` and ``ema_lambda`` (None: the
+        field's default, their one spelling) are kept only by the kinds that
+        read them, so equal kinds compare equal."""
         kind = cls(name)
-        if kind.base == "in_context_patches":
+        if kind.base == "in_context_patches" and patches is not None:
             return cls(name, patches=patches)
-        if kind.base == "ema":
+        if kind.base == "ema" and ema_lambda is not None:
             return cls(name, ema_lambda=ema_lambda)
         return kind
 

@@ -100,15 +100,16 @@ def run_ablation(
     kinds: Sequence[str],
     seeds: Sequence[int],
     eval_batch_size: Optional[int] = None,
-    context_patches: int = 256,
-    ema_lambda: float = 0.99,
+    context_patches: Optional[int] = None,
+    ema_lambda: Optional[float] = None,
 ) -> list[AblationRow]:
     """Train every kind with every seed; one aggregated row per kind.
 
-    Each kind is built with ``context_patches`` and ``ema_lambda``, which
-    only the kinds that read them keep (``ContextKind.from_name``).  Rows
-    keep the order of ``kinds``; a failed run is recorded in the row's
-    error field and the table is still returned in full.
+    Each kind is built with ``context_patches`` and ``ema_lambda`` (None:
+    ``ContextKind``'s defaults), which only the kinds that read them keep
+    (``ContextKind.from_name``).  Rows keep the order of ``kinds``; a
+    failed run is recorded in the row's error field and the table is still
+    returned in full.
     """
     if not kinds:
         raise ValueError("ablation needs at least one kind")

@@ -1,6 +1,7 @@
 """Flat key=value configuration: parsing, overrides, canonical text, hashing."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -12,9 +13,24 @@ from contextvit.config import (
     parse_config_file,
     parse_config_text,
 )
+from contextvit.context import CONTEXT_KIND_NAMES, ContextKind
 from contextvit.data import SyntheticShiftSpec
+from contextvit.evaluation import run_ablation
 from contextvit.train import TrainConfig
 from contextvit.vit import ViTConfig
+
+
+def test_kind_settings_defaults_are_contextkinds():
+    """``ContextKind``'s field defaults are the one spelling of the kind
+    settings' defaults: the config keys read them, and ``from_name`` and
+    ``run_ablation`` fall back to them."""
+    defaults = {f.name: f.default for f in dataclasses.fields(ContextKind) if f.name != "name"}
+    cfg = RunConfig()
+    assert {"patches": cfg.context_patches, "ema_lambda": cfg.ema_lambda} == defaults
+    ablation = inspect.signature(run_ablation).parameters
+    assert ablation["context_patches"].default is None and ablation["ema_lambda"].default is None
+    for name in CONTEXT_KIND_NAMES:
+        assert ContextKind.from_name(name) == ContextKind(name) == RunConfig(context_kind=name).kind()
 
 
 def test_defaults_are_consistent():
