@@ -3,9 +3,10 @@
 Every invocation builds its flat key=value config once, from the defaults,
 the config file and the overrides together, which checks every key.  Then
 ``main`` runs the subcommand's steps in this order: (1) the config checks
-of the paths it will write (``out_dir`` for every command) and the
-command's own; (2) the checkpoint at ``checkpoint_path``, if it reads one;
-(3) the data, read from ``dataset_path`` or generated; (4) the model, fresh
+of the paths it will write (``out_dir`` for every command), the command's
+own, and that no file it reads is named by a directory; (2) the
+checkpoint at ``checkpoint_path``, if it reads one; (3) the data, read
+from ``dataset_path`` or generated; (4) the model, fresh
 or restored, and the checks of what was read; (5) a fresh run directory,
 named by the config hash and a timestamp, that logs the resolved config;
 (6) the command itself; (7) ``summary.json``, headed by the command's name
@@ -115,9 +116,14 @@ def _require_out_dir(cfg: RunConfig) -> None:
         raise ValueError(f"config key 'out_dir' names {cfg.out_dir!r}, but {path!r} is not a directory")
 
 
+def _require_not_dir(key: str, path: str) -> None:
+    """The file config key ``key`` names, to be read or written, is not a directory."""
+    if os.path.isdir(path):
+        raise ValueError(f"config key {key!r} names {path!r}, which is a directory, not a file")
+
+
 def _require_dataset_dir(cfg: RunConfig) -> None:
-    if os.path.isdir(cfg.dataset_path):
-        raise ValueError(f"config key 'dataset_path' names {cfg.dataset_path!r}, which is a directory, not a file")
+    _require_not_dir("dataset_path", cfg.dataset_path)
     directory = os.path.dirname(cfg.dataset_path)
     if directory and not os.path.isdir(directory):
         raise ValueError(f"config key 'dataset_path' names a file in {directory!r}, which is not a directory")
@@ -308,10 +314,13 @@ def main(argv=None) -> int:
                else apply_overrides(RunConfig(), args.overrides))
         for check in (_require_out_dir, *command.checks):
             check(cfg)
+        if cfg.dataset_path and command.reads in ("data", "fresh", "checkpoint"):
+            _require_not_dir("dataset_path", cfg.dataset_path)
         ckpt = None
         if command.reads == "checkpoint":
             if not cfg.checkpoint_path:
                 raise ValueError("config key 'checkpoint_path' must name the checkpoint file this command reads")
+            _require_not_dir("checkpoint_path", cfg.checkpoint_path)
             ckpt = load_checkpoint(cfg.checkpoint_path)
         data = None if command.reads == "nothing" else _load_or_generate(cfg, command.reads == "generated")
         model = _build_model(cfg, data, ckpt) if command.reads in ("fresh", "checkpoint") else None

@@ -205,6 +205,9 @@ def test_out_of_range_run_settings_rejected_before_anything_is_read(tmp_path, ca
     ("generate-data", "dataset_path={tmp}", "dataset_path"),
     ("grad-check", "out_dir={tmp}/a_file", "out_dir"), ("train", "out_dir={tmp}/a_file/runs", "out_dir"),
     ("grad-check", "out_dir=", "out_dir"),
+    ("train", "dataset_path={tmp}", "'dataset_path'"), ("ablate", "dataset_path={tmp}", "'dataset_path'"),
+    ("sweep", "dataset_path={tmp}", "'dataset_path'"), ("probe", "checkpoint_path={tmp}", "'checkpoint_path'"),
+    ("export-context", "checkpoint_path={tmp}", "'checkpoint_path'"),
 ])
 def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, setting, key):
     """Each value once failed only after the run directory was made, the
@@ -214,7 +217,10 @@ def test_config_a_command_rejects_makes_no_run_dir(tmp_path, capsys, command, se
     write into a directory that does not exist, or onto a directory, once
     failed only after the data was generated and the run directory made; an
     ``out_dir`` that is empty, or at or under a file, failed only after the
-    data was read, with an error that named no key."""
+    data was read, with an error that named no key.  A directory given as
+    the dataset or checkpoint a command reads failed with ``[Errno 21] Is
+    a directory``, naming the path but not the key; the dataset's key is
+    checked before the checkpoint is read."""
     ghost = tmp_path / "ghost.cvds"  # reading it would fail with its name
     (tmp_path / "a_file").write_text("")
     rc = main([command, f"out_dir={tmp_path / 'runs'}", f"dataset_path={ghost}", f"checkpoint_path={ghost}",
@@ -369,6 +375,24 @@ def test_ablate_builds_each_kind_with_the_run_kind_settings(cli_env, tmp_path, m
     assert rc == 1  # every row records the spy's error
     assert built == [ContextKind.from_name("in_context_patches", patches=8),
                      ContextKind.from_name("ema", ema_lambda=0.5)]
+
+
+def test_ablate_and_train_build_the_same_kinds_without_the_kind_settings(cli_env, tmp_path, monkeypatch):
+    """With neither ``context_patches`` nor ``ema_lambda`` given, ``ablate``
+    builds each kind as ``train`` does: with ``ContextKind``'s defaults.  The
+    spy records each kind and fails the run, so nothing trains."""
+    built = []
+
+    def spy(vit_config, kind, **kwargs):
+        built.append(kind)
+        raise RuntimeError("no training here")
+
+    monkeypatch.setattr(ContextViT, "create", spy)
+    run = ["--config", str(cli_env["cfg"]), f"out_dir={tmp_path / 'runs'}", f"dataset_path={cli_env['dataset']}"]
+    assert main(["ablate", *run, "ablate_kinds=in_context_patches,ema", "ablate_seeds=0"]) == 1
+    for name in ("in_context_patches", "ema"):
+        assert main(["train", *run, f"context_kind={name}"]) == 1
+    assert built == [ContextKind("in_context_patches"), ContextKind("ema")] * 2
 
 
 def test_missing_config_file_is_named(tmp_path, capsys):
