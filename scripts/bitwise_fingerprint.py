@@ -22,7 +22,13 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
   size in a fresh temporary working directory with relative paths, and
   then every file they wrote there, by path.  Run-directory timestamps are
   masked and the ablation's wall-clock ``seconds`` dropped.  ``grad-check``
-  is left out: ``model_checks`` and ``op_checks`` cover its suite.
+  is left out: ``model_checks`` and ``op_checks`` cover its suite;
+* ``eval``: ``train.predictions`` for every context kind in float64 and
+  float32 at each batch size of ``EVAL_SIZES``, over a group-shuffled
+  ~100-image subset of a toy dataset's training split (its groups are the
+  oracle table's rows, so every kind can evaluate it), with the training
+  section's models; the ema model holds state for group 0 only, so its
+  other groups infer their token from the batch.
 
 Beside the hashes, a ``tape`` line per kind and dtype gives two plain
 numbers for one training step on the training section's first batch: the
@@ -37,8 +43,9 @@ or the checkouts whose hash differs from the first one's.  It exits 1 when
 any hash differs.
 
 Only interfaces that have long been stable are used (``ContextViT.create``,
-``forward``, ``to_float32``, ``backward``, ``adamw_step``, ``apply_overrides``,
-``config_to_text``, ``config_hash``, ``cli.main`` and its config keys), so
+``forward``, ``to_float32``, ``backward``, ``adamw_step``, ``predictions``,
+``generate_dataset``, ``apply_overrides``, ``config_to_text``,
+``config_hash``, ``cli.main`` and its config keys), so
 one command compares a change with its parent.  BLAS runs on one thread, as in the benchmark.
 """
 
@@ -93,6 +100,9 @@ CLI_RUNS = [
     ["export-context", "checkpoint_path=trained.cvck", "collect_batches=2"],
     ["ablate", "ablate_kinds=none,oracle", "ablate_seeds=0"],
 ]
+# the eval section's batch sizes and subset size
+EVAL_SIZES = (1, 3, 8, 64)
+EVAL_IMAGES = 100
 RUN_DIR_STAMP = re.compile(rb"([0-9a-f]{12})-\d{8}-\d{6}(-\d+)?")
 
 
@@ -196,6 +206,23 @@ def config_section(cv, h) -> None:
         h.update(cv.config.config_hash(cfg).encode())
 
 
+def eval_section(cv, h) -> None:
+    import numpy as np
+
+    spec = cv.data.SyntheticShiftSpec(num_classes=4, train_groups=len(set(GROUPS)), ood_groups=1,
+                                      images_per_group=48)
+    train = cv.data.generate_dataset(spec, 0).train
+    subset = train.take(np.random.default_rng(0).permutation(train.size)[:EVAL_IMAGES])
+    for kind_name in cv.context.CONTEXT_KIND_NAMES:
+        for dtype in ("float64", "float32"):
+            model = _model(cv, kind_name, dtype)
+            if kind_name == "ema":
+                model.ema_state = {0: np.linspace(-1.0, 1.0, model.config.dim, dtype=dtype)}
+            for size in EVAL_SIZES:
+                h.update(f"{kind_name}/{dtype}/b{size}".encode())
+                _feed(h, cv.train.predictions(model, subset, size))
+
+
 def _without_seconds(name: str, raw: bytes) -> bytes:
     """An ablation table or summary with its wall-clock ``seconds`` dropped."""
     if name == "ablation.csv":
@@ -232,14 +259,16 @@ def cli_section(cv, h) -> None:
 
 
 SECTIONS = {"training": training_section, "model_checks": model_checks_section,
-            "op_checks": op_checks_section, "config": config_section, "cli": cli_section}
+            "op_checks": op_checks_section, "config": config_section, "cli": cli_section,
+            "eval": eval_section}
 
 
 def load(checkout: str) -> types.SimpleNamespace:
     """``checkout``'s ``contextvit`` modules that the sections use."""
     sys.path.insert(0, os.path.join(os.path.abspath(checkout), "src"))
     return types.SimpleNamespace(**{m: importlib.import_module(f"contextvit.{m}")
-                                    for m in ("cli", "config", "context", "tensor", "train", "verify", "vit")})
+                                    for m in ("cli", "config", "context", "data", "tensor", "train", "verify",
+                                              "vit")})
 
 
 def fingerprint(cv) -> dict[str, str]:
