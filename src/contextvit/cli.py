@@ -6,8 +6,8 @@ the config file and the overrides together, which checks every key.  Then
 of the paths it will write (``out_dir`` for every command), the command's
 own, and that no file it reads is named by a directory; (2) the
 checkpoint at ``checkpoint_path``, if it reads one; (3) the data, read
-from ``dataset_path`` or generated; (4) the model, fresh
-or restored, and the checks of what was read; (5) a fresh run directory,
+from ``dataset_path`` or generated; (4) the model, fresh or restored,
+and the checks of what was read; (5) a fresh run directory,
 named by the config hash and a timestamp, that logs the resolved config;
 (6) the command itself; (7) ``summary.json``, headed by the command's name
 and the config hash.  So an input that fails leaves no run directory.  Each

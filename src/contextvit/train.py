@@ -292,12 +292,14 @@ def schedules(step: int, total_steps: int, warmup_steps: int, config: TrainConfi
 
 
 # Images per evaluation forward: ``predictions`` packs as many whole batches
-# as fit.  Microseconds per image, layerwise kind, 256 held-out images, float32,
-# one BLAS thread:
+# as fit.  CPU microseconds per image of ``predictions`` over 256 held-out
+# images at evaluation batch sizes 1 and 8, by images per forward (float32
+# layerwise_mean_linear_detach model, default ViTConfig, one OpenBLAS 0.3.31
+# thread, numpy 2.4.6, x86-64):
 #
 #   images per forward    1    16   32   64   128  256
-#   b1 sweep             798  135   90   89   90   150
-#   b8 sweep             235  108   92   84   84   135
+#   batch size 1         735  108   94   84   89   127
+#   batch size 8         154  122   85   78   83   119
 #
 # 64 is also the largest training batch, so packing makes no forward larger.
 EVAL_IMAGES_PER_FORWARD = 64
