@@ -448,7 +448,8 @@ def contextvit_forward(
     capture_context_tokens: Optional[dict] = None,
 ):
     """Group-conditioned forward pass of ``model``: batch -> (CLS embeddings
-    [B, d], logits [B, num_classes]).
+    [B, d], logits [B, num_classes]).  The embeddings are the final norm's
+    normalized rows before its affine, which the head applies.
 
     Sequence layout per image: [CLS, context, patch+pos ...] (length N+2)
     for token-producing kinds; [CLS, patch+pos ..., K sampled patches]
@@ -504,7 +505,8 @@ def contextvit_forward(
 
     tokens = _assemble(patch_tokens, backbone, prefix_tokens=prefix, suffix_tokens=suffix)
     cls_out = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
-    logits = T.linear(cls_out, backbone["head.w"], backbone["head.b"])
+    logits = T.norm_linear(cls_out, backbone["final_norm.gain"], backbone["final_norm.bias"],
+                           backbone["head.w"], backbone["head.b"])
     return cls_out, logits
 
 

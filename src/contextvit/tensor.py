@@ -17,16 +17,20 @@ order is the fixed reverse tape order, which makes
 gradients bitwise reproducible for a given forward pass.  Only leaves
 (inputs no node on the tape produced) receive ``.grad``; an intermediate
 gradient is freed as soon as the vjp of the node that produced it has
-consumed it.  The vjps of ``add``, ``matmul``, ``linear`` and
-``attention_core``, the ops that meet constant inputs in training,
-compute nothing for inputs that need no gradient.  ``linear``,
-``attention_core`` and ``cross_entropy`` (the whole softmax loss) are each
-one node.
+consumed it.  The vjps of ``add``, ``matmul``, ``linear``, ``norm_linear``
+and ``attention_core``, the ops that meet constant inputs in training,
+compute nothing for inputs that need no gradient.  These ops are one node
+each: ``linear`` (x @ w + b), ``norm_linear`` (a layer norm's gain and
+shift folded into the affine map that reads the normalized rows, so the
+affine costs products on [k, n] matrices, not passes over the rows),
+``layer_norm`` (the normalization alone, with no affine), ``gelu`` (whose
+tape keeps only its gate), ``attention_core`` and ``cross_entropy`` (the
+whole softmax loss).
 
 ``add`` broadcasts by one rule: equal shapes, or a right operand of the
 left one's trailing shape (bias rows, ``pos_embed``), whose gradient is
-summed over the leading axes.  The right operand of ``matmul`` and
-``linear`` is a [k, n] matrix; the batched products belong to
+summed over the leading axes.  The right operand of ``matmul``,
+``linear`` and ``norm_linear`` is a [k, n] matrix; the batched products belong to
 ``attention_core``.  A row that several images share (the CLS token, each
 group's context token) reaches each of them through an ``index_rows``
 gather, which keeps its index's shape and whose vjp adds their gradients
@@ -34,18 +38,22 @@ back into that row; there is no broadcast op.
 
 Short-axis reductions run as BLAS products, one call over every row, with
 each ones, ``1/d`` or weight operand built in the input's dtype: the sums
-over leading axes in ``_unbroadcast`` (every bias gradient) are a GEMV
-against ones; every weight gradient of ``matmul`` and ``linear`` is one
-2-D GEMM over all leading rows of the input; ``layer_norm``'s row means
-are GEMVs against ``1/d``; the softmax row sum of ``attention_core`` and
-its vjp's rowsum(dP * P) are GEMVs against ones.  They equal numpy's
-reductions to rounding, not bitwise: BLAS sums in its own order.
+over leading axes in ``_unbroadcast`` (every bias gradient, and the row
+sum from which ``norm_linear`` derives its shift's and bias's gradients)
+are a GEMV against ones; every weight gradient of ``matmul``, ``linear``
+and ``norm_linear`` is one 2-D GEMM over all leading rows of the input;
+``layer_norm``'s row means, forward and in the vjp, are GEMVs against
+``1/d``; the softmax row sum of ``attention_core`` and its vjp's
+rowsum(dP * P) are GEMVs against ones.  They equal numpy's reductions to
+rounding, not bitwise: BLAS sums in its own order.
 
 Hot arrays are laid out for the kernel that reads them.  The right operand
 of a batched product is unit-stride along its last axis: a transposed view
 there (the transposed right operand in the input gradient, the keys in the scores, the
 values in the attention vjp) is copied contiguous first, since numpy runs
-its per-matrix loop on a slow path for any other stride.  A maximum over
+its per-matrix loop on a slow path for any other stride.  A left operand
+of one row per matrix ([B, 1, k], the CLS-only last layer) runs as one
+2-D product over its [B, k] view, not as B tiny products.  A maximum over
 short rows (the softmax row max) runs along the long axis of a transposed
 copy instead of row by row; a max is exact, so that one is bitwise.
 
@@ -74,6 +82,7 @@ __all__ = [
     "add",
     "matmul",
     "linear",
+    "norm_linear",
     "attention_core",
     "reshape",
     "concat",
@@ -251,12 +260,21 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
         raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
 
 
+def _product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a @ m`` for a [..., r, k] ``a`` and a [k, n] ``m``.  With r == 1 the
+    leading rows run as one 2-D product over their [rows, k] view, not as one
+    tiny product per row."""
+    if a.ndim > 2 and a.shape[-2] == 1:
+        return (a.reshape(-1, a.shape[-1]) @ m).reshape(a.shape[:-1] + (m.shape[1],))
+    return a @ m
+
+
 def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
     # the transposed right operand is copied unit-stride first; the weight
     # gradient is one GEMM over every leading row of a
     k, n = b.data.shape
     rows = math.prod(a.data.shape[:-1])
-    ga = g @ np.ascontiguousarray(b.data.T) if a.requires_grad else None
+    ga = _product(g, np.ascontiguousarray(b.data.T)) if a.requires_grad else None
     gb = a.data.reshape(rows, k).T @ g.reshape(rows, n) if b.requires_grad else None
     return ga, gb
 
@@ -264,13 +282,13 @@ def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """[..., m, k] @ [k, n] -> [..., m, n]; the right operand is a matrix."""
     _check_matmul(a, b)
-    return _record(a.data @ b.data, (a, b), lambda g: _matmul_vjp(g, a, b))
+    return _record(_product(a.data, b.data), (a, b), lambda g: _matmul_vjp(g, a, b))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``x @ w + b`` as one node; ``b`` broadcasts over the rows."""
     _check_matmul(x, w)
-    out = x.data @ w.data
+    out = _product(x.data, w.data)
     out += b.data
 
     def vjp(g):
@@ -278,6 +296,50 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return (*_matmul_vjp(g, x, w), gb)
 
     return _record(out, (x, w, b), vjp)
+
+
+def norm_linear(xhat: Tensor, gain: Tensor, shift: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """``(gain * xhat + shift) @ w + b`` as one node: a layer norm's affine
+    folded into the affine map that reads the normalized rows ``xhat``.
+
+    It runs as ``xhat @ (gain[:, None] * w) + (shift @ w + b)``, so the
+    affine costs products on [k, n] matrices instead of passes over the
+    rows.  ``b`` may be None (a map with no bias).  The vjp takes the folded
+    weight's gradient gw' = xhat^T g and the row sum gc of g once, and
+    derives gw = gain[:, None] * gw' + outer(shift, gc), the gain's
+    gradient sum_n(w * gw'), the shift's w @ gc and the bias's gc from them.
+    """
+    _check_matmul(xhat, w)
+    k, n = w.data.shape
+    if gain.data.shape != (k,) or shift.data.shape != (k,) or (b is not None and b.data.shape != (n,)):
+        raise ValueError(f"norm_linear gain/shift must be [{k}] and a bias [{n}], got "
+                         f"{gain.data.shape}, {shift.data.shape}, {None if b is None else b.data.shape}")
+    folded = gain.data[:, None] * w.data
+    offset = shift.data @ w.data
+    if b is not None:
+        offset += b.data
+    out = _product(xhat.data, folded)
+    out += offset
+    inputs = (xhat, gain, shift, w) if b is None else (xhat, gain, shift, w, b)
+
+    def vjp(g):
+        gx = _product(g, np.ascontiguousarray(folded.T)) if xhat.requires_grad else None
+        gfolded = gc = ggain = gshift = gw = None
+        if gain.requires_grad or w.requires_grad:
+            rows = math.prod(xhat.data.shape[:-1])
+            gfolded = xhat.data.reshape(rows, k).T @ g.reshape(rows, n)
+        if shift.requires_grad or w.requires_grad or (b is not None and b.requires_grad):
+            gc = _unbroadcast(g, (n,))
+        if gain.requires_grad:
+            ggain = np.einsum("kn,kn->k", w.data, gfolded)
+        if shift.requires_grad:
+            gshift = w.data @ gc
+        if w.requires_grad:  # gfolded's last reader: scaled in place
+            gw = np.multiply(gfolded, gain.data[:, None], out=gfolded)
+            gw += np.outer(shift.data, gc)
+        return (gx, ggain, gshift, gw) if b is None else (gx, ggain, gshift, gw, gc)
+
+    return _record(out, inputs, vjp)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -412,26 +474,24 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     return _record(np.asarray(out), (logits,), vjp)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance (eps 1e-6), then affine."""
+def layer_norm(a: Tensor) -> Tensor:
+    """The last axis at zero mean and unit variance (eps 1e-6), with no
+    affine: the maps that read a norm apply its gain and shift
+    (``norm_linear``)."""
     d = a.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ValueError("layer_norm gain/bias must match the last dimension")
     inv_d = np.full(d, 1.0 / d, a.data.dtype)  # row means as GEMVs
-    mu = _row_sums(a.data, inv_d)
-    centered = a.data - mu
-    var = _row_sums(centered * centered, inv_d)
-    inv = 1.0 / np.sqrt(var + 1e-6)
-    xhat = centered * inv
-    out = gain.data * xhat + bias.data
+    xhat = a.data - _row_sums(a.data, inv_d)
+    inv = 1.0 / np.sqrt(_row_sums(xhat * xhat, inv_d) + 1e-6)
+    xhat *= inv
 
     def vjp(g):
-        gx_hat = g * gain.data
         # d/dx of (x - mu) * inv with mu, var both functions of x
-        gx = inv * (gx_hat - _row_sums(gx_hat, inv_d) - xhat * _row_sums(gx_hat * xhat, inv_d))
-        return gx, _unbroadcast(g * xhat, (d,)), _unbroadcast(g, (d,))
+        gx = g - _row_sums(g, inv_d)
+        gx -= xhat * _row_sums(g * xhat, inv_d)
+        gx *= inv
+        return (gx,)
 
-    return _record(out, (a, gain, bias), vjp)
+    return _record(xhat, (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -440,37 +500,36 @@ def relu(a: Tensor) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)  # a Python float, so float32 arithmetic stays float32
+_GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Tanh-approximate gelu: 0.5 x (1 + tanh(c (x + 0.044715 x^3))).
+    """Tanh-approximate gelu x * h, with the gate h = 0.5 (1 + tanh(c (x + a x^3))).
 
-    Forward and vjp work in place on their own buffers, in the formula's
-    left-to-right operation order.
+    The tape keeps only h: since 1 - tanh^2 = 4 h (1 - h), the derivative is
+    h + 2 c x h (1 - h) (1 + 3 a x^2).  Forward and vjp work in place on their
+    own buffers; the vjp forms h (1 - h) x before the polynomial, so a
+    saturated gate gives 0, not 0 * inf, up to where x^2 overflows.
     """
     x = a.data
-    x2 = x * x  # x**3 spelled as repeated products: numpy's pow ufunc is ~60x slower
-    t = x2 * 0.044715
-    t *= x
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = 0.5 * x
-    out *= 1.0 + t
+    h = x * x  # x**3 spelled as repeated products: numpy's pow ufunc is ~60x slower
+    h *= _GELU_C * _GELU_A
+    h += _GELU_C
+    h *= x
+    np.tanh(h, out=h)
+    h *= 0.5
+    h += 0.5
+    out = x * h
 
     def vjp(g):
-        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)), in two buffers
-        gx = t * t
-        np.subtract(1.0, gx, out=gx)
-        buf = 0.5 * x
-        gx *= buf
-        np.multiply(x2, 3.0 * 0.044715, out=buf)
-        buf += 1.0
-        buf *= _GELU_C
-        gx *= buf
-        np.add(t, 1.0, out=buf)
-        buf *= 0.5
-        gx += buf
+        gx = np.subtract(1.0, h)
+        gx *= h
+        gx *= x
+        poly = x * x
+        poly *= 6.0 * _GELU_C * _GELU_A
+        poly += 2.0 * _GELU_C
+        gx *= poly
+        gx += h
         gx *= g
         return (gx,)
 

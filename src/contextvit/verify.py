@@ -89,9 +89,14 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
     labels = rng.integers(0, n, m)
     check("cross_entropy", lambda a: T.cross_entropy(a, labels), a)
     m, n = dims(None, 6)
-    check("layer_norm", T.layer_norm, rand(m, n), 1.0 + 0.1 * rand(n), 0.1 * rand(n))
+    check("layer_norm", T.layer_norm, rand(m, n))
     b, m, k, n = dims(None, None, None, None)
     check("linear", T.linear, rand(b, m, k), rand(k, n), rand(n))
+    b, m, k, n = dims(None, None, None, None)
+    check("norm_linear", T.norm_linear, rand(b, m, k), 1.0 + 0.1 * rand(k), 0.1 * rand(k), rand(k, n), rand(n))
+    # no bias, on [b, 1, k] rows: the one-row product path
+    b, k, n = dims(None, None, None)
+    check("norm_linear_no_bias", T.norm_linear, rand(b, 1, k), 1.0 + 0.1 * rand(k), 0.1 * rand(k), rand(k, n))
     b, sq, sk, dh, dv, heads = dims(None, None, None, None, None, 2)
     check("attention_core", lambda q, k, v: T.attention_core(q, k, v, heads),
           rand(b, sq, heads * dh), rand(b, sk, heads * dh), rand(b, sk, heads * dv))

@@ -6,7 +6,14 @@ with a trainable CLS token that carries no positional term.  Each layer
 is x + attn(norm(x)) followed by + ffn(norm(.)).  Only the CLS row is read
 out, so the last layer updates only that row (every row still serves as
 its key and value), and the final layer norm and the affine classifier
-head see only the CLS embedding.  Attention is
+head see only the CLS embedding.
+
+Each layer norm is read only by linear maps, so ``T.layer_norm`` returns
+the normalized rows alone, and each norm's gain and bias are applied by the
+maps that read it, folded into their weights (``T.norm_linear``): norm1's
+by the q, k and v projections, norm2's by the FFN's first layer, and the
+final norm's by the classifier head.  The parameters are the usual ones;
+only where the affine is computed moves.  Attention is
 the q, k, v and output projections around one ``T.attention_core`` node,
 which owns the multi-head layout: the split into heads, the dh^-0.5
 scale and the merge back to [B, S, d].
@@ -156,18 +163,23 @@ def attention(
     x: Tensor, params: dict[str, Tensor], layer: int, heads: int, queries: Optional[Tensor] = None
 ) -> Tensor:
     """Multi-head scaled dot-product attention of the [B, Sq, d] ``queries``
-    (all of ``x`` by default) over the [B, S, d] sequence ``x``."""
+    (all of ``x`` by default) over the [B, S, d] sequence ``x``.  Both are
+    rows of ``layer``'s norm1 before its affine: the q, k and v projections
+    apply norm1's gain and bias (``T.norm_linear``)."""
+    norm = params[f"layer{layer}.norm1.gain"], params[f"layer{layer}.norm1.bias"]
     pre = f"layer{layer}.attn."
-    q = T.linear(x if queries is None else queries, params[pre + "wq"], params[pre + "bq"])
-    k = T.matmul(x, params[pre + "wk"])
-    v = T.linear(x, params[pre + "wv"], params[pre + "bv"])
+    q = T.norm_linear(x if queries is None else queries, *norm, params[pre + "wq"], params[pre + "bq"])
+    k = T.norm_linear(x, *norm, params[pre + "wk"])
+    v = T.norm_linear(x, *norm, params[pre + "wv"], params[pre + "bv"])
     return T.linear(T.attention_core(q, k, v, heads), params[pre + "wo"], params[pre + "bo"])
 
 
 def _ffn(x: Tensor, params: dict[str, Tensor], layer: int) -> Tensor:
-    pre = f"layer{layer}.ffn."
-    h = T.gelu(T.linear(x, params[pre + "w1"], params[pre + "b1"]))
-    return T.linear(h, params[pre + "w2"], params[pre + "b2"])
+    """The FFN over rows of ``layer``'s norm2 before its affine, which ``w1`` applies."""
+    pre = f"layer{layer}."
+    h = T.gelu(T.norm_linear(x, params[pre + "norm2.gain"], params[pre + "norm2.bias"],
+                             params[pre + "ffn.w1"], params[pre + "ffn.b1"]))
+    return T.linear(h, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
 
 
 def transformer_layer(
@@ -175,14 +187,12 @@ def transformer_layer(
 ) -> Tensor:
     """One pre-norm layer over [B, S, d].  With ``cls_only`` it updates and
     returns only the CLS row, [B, 1, d], which attends over all S rows."""
-    pre = f"layer{layer}."
-    normed = T.layer_norm(x, params[pre + "norm1.gain"], params[pre + "norm1.bias"])
+    normed = T.layer_norm(x)
     queries = None
     if cls_only:
         x, queries = x[:, :1], normed[:, :1]
     x = x + attention(normed, params, layer, config.heads, queries)
-    normed = T.layer_norm(x, params[pre + "norm2.gain"], params[pre + "norm2.bias"])
-    return x + _ffn(normed, params, layer)
+    return x + _ffn(T.layer_norm(x), params, layer)
 
 
 def encode_tokens(
@@ -192,7 +202,8 @@ def encode_tokens(
     layer_hook: Optional[Callable[[int, Tensor], Tensor]] = None,
 ) -> Tensor:
     """[B, S, d] tokens -> the [B, d] read-out: the CLS row after every
-    layer and the final norm.
+    layer and the final norm, before that norm's affine, which the
+    classifier head applies (``context.contextvit_forward``).
 
     Only the CLS row leaves the encoder, so the last layer computes only
     that row, with every row as its keys and values.  ``layer_hook(l, x)``
@@ -206,5 +217,5 @@ def encode_tokens(
         if layer_hook is not None:
             x = layer_hook(l, x)
     cls = transformer_layer(x, params, config.depth - 1, config, cls_only=True)
-    return T.layer_norm(cls, params["final_norm.gain"], params["final_norm.bias"])[:, 0]
+    return T.layer_norm(cls)[:, 0]
 

@@ -26,25 +26,26 @@ def dot(a: Tensor, b=None) -> Tensor:
 
 
 def vit_forward(images: np.ndarray, params: dict, config: ViTConfig):
-    """Plain ViT: [B, H, W, C] images -> (CLS embeddings [B, d], logits [B, num_classes]).
+    """Plain ViT: [B, H, W, C] images -> (normalized CLS rows [B, d], logits [B, num_classes]).
     The reference that ``context.contextvit_forward`` of kind none matches bit for bit."""
     patches = constant(patchify_batch(images, config.patch, params["patch_projection"].data.dtype))
     tokens = _assemble(embed_patches(patches, params), params)
     cls = encode_tokens(tokens, params, config)
-    logits = T.linear(cls, params["head.w"], params["head.b"])
+    logits = T.norm_linear(cls, params["final_norm.gain"], params["final_norm.bias"], params["head.w"], params["head.b"])
     return cls, logits
 
 
 def full_sequence_encode(tokens: Tensor, params: dict, config: ViTConfig, layer_hook=None) -> Tensor:
     """``vit.encode_tokens`` with every layer on all rows: the hook after
-    layers 0 .. L-2, then the final norm and the CLS row [B, d].  The
-    reference for the encoder's CLS-only last layer."""
+    layers 0 .. L-2, then the final norm (before its affine, which the head
+    applies) and the CLS row [B, d].  The reference for the encoder's
+    CLS-only last layer."""
     x = tokens
     for l in range(config.depth):
         x = transformer_layer(x, params, l, config)
         if layer_hook is not None and l < config.depth - 1:
             x = layer_hook(l, x)
-    return T.layer_norm(x, params["final_norm.gain"], params["final_norm.bias"])[:, 0]
+    return T.layer_norm(x)[:, 0]
 
 
 def summing_deep_sets_params(d: int, dtype=np.float64) -> dict:

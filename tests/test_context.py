@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextvit import context as ctx_mod
+from contextvit import tensor as T
 from contextvit.context import (
     CONTEXT_KIND_NAMES,
     ContextKind,
@@ -24,8 +25,8 @@ from contextvit.context import (
     oracle_lookup,
     sample_context_patches,
 )
-from contextvit.rng import generator
-from contextvit.tensor import Tape, backward, constant, tensor
+from contextvit.rng import child_seed, generator
+from contextvit.tensor import Tape, Tensor, backward, constant, tensor
 from contextvit.train import batch_cross_entropy
 from contextvit.vit import patchify_batch
 
@@ -760,6 +761,50 @@ def test_cls_only_last_layer_matches_the_full_sequence_encoder(small_data, toy_c
 
     logits, grads = step()
     monkeypatch.setattr(ctx_mod, "encode_tokens", full_sequence_encode)
+    ref_logits, ref_grads = step()
+    assert _relative_gap(logits, ref_logits) <= 1e-12
+    assert {k for k, g in grads.items() if g is None} == {k for k, g in ref_grads.items() if g is None}
+    for key, ref in ref_grads.items():
+        if ref is not None:
+            assert _relative_gap(grads[key], ref) <= 1e-12, key
+
+
+def _affine(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
+    """``gain * x + shift`` over the last axis as its own node: a layer norm's
+    affine as the model computed it before the fold."""
+    d = gain.shape[0]
+
+    def vjp(g):
+        rows = g.reshape(-1, d)
+        return g * gain.data, (rows * x.data.reshape(-1, d)).sum(axis=0), rows.sum(axis=0)
+
+    return T._record(x.data * gain.data + shift.data, (x, gain, shift), vjp)
+
+
+def _unfolded_norm_linear(xhat, gain, shift, w, b=None):
+    y = _affine(xhat, gain, shift)
+    return T.matmul(y, w) if b is None else T.linear(y, w, b)
+
+
+@pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
+def test_norm_fold_matches_the_unfolded_composition(small_data, toy_config, monkeypatch, name):
+    """Each norm's affine folded into the maps that read it (``norm_linear``)
+    gives the logits and every parameter gradient of a training step of the
+    affine node followed by the plain map, to 1e-12 relative in float64.
+    Every parameter is moved off its init, so no gain is 1 and no shift 0."""
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41, 80])  # groups 0, 0, 1, 0, 1, 2
+
+    def step():
+        model = _model(toy_config, name)
+        for key, p in model.trainable_parameters().items():
+            p.data = p.data + 0.3 * generator(child_seed(0, "nudge", key)).standard_normal(p.data.shape)
+        with Tape() as tape:
+            _, logits = model.forward(batch, train=True, sample_seed=4)
+            backward(batch_cross_entropy(logits, batch.labels), tape)
+        return logits.data, {k: p.grad for k, p in model.trainable_parameters().items()}
+
+    logits, grads = step()
+    monkeypatch.setattr(T, "norm_linear", _unfolded_norm_linear)
     ref_logits, ref_grads = step()
     assert _relative_gap(logits, ref_logits) <= 1e-12
     assert {k for k, g in grads.items() if g is None} == {k for k, g in ref_grads.items() if g is None}

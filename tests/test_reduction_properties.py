@@ -76,19 +76,40 @@ def test_linear_matches_reference(lead, m, k, n, strided, w_strided, dtype, seed
 @given(lead=LEAD, rows=st.integers(1, 5), d=st.integers(4, 12),
        strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
 def test_layer_norm_matches_reference(lead, rows, d, strided, dtype, seed):
+    """The affine-free norm: its row means and the vjp's are GEMVs."""
     rng = np.random.default_rng(seed)
-    x, gain, bias = _leaf(rng, (*lead, rows, d), dtype, strided), _leaf(rng, (d,), dtype), _leaf(rng, (d,), dtype)
-    out, c = _run(lambda: T.layer_norm(x, gain, bias), rng, dtype)
-    x64, g64, c64 = _f64(x), _f64(gain), c.astype(np.float64)
+    x = _leaf(rng, (*lead, rows, d), dtype, strided)
+    out, c = _run(lambda: T.layer_norm(x), rng, dtype)
+    x64, c64 = _f64(x), c.astype(np.float64)
     mu = x64.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(((x64 - mu) ** 2).mean(axis=-1, keepdims=True) + 1e-6)
     xhat = (x64 - mu) * inv
-    gxhat = c64 * g64
-    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
-    _close(out.data, g64 * xhat + _f64(bias), dtype)
+    gx = inv * (c64 - c64.mean(axis=-1, keepdims=True) - xhat * (c64 * xhat).mean(axis=-1, keepdims=True))
+    _close(out.data, xhat, dtype)
     _close(x.grad, gx, dtype)
-    _close(gain.grad, (c64 * xhat).reshape(-1, d).sum(axis=0), dtype)
-    _close(bias.grad, c64.reshape(-1, d).sum(axis=0), dtype)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lead=LEAD, m=st.integers(1, 5), k=st.integers(1, 6), n=st.integers(1, 6), bias=st.booleans(),
+       strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
+def test_norm_linear_matches_reference(lead, m, k, n, bias, strided, dtype, seed):
+    """``(gain * x + shift) @ w + b`` and its gradients, with the affine
+    folded into [k, n] products; m == 1 takes the one-row product path."""
+    rng = np.random.default_rng(seed)
+    x = _leaf(rng, (*lead, m, k), dtype, strided)
+    gain, shift, w = _leaf(rng, (k,), dtype), _leaf(rng, (k,), dtype), _leaf(rng, (k, n), dtype)
+    b = _leaf(rng, (n,), dtype) if bias else None
+    out, c = _run(lambda: T.norm_linear(x, gain, shift, w, b), rng, dtype)
+    g64, w64, c64 = _f64(gain), _f64(w), c.astype(np.float64)
+    y = g64 * _f64(x) + _f64(shift)  # the affine's output, which the map reads
+    gy = c64 @ w64.T
+    _close(out.data, y @ w64 + (_f64(b) if bias else 0.0), dtype)
+    _close(x.grad, gy * g64, dtype)
+    _close(gain.grad, (gy * _f64(x)).reshape(-1, k).sum(axis=0), dtype)
+    _close(shift.grad, gy.reshape(-1, k).sum(axis=0), dtype)
+    _close(w.grad, (np.swapaxes(y, -1, -2) @ c64).reshape(-1, k, n).sum(axis=0), dtype)
+    if bias:
+        _close(b.grad, c64.reshape(-1, n).sum(axis=0), dtype)
 
 
 @settings(max_examples=60, deadline=None)

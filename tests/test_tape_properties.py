@@ -225,7 +225,8 @@ def _dtype_cases(new, n: int) -> dict:
         "concat": lambda: T.concat([new(n, 3), new(2, 3)], axis=0),
         "index_rows": lambda: T.index_rows(new(n, 2), [0] * (n + 1)),
         "cross_entropy": lambda: T.cross_entropy(new(n, 4), [3] * n),
-        "layer_norm": lambda: T.layer_norm(new(n, 4), new(4), new(4)),
+        "norm_linear": lambda: T.norm_linear(new(n, 2, 3), new(3), new(3), new(3, 4), new(4)),
+        "layer_norm": lambda: T.layer_norm(new(n, 4)),
         "relu": lambda: T.relu(new(n, 3)),
         "gelu": lambda: T.gelu(new(n, 3)),
         "getitem": lambda: new(n, 4)[:, 1:3],

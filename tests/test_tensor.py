@@ -161,14 +161,36 @@ def test_attention_core_rejects_mismatched_shapes():
 
 def test_layer_norm_constant_row_is_zero():
     x = constant([[3.0, 3.0, 3.0]])
-    out = T.layer_norm(x, constant(np.ones(3)), constant(np.zeros(3)))
+    out = T.layer_norm(x)
     assert np.allclose(out.data, 0.0)
 
 
 def test_layer_norm_already_normalized_row():
     x = constant([1.0, -1.0])
-    out = T.layer_norm(x, constant(np.ones(2)), constant(np.zeros(2)))
+    out = T.layer_norm(x)
     assert np.allclose(out.data, [1.0, -1.0], atol=1e-6)
+
+
+def test_layer_norm_vjp_at_a_zero_row_is_the_centred_gradient_over_sqrt_eps():
+    """At an exact zero row (a zero-initialised context token) xhat = 0, so the
+    vjp is (g - mean(g)) / sqrt(1e-6): a Jacobian of 1000 (I - 11^T / d)."""
+    g = np.random.default_rng(0).standard_normal((2, 1, 5))
+    x = tensor(np.zeros((2, 1, 5)), requires_grad=True)
+    with Tape() as tape:
+        backward(dot(T.layer_norm(x), g), tape)
+    np.testing.assert_allclose(x.grad, (g - g.mean(axis=-1, keepdims=True)) / math.sqrt(1e-6), rtol=1e-12)
+
+
+def test_norm_gain_scales_the_zero_row_gradient_through_norm_linear():
+    """Through ``norm_linear`` the gain enters the zero row's gradient as
+    gain * (the xhat-gradient g @ w^T), before the centring and the 1000."""
+    rng = np.random.default_rng(1)
+    gain, shift, w, c = rng.standard_normal(4), rng.standard_normal(4), rng.standard_normal((4, 3)), rng.standard_normal((2, 1, 3))
+    x = tensor(np.zeros((2, 1, 4)), requires_grad=True)
+    with Tape() as tape:
+        backward(dot(T.norm_linear(T.layer_norm(x), tensor(gain), tensor(shift), tensor(w)), c), tape)
+    gxhat = gain * (c @ w.T)
+    np.testing.assert_allclose(x.grad, (gxhat - gxhat.mean(axis=-1, keepdims=True)) / math.sqrt(1e-6), rtol=1e-12)
 
 
 # ---------------------------------------------------------------- activations
@@ -180,6 +202,39 @@ def test_relu_values():
 
 def test_gelu_zero_at_origin():
     assert T.gelu(constant([0.0])).data[0] == 0.0
+
+
+def _gelu_left_to_right(x, g):
+    """gelu 0.5 x (1 + t), t = tanh(c (x + 0.044715 x^3)), and its vjp, in
+    the formula's left-to-right order: the form computed before the gate."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x * x * x))
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x))
+
+
+def test_gelu_from_its_gate_matches_the_left_to_right_formula():
+    """Value and vjp equal the left-to-right formula to 1e-12 of their
+    largest magnitude, in float64 on [-8, 8]."""
+    x = np.linspace(-8.0, 8.0, 4001)
+    g = np.random.default_rng(2).standard_normal(x.shape)
+    a = tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = T.gelu(a)
+        backward(dot(out, g), tape)
+    want, want_grad = _gelu_left_to_right(x, g)
+    assert np.abs(out.data - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(a.grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
+
+
+def test_gelu_value_and_vjp_stay_finite_at_large_float32_inputs():
+    x = np.array([-1e4, -30.0, 30.0, 1e4], dtype=np.float32)
+    a = tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = T.gelu(a)
+        backward(dot(out, np.ones(4, np.float32)), tape)
+    assert out.data.dtype == a.grad.dtype == np.float32
+    assert np.array_equal(out.data, [0.0, 0.0, 30.0, 1e4])
+    assert np.array_equal(a.grad, [0.0, 0.0, 1.0, 1.0])
 
 
 # -------------------------------------------------------------- cross_entropy
@@ -374,8 +429,8 @@ def test_op_checks_cover_exactly_the_differentiable_ops():
     ops = set(T.__all__) - _NOT_OPS
     checks = set(op_gradient_checks(seed=0))
     assert not ops - checks, f"ops without a finite-difference check: {sorted(ops - checks)}"
-    # the two extra checks probe batched matmul and Tensor indexing
-    assert checks - ops == {"matmul_batched", "getitem"}
+    # the extra checks probe batched matmul, Tensor indexing and norm_linear with no bias
+    assert checks - ops == {"matmul_batched", "getitem", "norm_linear_no_bias"}
 
 
 

@@ -181,7 +181,7 @@ def test_encode_is_layer_composition(toy_config):
         for layer in range(last):
             manual = transformer_layer(manual, params, layer, toy_config)
         manual = transformer_layer(manual, params, last, toy_config, cls_only=True)
-        manual = T.layer_norm(manual, params["final_norm.gain"], params["final_norm.bias"])
+        manual = T.layer_norm(manual)
         encoded = encode_tokens(x, params, toy_config)
     assert encoded.data.shape == (1, toy_config.dim)
     assert np.array_equal(encoded.data, manual.data[:, 0])
