@@ -220,12 +220,12 @@ def _dtype_cases(new, n: int) -> dict:
         "add": lambda: T.add(new(n, 3), new(3)),
         "matmul": lambda: T.matmul(new(n, 2, 3), new(3, 4)),
         "linear": lambda: T.linear(new(n, 2, 3), new(3, 4), new(4)),
+        "norm_linear": lambda: T.norm_linear(new(n, 2, 3), new(3), new(3), new(3, 4), new(4)),
         "attention_core": lambda: T.attention_core(new(n, 3, 4), new(n, 5, 4), new(n, 5, 6), heads=2),
         "reshape": lambda: T.reshape(new(n, 6), (6, n)),
         "concat": lambda: T.concat([new(n, 3), new(2, 3)], axis=0),
         "index_rows": lambda: T.index_rows(new(n, 2), [0] * (n + 1)),
         "cross_entropy": lambda: T.cross_entropy(new(n, 4), [3] * n),
-        "norm_linear": lambda: T.norm_linear(new(n, 2, 3), new(3), new(3), new(3, 4), new(4)),
         "layer_norm": lambda: T.layer_norm(new(n, 4)),
         "relu": lambda: T.relu(new(n, 3)),
         "gelu": lambda: T.gelu(new(n, 3)),
