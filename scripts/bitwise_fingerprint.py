@@ -30,11 +30,11 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
   section's models; the ema model holds state for group 0 only, so its
   other groups infer their token from the batch.
 
-Beside the hashes, a ``tape`` line per kind and dtype gives two plain
+Beside the hashes, a ``tape`` line per kind and dtype gives three plain
 numbers for one training step on the training section's first batch: the
-nodes the step records, and how many of them ``backward`` never reaches
-from the loss (found by walking ``Tape.nodes`` in reverse from the loss
-through each node's ``inputs``).
+nodes the step records, how many of them ``backward`` never reaches from
+the loss (found by walking ``Tape.nodes`` in reverse from the loss through
+each node's ``inputs``), and the model's trainable values.
 
 Given two or more checkouts, the script runs itself on each in a fresh
 process and prints their hashes, the tape counts side by side (numbers
@@ -177,9 +177,9 @@ def op_checks_section(cv, h) -> None:
             h.update(f"{seed}:{name}={float(value).hex()};".encode())
 
 
-def tape_counts(cv) -> dict[str, tuple[int, int]]:
+def tape_counts(cv) -> dict[str, tuple[int, int, int]]:
     """``kind/dtype`` -> (nodes one training step records, nodes of them
-    that ``backward`` never reaches from the loss)."""
+    that ``backward`` never reaches from the loss, trainable values)."""
     batch = _batches(cv)[0]
     counts = {}
     for kind_name in cv.context.CONTEXT_KIND_NAMES:
@@ -195,7 +195,8 @@ def tape_counts(cv) -> dict[str, tuple[int, int]]:
                     reached.update(id(t) for t in node.inputs if t.requires_grad)
                 else:
                     unreached += 1
-            counts[f"{kind_name}/{dtype}"] = (len(tape.nodes), unreached)
+            values = sum(p.data.size for p in model.trainable_parameters().values())
+            counts[f"{kind_name}/{dtype}"] = (len(tape.nodes), unreached, values)
     return counts
 
 
@@ -291,16 +292,16 @@ def compare(checkouts: list[str]) -> int:
                              text=True).stdout
         rows = [line.split() for line in out.splitlines()]
         hashes.append({f[0]: f[1] for f in rows if f and f[0] in SECTIONS})
-        tapes.append({f[1]: f[2:] for f in rows if len(f) == 4 and f[0] == "tape"})
+        tapes.append({f[1]: f[2:] for f in rows if len(f) == 5 and f[0] == "tape"})
     for name in SECTIONS:
         for i, digests in enumerate(hashes, start=1):
             print(f"{name if i == 1 else '':15s} [{i}] {digests[name]}")
     ids = " ".join(f"{f'[{i}]':>5s}" for i in range(1, len(checkouts) + 1))
-    print(f"{'tape':38s} nodes {ids}  unreached {ids}")
+    print(f"{'tape':38s} nodes {ids}  unreached {ids}  values {ids}")
     for case in tapes[0]:
-        counts = [t.get(case, ["-", "-"]) for t in tapes]
-        nodes, unreached = (" ".join(f"{c[j]:>5s}" for c in counts) for j in (0, 1))
-        print(f"tape {case:39s} {nodes}  {'':9s} {unreached}")
+        counts = [t.get(case, ["-", "-", "-"]) for t in tapes]
+        nodes, unreached, values = (" ".join(f"{c[j]:>5s}" for c in counts) for j in (0, 1, 2))
+        print(f"tape {case:39s} {nodes}  {'':9s} {unreached}  {'':6s} {values}")
     differs = False
     for name in SECTIONS:
         others = [f"[{i}]" for i, d in enumerate(hashes[1:], start=2) if d[name] != hashes[0][name]]
@@ -319,9 +320,9 @@ def main(argv: list[str]) -> int:
     cv = load(argv[0])
     for name, digest in fingerprint(cv).items():
         print(f"{name:15s} {digest}")
-    print(f"{'tape':44s} nodes unreached")
-    for case, (nodes, unreached) in tape_counts(cv).items():
-        print(f"tape {case:39s} {nodes:5d} {unreached:9d}")
+    print(f"{'tape':44s} nodes unreached values")
+    for case, (nodes, unreached, values) in tape_counts(cv).items():
+        print(f"tape {case:39s} {nodes:5d} {unreached:9d} {values:6d}")
     return 0
 
 

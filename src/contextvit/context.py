@@ -246,24 +246,21 @@ def init_context_params(
 
     The oracle table's row g is group g's token, so the set of ``group_ids``
     must be ``{0, ..., n-1}``; any other is a ``ValueError`` naming it.
-    Linear heads exist for every layer whenever the kind has heads at all,
-    so the same parameter set serves layerwise and single-shot variants
-    (no node reads the unused heads, so they get no gradient).
+    A kind with a linear head has one for each layer that infers its token:
+    every layer for a layerwise kind, layer 0 otherwise.  So the forward
+    reads every parameter made here.
     """
     d = config.dim
     params: dict[str, Tensor] = {}
-    if kind.base == "oracle":
+    if kind.base in ("mean_linear", "ema"):
+        for l in range(config.depth if kind.layerwise else 1):
+            params[f"ctx_head{l}.w"] = Tensor(np.zeros((d, d)), requires_grad=True)
+            params[f"ctx_head{l}.b"] = Tensor(np.zeros(d), requires_grad=True)
+    elif kind.base == "oracle":
         ids = sorted({int(g) for g in group_ids or ()})
         if not ids or ids != list(range(len(ids))):
             raise ValueError(f"oracle kind needs the training group ids 0..n-1, one table row each, got {ids}")
         params["oracle_table"] = Tensor(np.zeros((len(ids), d)), requires_grad=True)
-    elif kind.base == "mean_linear":
-        for l in range(config.depth):
-            params[f"ctx_head{l}.w"] = Tensor(np.zeros((d, d)), requires_grad=True)
-            params[f"ctx_head{l}.b"] = Tensor(np.zeros(d), requires_grad=True)
-    elif kind.base == "ema":
-        params["ctx_head0.w"] = Tensor(np.zeros((d, d)), requires_grad=True)
-        params["ctx_head0.b"] = Tensor(np.zeros(d), requires_grad=True)
     elif kind.base == "deep_sets":
         for net in ("phi", "rho"):
             for layer in ("w1", "w2", "w3"):

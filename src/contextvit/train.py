@@ -19,7 +19,8 @@ and ``SGDState.init`` copy every parameter into a slice of one contiguous
 vector, decayed parameters first, and rebind each ``.data`` to a view of
 its slice; all parameters of one state share one dtype (a mixed set is a
 ``TypeError`` naming the parameter).  A step gathers the gradients into a
-second vector, checks them all before anything moves, runs the update as
+second vector, checks them all before anything moves (a parameter with no
+``.grad`` raises ``MissingGradientError`` naming it), runs the update as
 a few whole-vector ops in place, and never rebinds ``.data``.  A parameter
 whose ``.data`` was rebound after ``init`` (a checkpoint restore, a dtype
 cast) no longer reads its slice, so the next step raises
@@ -46,6 +47,7 @@ __all__ = [
     "AdamWState",
     "SGDState",
     "StaleParameterError",
+    "MissingGradientError",
     "batch_cross_entropy",
     "is_decay_exempt",
     "adamw_step",
@@ -124,6 +126,16 @@ class StaleParameterError(RuntimeError):
         self.name = name
 
 
+class MissingGradientError(RuntimeError):
+    """A trainable parameter has no ``.grad`` at an optimizer step: no node
+    of the backward reached it, so the forward never read it."""
+
+    def __init__(self, name: str):
+        super().__init__(f"parameter {name!r} has no gradient: the forward never read it, "
+                         "so an optimizer cannot step it")
+        self.name = name
+
+
 class _ParamArena:
     """Every parameter of one optimizer as a view of one contiguous vector.
 
@@ -166,8 +178,8 @@ class _ParamArena:
         return {name: self._view(vector, name) for name in self._slots}
 
     def gather(self, params: dict[str, Tensor], caller: str) -> np.ndarray:
-        """``grad`` filled from every ``.grad`` (zeros where a grad is missing)
-        and checked, before anything moves."""
+        """``grad`` filled from every ``.grad`` and checked, before anything
+        moves: a rebound parameter or a missing or non-finite gradient raises."""
         if len(params) != len(self._entries):
             raise ValueError(f"{caller}: {len(params)} parameters, but the optimizer state holds "
                              f"{len(self._entries)}")
@@ -175,9 +187,8 @@ class _ParamArena:
             if p.data is not view:
                 raise StaleParameterError(name)
             if p.grad is None:
-                grad.fill(0)
-            else:
-                grad[...] = p.grad
+                raise MissingGradientError(name)
+            grad[...] = p.grad
         if not np.isfinite(self.grad).all():
             name, p = next((name, p) for (name, p), (_, grad) in zip(params.items(), self._entries)
                            if not np.isfinite(grad).all())
@@ -210,12 +221,11 @@ class AdamWState:
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: float) -> None:
-    """One decoupled-decay Adam update; reads each parameter's ``.grad``
-    (missing grads count as zero, which happens for unused context heads).
+    """One decoupled-decay Adam update; reads each parameter's ``.grad``.
 
     The per-parameter formula runs as whole-vector ops in its own order,
-    so each value rounds as it would tensor by tensor.  A non-finite
-    gradient or a rebound parameter raises before anything moves.
+    so each value rounds as it would tensor by tensor.  A missing or
+    non-finite gradient or a rebound parameter raises before anything moves.
     """
     if lr < 0:  # 0 is legitimate: warmup starts there (moments still advance)
         raise ValueError("lr must be >= 0")

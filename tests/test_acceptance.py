@@ -305,29 +305,30 @@ def test_criterion_06_ood_ordering(ablation_outcome):
 # 7. layerwise mechanism
 
 
+def _training_step(model: ContextViT, batch: GroupedBatch):
+    """Each context parameter's gradient (None if it has none) after one
+    training forward and backward, and the step's logits."""
+    with Tape() as tape:
+        _, logits = model.forward(batch, train=True)
+        backward(batch_cross_entropy(logits, batch.labels), tape)
+    return {name: p.grad for name, p in model.context.items()}, logits.data
+
+
 def test_criterion_07_layerwise_heads():
     batch = _toy_batch()
-    plain = _make_model("mean_linear_detach")
-    with Tape() as tape:
-        _, logits_plain = plain.forward(batch, train=True)
-        loss = batch_cross_entropy(logits_plain, batch.labels)
-        backward(loss, tape)
-    late = {k: p for k, p in plain.parameters().items()
-            if k.startswith("context.ctx_head") and not k.startswith("context.ctx_head0")}
-    head0 = {k: p for k, p in plain.parameters().items() if k.startswith("context.ctx_head0")}
-    assert late, "depth-2 model must allocate a layer-1 head"
-    late_zero = all(p.grad is None or not np.any(p.grad) for p in late.values())
-    head0_live = any(p.grad is not None and np.any(p.grad) for p in head0.values())
+    heads = lambda layers: {f"ctx_head{l}.{p}" for l in range(layers) for p in ("w", "b")}
+    live = lambda grads: all(g is not None and np.any(g) for g in grads.values())
+    grads_plain, logits_plain = _training_step(_make_model("mean_linear_detach"), batch)
+    grads_lw, logits_lw = _training_step(_make_model("layerwise_mean_linear_detach"), batch)
+    single_head = set(grads_plain) == heads(1) and live(grads_plain)
+    layer_heads = TOY.depth >= 2 and set(grads_lw) == heads(TOY.depth) and live(grads_lw)
+    shapes_keep = logits_lw.shape == logits_plain.shape
+    outputs_change = not np.array_equal(logits_lw, logits_plain)
 
-    layerwise = _make_model("layerwise_mean_linear_detach")
-    logits_lw = _eval_logits(layerwise, batch)
-    shapes_keep = logits_lw.shape == logits_plain.data.shape
-    outputs_change = not np.array_equal(logits_lw, logits_plain.data)
-
-    ok = late_zero and head0_live and shapes_keep and outputs_change
-    _report(7, ok, f"heads l>=1 zero-grad without layerwise: {late_zero} "
-                   f"(head0 live: {head0_live}); enabling layerwise changes logits "
-                   f"({outputs_change}) at unchanged shape {logits_lw.data.shape}")
+    ok = single_head and layer_heads and shapes_keep and outputs_change
+    _report(7, ok, f"single-shot holds ctx_head0 only, with a live gradient: {single_head}; "
+                   f"layerwise holds ctx_head0..{TOY.depth - 1}, each with a live gradient: {layer_heads}; "
+                   f"enabling layerwise changes logits ({outputs_change}) at unchanged shape {logits_lw.shape}")
 
 
 # ---------------------------------------------------------------------------

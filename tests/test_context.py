@@ -554,23 +554,14 @@ def test_member_permutation_invariance_property(toy_config, groups, seed):
 # ----------------------------------------------------- layerwise specificity
 
 
-def test_layerwise_heads_silent_when_disabled(small_data, toy_config):
-    model = _model(toy_config, "mean_linear_detach")
-    batch = make_batch(small_data.train, np.arange(6))
-    with Tape() as tape:
-        _, logits = model.forward(batch)
-        loss = batch_cross_entropy(logits, batch.labels)
-        backward(loss, tape)
-    def grad_is_zero(p):
-        # parameters never touched by the forward have no grad buffer at all;
-        # the optimizer reads that as zero
-        return p.grad is None or not np.any(p.grad)
-
-    for l in range(1, toy_config.depth):
-        assert grad_is_zero(model.context[f"ctx_head{l}.w"])
-        assert grad_is_zero(model.context[f"ctx_head{l}.b"])
-    assert model.context["ctx_head0.b"].grad is not None  # head 0 participates
-    assert np.any(model.context["ctx_head0.b"].grad)
+@pytest.mark.parametrize("name", ["mean_linear", "mean_linear_detach", "ema", "layerwise_mean_linear_detach"])
+def test_a_kind_holds_one_head_per_layer_that_infers_its_token(toy_config, name):
+    """A single-shot kind infers its token once, before layer 0, so it has
+    exactly one head; a layerwise kind has one for every layer."""
+    assert toy_config.depth >= 2
+    model = _model(toy_config, name)
+    layers = toy_config.depth if model.kind.layerwise else 1
+    assert list(model.context) == [f"ctx_head{l}.{p}" for l in range(layers) for p in ("w", "b")]
 
 
 def test_layerwise_changes_outputs_preserves_shapes(small_data, toy_config):
@@ -732,6 +723,23 @@ def test_training_step_records_only_what_backward_reads(small_data, toy_config, 
         loss = batch_cross_entropy(logits, batch.labels)
     assert len(tape) > 0
     assert _unreached_nodes(tape, loss) == []
+
+
+@pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
+def test_training_step_reaches_every_trainable_parameter(small_data, toy_config, name):
+    """One training forward and backward on a mixed-group batch leaves a
+    non-zero gradient on every trainable parameter: the model holds none
+    that its forward does not read.  The context parameters are nudged off
+    their init, so zero-initialized heads pass gradient on."""
+    model = _model(toy_config, name)
+    for key, p in model.context.items():
+        p.data = p.data + 0.3 * generator(child_seed(0, "nudge", key)).standard_normal(p.data.shape)
+    batch = make_batch(small_data.train, [0, 1, 40, 2, 41, 80])  # groups 0, 0, 1, 0, 1, 2
+    with Tape() as tape:
+        _, logits = model.forward(batch, train=True)
+        backward(batch_cross_entropy(logits, batch.labels), tape)
+    for key, p in model.trainable_parameters().items():
+        assert p.grad is not None and np.any(p.grad), key
 
 
 def _relative_gap(a: np.ndarray, ref: np.ndarray) -> float:

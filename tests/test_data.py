@@ -66,6 +66,32 @@ def test_pixel_probe_separates_groups_better_than_classes():
     assert group_acc > class_acc + 0.2
 
 
+def _template_reader_accuracy(split, templates, centre) -> float:
+    """Accuracy of a reader that centres each image with ``centre(images,
+    group_images)``, averages it over channels and picks the class template
+    with the largest inner product (the templates share one norm)."""
+    hits = []
+    for g in np.unique(split.groups):
+        members = split.groups == g
+        centred = centre(split.images[members], split.images[members][:32])
+        scores = np.einsum("bhw,khw->bk", centred.mean(axis=-1), templates)
+        hits.append(np.argmax(scores, axis=1) == split.labels[members])
+    return float(np.mean(np.concatenate(hits)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_held_out_class_is_read_from_the_group_mean_not_from_one_image(seed):
+    """The benchmark's premise (``class_templates``), on the default spec's
+    held-out groups: minus its group's channel means (from 32 group-mates) an
+    image names its class; minus its own it names only the class pair."""
+    spec = SyntheticShiftSpec()
+    ood, templates = generate_dataset(spec, seed).ood_test, class_templates(spec)
+    group_mean = _template_reader_accuracy(ood, templates, lambda x, mates: x - mates.mean(axis=(0, 1, 2)))
+    own_mean = _template_reader_accuracy(ood, templates, lambda x, _: x - x.mean(axis=(1, 2), keepdims=True))
+    assert group_mean >= 0.99
+    assert own_mean <= 0.55
+
+
 def test_labels_balanced_within_groups():
     data = generate_dataset(_spec(), seed=1)
     all_labels = np.concatenate([data.train.labels, data.val.labels, data.id_test.labels])

@@ -1,6 +1,6 @@
 """The parameter arena under AdamW and SGD: bitwise equal to the per-tensor
 loops it replaced, nothing moves when a step raises, and a parameter
-rebound after the state was built is caught."""
+without a gradient or rebound after the state was built is caught."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from contextvit.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from contextvit.tensor import NonFiniteError, Tensor
 from contextvit.train import (
     AdamWState,
+    MissingGradientError,
     SGDState,
     StaleParameterError,
     adamw_step,
@@ -29,7 +30,7 @@ def reference_adamw_step(params, m, v, step, lr, wd):
     bc1 = 1.0 - beta1 ** step
     bc2 = 1.0 - beta2 ** step
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if not np.isfinite(g).all():
             raise NonFiniteError("adamw_step", g.shape, f"gradient of parameter {name!r}")
         mn = m[name]
@@ -47,7 +48,7 @@ def reference_adamw_step(params, m, v, step, lr, wd):
 def reference_sgd_momentum_step(params, velocity, lr, momentum):
     """SGD with momentum as a loop over tensors (``velocity``: name -> array)."""
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if not np.isfinite(g).all():
             raise NonFiniteError("sgd_momentum_step", g.shape, f"gradient of parameter {name!r}")
         vel = velocity[name]
@@ -65,13 +66,12 @@ NAMES = ("patch_projection", "layer0.attn.wq", "layer1.ffn.w1", "head.w", "conte
 @st.composite
 def runs(draw):
     """A parameter set (a random mix and order of decayed and exempt names,
-    any shapes, one dtype) and a few steps of (lr, wd, missing grads)."""
+    any shapes, one dtype) and a few steps of (lr, wd)."""
     names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=len(NAMES), unique=True))
     shapes = [tuple(draw(st.lists(st.integers(1, 4), max_size=3))) for _ in names]
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     rates = st.floats(0.0, 0.1, allow_subnormal=False)
-    steps = draw(st.lists(st.tuples(rates, rates, st.lists(st.booleans(), min_size=len(names),
-                                                          max_size=len(names))), min_size=1, max_size=4))
+    steps = draw(st.lists(st.tuples(rates, rates), min_size=1, max_size=4))
     return dict(zip(names, shapes)), dtype, steps, draw(st.integers(0, 2 ** 32 - 1))
 
 
@@ -81,11 +81,10 @@ def _twins(shapes, dtype, rng):
     return make(), make()
 
 
-def _set_grads(pairs, missing, rng):
-    for (name, (a, b)), gone in zip(pairs, missing):
-        grad = None if gone else rng.standard_normal(a.data.shape).astype(a.data.dtype)
-        a.grad = grad
-        b.grad = None if grad is None else grad.copy()
+def _set_grads(pairs, rng):
+    for _, (a, b) in pairs:
+        a.grad = rng.standard_normal(a.data.shape).astype(a.data.dtype)
+        b.grad = a.grad.copy()
 
 
 def _bits(x) -> bytes:
@@ -106,8 +105,8 @@ def test_adamw_arena_is_bitwise_the_per_tensor_loop(run):
         state.m[name][...] = m[name]
         state.v[name][...] = v[name]
     pairs = [(name, (arena_params[name], loop_params[name])) for name in shapes]
-    for t, (lr, wd, missing) in enumerate(steps, start=1):
-        _set_grads(pairs, missing, rng)
+    for t, (lr, wd) in enumerate(steps, start=1):
+        _set_grads(pairs, rng)
         adamw_step(arena_params, state, lr, wd)
         reference_adamw_step(loop_params, m, v, t, lr, wd)
         assert state.step == t
@@ -126,8 +125,8 @@ def test_sgd_arena_is_bitwise_the_per_tensor_loop(run, momentum):
     state = SGDState.init(arena_params)
     velocity = {name: np.zeros(s, dtype) for name, s in shapes.items()}
     pairs = [(name, (arena_params[name], loop_params[name])) for name in shapes]
-    for lr, _, missing in steps:
-        _set_grads(pairs, missing, rng)
+    for lr, _ in steps:
+        _set_grads(pairs, rng)
         sgd_momentum_step(arena_params, state, lr, momentum)
         reference_sgd_momentum_step(loop_params, velocity, lr, momentum)
         for name in shapes:
@@ -171,27 +170,52 @@ def _snapshot(params, *vectors):
     return [p.data.tobytes() for p in params.values()] + [v.tobytes() for v in vectors]
 
 
-@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
-def test_non_finite_last_gradient_moves_nothing(optimizer):
+def _stepped(optimizer):
+    """Parameters, their state after one step (moments or velocity away from
+    zero) with every gradient still set, a step function, and the state's
+    vectors."""
     params = _params()
     if optimizer == "adamw":
         state = AdamWState.init(params)
         step = lambda: adamw_step(params, state, 0.1, 0.05)
-        vectors = lambda: (state.moments,)
+        vectors = (state.moments,)
     else:
         state = SGDState.init(params)
         step = lambda: sgd_momentum_step(params, state, 0.1, 0.9)
-        vectors = lambda: (state.velocity,)
+        vectors = (state.velocity,)
     for p in params.values():
         p.grad = np.ones_like(p.data)
-    step()  # moments and velocity away from zero
+    step()
+    return params, state, step, vectors
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+def test_non_finite_last_gradient_moves_nothing(optimizer):
+    params, state, step, vectors = _stepped(optimizer)
     last = list(params)[-1]
     params[last].grad = np.full_like(params[last].data, np.nan)
-    before = _snapshot(params, *vectors())
+    before = _snapshot(params, *vectors)
     steps_before = getattr(state, "step", None)
     with pytest.raises(NonFiniteError, match=last):
         step()
-    assert _snapshot(params, *vectors()) == before
+    assert _snapshot(params, *vectors) == before
+    assert getattr(state, "step", None) == steps_before
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+def test_missing_gradient_is_named_and_moves_nothing(optimizer):
+    """A parameter the forward never read has no ``.grad``: the step raises
+    naming it instead of reading zeros, and no value, moment, velocity or
+    step count moves."""
+    params, state, step, vectors = _stepped(optimizer)
+    last = list(params)[-1]
+    params[last].grad = None
+    before = _snapshot(params, *vectors)
+    steps_before = getattr(state, "step", None)
+    with pytest.raises(MissingGradientError, match=repr(last)) as err:
+        step()
+    assert err.value.name == last
+    assert _snapshot(params, *vectors) == before
     assert getattr(state, "step", None) == steps_before
 
 
@@ -212,6 +236,8 @@ def test_non_finite_gradient_is_named_in_dict_order():
 def test_rebound_parameter_raises_before_any_update(init, step):
     params = _params()
     state = init(params)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
     params["head.w"].data = params["head.w"].data.copy()  # what a rebinding restore does
     before = _snapshot(params, state.arena.values)
     with pytest.raises(StaleParameterError, match="head.w") as err:

@@ -133,13 +133,6 @@ def test_non_finite_gradient_names_parameter():
         adamw_step(params, state, lr=0.1, wd=0.0)
 
 
-def test_missing_gradient_treated_as_zero():
-    params = _single_param([1.5])
-    state = AdamWState.init(params)
-    adamw_step(params, state, lr=0.1, wd=0.0)
-    assert np.array_equal(params["w"].data, [1.5])
-
-
 def test_sgd_momentum_accumulates_velocity():
     params = _single_param([0.0])
     state = SGDState.init(params)
