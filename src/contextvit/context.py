@@ -16,9 +16,9 @@ Every kind infers all of a batch's G contexts at once, so a forward
 records the same tape nodes for one context as for sixteen: one product
 with the batch's pooling matrix (built from ``GroupedBatch.slots``) pools
 each context's member rows into a [G, d] stack, the kind maps that stack
-to a [G, 1, d] stack of tokens (a table gather, a linear head, the
-deep-sets networks), and one ``index_rows`` hands every image its
-context's token.  A context is one group of the batch
+to the [G, d] tokens (a table gather, a linear head, the deep-sets
+networks), and one ``index_rows`` with a [B, 1] index hands every image
+its context's token.  A context is one group of the batch
 (``GroupedBatch.contexts``); a packed batch, which holds several
 evaluation batches (``GroupedBatch.sets``), has one per (set, group), so
 each image sees the context it would see in its own batch.
@@ -353,11 +353,7 @@ def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], slots) -> T
         raise ValueError(f"expected [rows, d] patch tokens, got {patch_embeds.shape}")
     phi = _mlp_residual(patch_embeds, params, "phi", final_residual=True)
     w = _pooling_weights(slots, phi.shape[0], 1, phi.data.dtype, mean=False)
-    summed = T.matmul(T.constant(w), phi)
-    g, d = summed.shape
-    # rho runs on [G, 1, d] so each group's products match a lone [1, d] row
-    out = _mlp_residual(T.reshape(summed, (g, 1, d)), params, "rho", final_residual=False)
-    return T.reshape(out, (g, d))
+    return _mlp_residual(T.matmul(T.constant(w), phi), params, "rho", final_residual=False)
 
 
 def sample_context_patches(rows: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -400,26 +396,24 @@ def _frozen_input(layer: int, computed: Tensor, frozen: Optional[dict]) -> Tenso
 
 def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: "ContextViT", train: bool,
                   frozen: Optional[dict]) -> Tensor:
-    """Context tokens [G, 1, d] of the batch's contexts, in ``contexts``
+    """Context tokens [G, d] of the batch's contexts, in ``contexts``
     order, from patch tokens [B, N, d].  Training updates the ema state;
     at evaluation a context whose group has no state adopts its own pooled
     mean, as a first sighting would, and the state is left alone.
 
     A detached kind reads the patch tokens through ``stop_gradient``, so its
-    pooling records nothing.  Each context's row is a [1, d] matrix of the
-    stack, so a head or rho gives it the bits it would get alone.
+    pooling records nothing.
     """
     kind, params = model.kind, model.context
     if kind.detach:
         patch_tokens = T.stop_gradient(patch_tokens)
     groups = [gid for gid, _ in batch.contexts]
     b, n, d = patch_tokens.shape
-    stack = (len(groups), 1, d)
     if kind.base == "oracle":
-        return T.reshape(oracle_lookup(groups, params), stack)
+        return oracle_lookup(groups, params)
     if kind.base == "deep_sets":
         rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), frozen)
-        return T.reshape(deep_sets_infer(rows, params, np.repeat(batch.slots, n)), stack)
+        return deep_sets_infer(rows, params, np.repeat(batch.slots, n))
     pooled = infer_context_mean(patch_tokens, batch.slots)
     if kind.base == "ema":
         state = model.ema_state
@@ -430,7 +424,7 @@ def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: 
         else:
             means = [state.get(g, batch_mean) for g, batch_mean in zip(groups, pooled.data)]
         pooled = T.constant(np.stack(means))
-    src = T.reshape(_frozen_input(layer, pooled, frozen), stack)
+    src = _frozen_input(layer, pooled, frozen)
     if kind.base == "mean":
         return src
     return T.linear(src, params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"])
@@ -483,14 +477,14 @@ def contextvit_forward(
         ]
         suffix = (T.index_rows(T.reshape(patch_tokens, (b * n, d)), np.stack(drawn)[batch.slots]),)  # [B, K, d]
     elif kind.has_token_slot:
-        slots = batch.slots
+        slots = batch.slots[:, None]
 
         def column(x: Tensor, layer: int) -> Tensor:
             """[B, 1, d] context slot contents: each image gets its context's token."""
             group_tokens = _group_tokens(x, batch, layer, model, train, frozen_context_inputs)
             if capture_context_tokens is not None:
                 for (gid, _), token in zip(batch.contexts, group_tokens.data):
-                    capture_context_tokens[(layer, gid)] = token[0].copy()
+                    capture_context_tokens[(layer, gid)] = token.copy()
             return T.index_rows(group_tokens, slots)
 
         prefix = (column(patch_tokens, 0),)

@@ -125,7 +125,7 @@ def run_ablation(
             kind = ContextKind.from_name(kind_name, patches=context_patches, ema_lambda=ema_lambda)
             for seed in seeds:
                 model = ContextViT.create(vit_config, kind, seed=seed, group_ids=group_ids)
-                cfg = replace(train_config, seed=seed, context_kind=kind_name)
+                cfg = replace(train_config, seed=seed)
                 result = fine_tune(model, data, cfg)
                 row.per_seed_id.append(compute_metrics(result.model, data.id_test, eval_bs).accuracy)
                 row.per_seed_ood.append(compute_metrics(result.model, data.ood_test, eval_bs).accuracy)

@@ -54,7 +54,7 @@ def finite_diff_errors(
         if not p.requires_grad:
             raise ValueError(f"parameter {name!r} does not require gradients")
         if p.grad is None:
-            # parameter never touched the tape: analytic gradient is zero
+            # the loss does not reach the parameter: analytic gradient is zero
             analytic[name] = np.zeros_like(p.data)
         else:
             analytic[name] = p.grad.copy()

@@ -15,17 +15,17 @@ products; a grad-enabled loss that is not the output of a node on that
 tape (its forward ran outside the tape) is an error.  The accumulation
 order is the fixed reverse tape order, which makes
 gradients bitwise reproducible for a given forward pass.  Only leaves
-(inputs no node on the tape produced) receive ``.grad``; an intermediate
-gradient is freed as soon as the vjp of the node that produced it has
-consumed it.  The vjps of ``add``, ``matmul``, ``linear``, ``norm_linear``
-and ``attention_core``, the ops that meet constant inputs in training,
-compute nothing for inputs that need no gradient.  These ops are one node
-each: ``linear`` (x @ w + b), ``norm_linear`` (a layer norm's gain and
-shift folded into the affine map that reads the normalized rows, so the
-affine costs products on [k, n] matrices, not passes over the rows),
-``layer_norm`` (the normalization alone, with no affine), ``gelu`` (whose
-tape keeps only its gate), ``attention_core`` and ``cross_entropy`` (the
-whole softmax loss).
+(inputs no node on the tape produced) that the loss reaches receive
+``.grad``; an intermediate gradient is freed as soon as the vjp of the
+node that produced it has consumed it.  The vjps of ``add``, ``matmul``,
+``linear``, ``norm_linear`` and ``attention_core``, the ops that meet
+constant inputs in training, compute nothing for inputs that need no
+gradient.  These ops are one node each: ``linear`` (x @ w + b),
+``norm_linear`` (a layer norm's gain and shift folded into the affine map
+that reads the normalized rows, so the affine costs products on [k, n]
+matrices, not passes over the rows), ``layer_norm`` (the normalization
+alone, with no affine), ``gelu`` (whose tape keeps only its gate),
+``attention_core`` and ``cross_entropy`` (the whole softmax loss).
 
 ``add`` broadcasts by one rule: equal shapes, or a right operand of the
 left one's trailing shape (bias rows, ``pos_embed``), whose gradient is
@@ -59,10 +59,10 @@ copy instead of row by row; a max is exact, so that one is bitwise.
 
 ``stop_gradient`` is not an op: it returns a constant that shares its
 input's storage and records nothing, so the reverse pass never enters the
-detached subgraph, and a leaf read only through it gets no ``.grad``, as a
-leaf no node reads gets none.  Cutting the edge structurally, rather than
-multiplying by zero, is what lets detached and frozen-to-constant graphs
-produce identical gradient bytes.
+detached subgraph, and a leaf read only through it gets no ``.grad``, as
+no leaf the loss does not reach gets one.  Cutting the edge structurally,
+rather than multiplying by zero, is what lets detached and
+frozen-to-constant graphs produce identical gradient bytes.
 """
 
 from __future__ import annotations
@@ -544,10 +544,10 @@ def stop_gradient(a: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Set ``.grad`` = d(loss)/d(leaf) on every grad-enabled leaf of the tape.
+    """Set ``.grad`` = d(loss)/d(leaf) on each leaf the loss reaches.
 
-    A leaf is an input that no node on the tape produced; recorded leaves
-    the loss does not reach get zeros.  Intermediate tensors get no
+    A leaf is an input that no node on the tape produced; one the loss does
+    not reach keeps the ``.grad`` it had.  Intermediate tensors get no
     ``.grad``: each node's output gradient is dropped as soon as its vjp
     has read it, so a step holds only the gradients still to be consumed.
     """
@@ -561,7 +561,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     # vjps may return views of their upstream gradient or of each other's
     # results, so a stored gradient is never updated in place
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)} if loss.requires_grad else {}
     for node in reversed(tape.nodes):
         g_out = grads.pop(id(node.output), None)
         if g_out is None:
@@ -575,12 +575,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
             prev = grads.get(key)
             grads[key] = g if prev is None else prev + g
 
-    produced = {id(node.output) for node in tape.nodes}
+    # the loop popped every node output's gradient; the rest belong to reached leaves
     for node in tape.nodes:
         for t in node.inputs:
-            key = id(t)
-            if not t.requires_grad or key in produced:
-                continue
-            produced.add(key)  # each leaf once
-            g = grads.pop(key, None)
-            t.grad = np.array(g, dtype=t.data.dtype, copy=True) if g is not None else np.zeros_like(t.data)
+            g = grads.pop(id(t), None)
+            if g is not None:
+                t.grad = np.array(g, dtype=t.data.dtype, copy=True)

@@ -127,11 +127,11 @@ class StaleParameterError(RuntimeError):
 
 
 class MissingGradientError(RuntimeError):
-    """A trainable parameter has no ``.grad`` at an optimizer step: no node
-    of the backward reached it, so the forward never read it."""
+    """A trainable parameter has no ``.grad`` at an optimizer step: the
+    backward never reached it from the loss (``tensor.backward``)."""
 
     def __init__(self, name: str):
-        super().__init__(f"parameter {name!r} has no gradient: the forward never read it, "
+        super().__init__(f"parameter {name!r} has no gradient: the loss does not depend on it, "
                          "so an optimizer cannot step it")
         self.name = name
 

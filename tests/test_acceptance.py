@@ -128,7 +128,7 @@ def ablation_outcome(default_data):
 
     def keep_model(model, data, config):
         result = fine_tune(model, data, config)
-        models[(config.context_kind, config.seed)] = result.model
+        models[(model.kind.name, config.seed)] = result.model
         return result
 
     start = time.monotonic()

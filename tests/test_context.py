@@ -712,7 +712,9 @@ def _unreached_nodes(tape, loss) -> list:
 @pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)
 def test_training_step_records_only_what_backward_reads(small_data, toy_config, name, dtype):
     """Every node a training step records on a mixed-group batch feeds the
-    loss: a detached kind's token inference leaves nothing on the tape."""
+    loss: a detached kind's token inference leaves nothing on the tape.  So
+    ``backward`` skips no node of a training step, and every leaf a step
+    records gets ``.grad``."""
     assert toy_config.depth >= 2  # so layerwise kinds infer past layer 0
     model = _model(toy_config, name)
     if dtype == "float32":

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextvit import tensor as T
 from contextvit.checkpoint import load_checkpoint, restore_into, save_checkpoint
-from contextvit.tensor import NonFiniteError, Tensor
+from contextvit.tensor import NonFiniteError, Tape, Tensor, backward
 from contextvit.train import (
     AdamWState,
     MissingGradientError,
@@ -18,6 +19,8 @@ from contextvit.train import (
     is_decay_exempt,
     sgd_momentum_step,
 )
+
+from conftest import dot
 
 # ----------------------------------------------------- per-tensor reference
 
@@ -170,19 +173,22 @@ def _snapshot(params, *vectors):
     return [p.data.tobytes() for p in params.values()] + [v.tobytes() for v in vectors]
 
 
+def _optimizer(optimizer, params):
+    """A fresh state of ``optimizer`` over ``params``, a step function, and
+    the state's vectors."""
+    if optimizer == "adamw":
+        state = AdamWState.init(params)
+        return state, lambda: adamw_step(params, state, 0.1, 0.05), (state.moments,)
+    state = SGDState.init(params)
+    return state, lambda: sgd_momentum_step(params, state, 0.1, 0.9), (state.velocity,)
+
+
 def _stepped(optimizer):
     """Parameters, their state after one step (moments or velocity away from
     zero) with every gradient still set, a step function, and the state's
     vectors."""
     params = _params()
-    if optimizer == "adamw":
-        state = AdamWState.init(params)
-        step = lambda: adamw_step(params, state, 0.1, 0.05)
-        vectors = (state.moments,)
-    else:
-        state = SGDState.init(params)
-        step = lambda: sgd_momentum_step(params, state, 0.1, 0.9)
-        vectors = (state.velocity,)
+    state, step, vectors = _optimizer(optimizer, params)
     for p in params.values():
         p.grad = np.ones_like(p.data)
     step()
@@ -215,6 +221,28 @@ def test_missing_gradient_is_named_and_moves_nothing(optimizer):
     with pytest.raises(MissingGradientError, match=repr(last)) as err:
         step()
     assert err.value.name == last
+    assert _snapshot(params, *vectors) == before
+    assert getattr(state, "step", None) == steps_before
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+def test_parameter_the_loss_ignores_gets_no_gradient_and_stops_the_step(optimizer):
+    """The forward records ``cls_token`` in a node whose output the loss
+    ignores: ``backward`` leaves its ``.grad`` None, so the step raises
+    naming it, and no value, moment, velocity or step count moves."""
+    params = _params()
+    state, step, vectors = _optimizer(optimizer, params)
+    cls, read = params["cls_token"], ("head.w", "layer0.attn.wq", "layer0.attn.bq")
+    with Tape() as tape:
+        T.add(cls, cls)  # recorded, but the loss never reads it
+        backward(dot(T.linear(*(params[name] for name in read))), tape)
+    assert any(t is cls for node in tape.nodes for t in node.inputs)
+    assert cls.grad is None and all(params[name].grad is not None for name in read)
+    before = _snapshot(params, *vectors)
+    steps_before = getattr(state, "step", None)
+    with pytest.raises(MissingGradientError, match="'cls_token'") as err:
+        step()
+    assert err.value.name == "cls_token"
     assert _snapshot(params, *vectors) == before
     assert getattr(state, "step", None) == steps_before
 

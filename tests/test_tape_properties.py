@@ -110,9 +110,9 @@ def test_only_leaves_carry_grad(ops, seed):
         backward(dot(h), tape)
     outputs = [node.output for node in tape.nodes]
     assert all(t.grad is None for t in outputs)
-    for leaf in (x, w, b, unused):
+    for leaf in (x, w, b):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
-    assert np.array_equal(unused.grad, np.zeros(2))
+    assert unused.grad is None
 
 
 @settings(max_examples=50, deadline=None)

@@ -330,13 +330,22 @@ def test_backward_accumulates_over_fanout():
     assert np.array_equal(x.grad, [2.0, 2.0])
 
 
-def test_unreached_tensor_gets_zero_grad_buffer():
+def test_unreached_tensor_keeps_no_grad():
     x = tensor([1.0], requires_grad=True)
     y = tensor([2.0], requires_grad=True)
     with Tape() as tape:
         T.add(y, y)  # on tape but not part of the loss
         backward(dot(x, x), tape)
-    assert np.array_equal(y.grad, [0.0])
+    assert y.grad is None
+
+
+def test_loss_that_needs_no_gradient_reaches_no_leaf():
+    x = tensor([1.0], requires_grad=True)
+    c = constant([3.0])
+    with Tape() as tape:
+        T.add(x, c)  # the constant loss is itself an input of a recorded node
+        backward(c, tape)
+    assert x.grad is None and c.grad is None
 
 
 # ------------------------------------------------------------ tape discipline
