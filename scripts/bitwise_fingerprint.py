@@ -14,6 +14,9 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
   ``OP_SEEDS``, so its ``op.*`` values are covered here, and a change to the
   list of op checks (which shifts the random stream of every later check)
   still shows whether the model checks kept their bits;
+* ``op_values``: the same values in the same order, without their names,
+  so a change that renames an op check but keeps its draws from the random
+  stream reads ``equal`` here while ``op_checks`` differs;
 * ``config``: ``config_to_text`` and ``config_hash`` of ``RunConfig()`` and
   of each override set in ``CONFIG_OVERRIDES``, so one command shows whether
   run-directory names, ``resolved_config.txt`` and the hash a checkpoint
@@ -177,6 +180,12 @@ def op_checks_section(cv, h) -> None:
             h.update(f"{seed}:{name}={float(value).hex()};".encode())
 
 
+def op_values_section(cv, h) -> None:
+    for seed in OP_SEEDS:
+        for value in cv.verify.op_gradient_checks(seed=seed).values():
+            h.update(f"{seed}:{float(value).hex()};".encode())
+
+
 def tape_counts(cv) -> dict[str, tuple[int, int, int]]:
     """``kind/dtype`` -> (nodes one training step records, nodes of them
     that ``backward`` never reaches from the loss, trainable values)."""
@@ -260,8 +269,8 @@ def cli_section(cv, h) -> None:
 
 
 SECTIONS = {"training": training_section, "model_checks": model_checks_section,
-            "op_checks": op_checks_section, "config": config_section, "cli": cli_section,
-            "eval": eval_section}
+            "op_checks": op_checks_section, "op_values": op_values_section, "config": config_section,
+            "cli": cli_section, "eval": eval_section}
 
 
 def load(checkout: str) -> types.SimpleNamespace:

@@ -304,7 +304,7 @@ def infer_context_mean(patch_embeds: Tensor, slots) -> Tensor:
     where ``slots[i]`` is image i's group; one product with the pooling matrix."""
     b, d = patch_embeds.shape[0], patch_embeds.shape[-1]
     w = _pooling_weights(slots, b, math.prod(patch_embeds.shape[1:-1]), patch_embeds.data.dtype)
-    return T.matmul(T.constant(w), T.reshape(patch_embeds, (w.shape[1], d)))
+    return T.linear(T.constant(w), T.reshape(patch_embeds, (w.shape[1], d)))
 
 
 def _unregistered(groups, table: Tensor) -> list:
@@ -353,7 +353,7 @@ def deep_sets_infer(patch_embeds: Tensor, params: dict[str, Tensor], slots) -> T
         raise ValueError(f"expected [rows, d] patch tokens, got {patch_embeds.shape}")
     phi = _mlp_residual(patch_embeds, params, "phi", final_residual=True)
     w = _pooling_weights(slots, phi.shape[0], 1, phi.data.dtype, mean=False)
-    return _mlp_residual(T.matmul(T.constant(w), phi), params, "rho", final_residual=False)
+    return _mlp_residual(T.linear(T.constant(w), phi), params, "rho", final_residual=False)
 
 
 def sample_context_patches(rows: np.ndarray, k: int, seed: int) -> np.ndarray:

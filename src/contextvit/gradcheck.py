@@ -45,6 +45,7 @@ def finite_diff_errors(
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise TypeError(f"parameter {name!r} is {p.data.dtype}; finite differences need float64")
+        p.grad = None  # backward keeps the old .grad of a leaf the loss does not reach
 
     with Tape() as tape:
         loss = f()

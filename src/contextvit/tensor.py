@@ -17,10 +17,10 @@ order is the fixed reverse tape order, which makes
 gradients bitwise reproducible for a given forward pass.  Only leaves
 (inputs no node on the tape produced) that the loss reaches receive
 ``.grad``; an intermediate gradient is freed as soon as the vjp of the
-node that produced it has consumed it.  The vjps of ``add``, ``matmul``,
-``linear``, ``norm_linear`` and ``attention_core``, the ops that meet
-constant inputs in training, compute nothing for inputs that need no
-gradient.  These ops are one node each: ``linear`` (x @ w + b),
+node that produced it has consumed it.  The vjps of ``add``, ``linear``,
+``norm_linear`` and ``attention_core``, the ops that meet constant inputs
+in training, compute nothing for inputs that need no gradient.  These ops
+are one node each: ``linear`` (x @ w, plus a bias b when one is given),
 ``norm_linear`` (a layer norm's gain and shift folded into the affine map
 that reads the normalized rows, so the affine costs products on [k, n]
 matrices, not passes over the rows), ``layer_norm`` (the normalization
@@ -29,19 +29,20 @@ alone, with no affine), ``gelu`` (whose tape keeps only its gate),
 
 ``add`` broadcasts by one rule: equal shapes, or a right operand of the
 left one's trailing shape (bias rows, ``pos_embed``), whose gradient is
-summed over the leading axes.  The right operand of ``matmul``,
-``linear`` and ``norm_linear`` is a [k, n] matrix; the batched products belong to
-``attention_core``.  A row that several images share (the CLS token, each
-group's context token) reaches each of them through an ``index_rows``
-gather, which keeps its index's shape and whose vjp adds their gradients
-back into that row; there is no broadcast op.
+summed over the leading axes.  The right operand of ``linear`` and
+``norm_linear`` is a [k, n] matrix and their bias, if any, an [n] vector;
+the batched products belong to ``attention_core``.  A row that several
+images share (the CLS token, each group's context token) reaches each of
+them through an ``index_rows`` gather, which keeps its index's shape and
+whose vjp adds their gradients back into that row; there is no broadcast
+op.
 
 Short-axis reductions run as BLAS products, one call over every row, with
 each ones, ``1/d`` or weight operand built in the input's dtype: the sums
 over leading axes in ``_unbroadcast`` (every bias gradient, and the row
 sum from which ``norm_linear`` derives its shift's and bias's gradients)
-are a GEMV against ones; every weight gradient of ``matmul``, ``linear``
-and ``norm_linear`` is one 2-D GEMM over all leading rows of the input;
+are a GEMV against ones; every weight gradient of ``linear`` and
+``norm_linear`` is one 2-D GEMM over all leading rows of the input;
 ``layer_norm``'s row means, forward and in the vjp, are GEMVs against
 ``1/d``; the softmax row sum of ``attention_core`` and its vjp's
 rowsum(dP * P) are GEMVs against ones.  They equal numpy's reductions to
@@ -80,7 +81,6 @@ __all__ = [
     "tensor",
     "constant",
     "add",
-    "matmul",
     "linear",
     "norm_linear",
     "attention_core",
@@ -252,12 +252,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), vjp)
 
 
-def _check_matmul(a: Tensor, b: Tensor) -> None:
-    if a.data.ndim < 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul takes a [..., m, k] left operand and a [k, n] matrix on the right, "
-                         f"got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ValueError(f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}")
+def _check_affine(op: str, x: Tensor, w: Tensor, b: Optional[Tensor]) -> None:
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ValueError(f"{op} takes a [..., m, k] left operand and a [k, n] matrix on the right, "
+                         f"got {x.data.shape} @ {w.data.shape}")
+    if x.data.shape[-1] != w.data.shape[0]:
+        raise ValueError(f"{op} inner dimensions disagree: {x.data.shape} @ {w.data.shape}")
+    n = w.data.shape[1]
+    if b is not None and b.data.shape != (n,):
+        raise ValueError(f"{op} bias must be [{n}], got {b.data.shape}")
 
 
 def _product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -269,33 +272,30 @@ def _product(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return a @ m
 
 
-def _matmul_vjp(g: np.ndarray, a: Tensor, b: Tensor) -> tuple:
-    # the transposed right operand is copied unit-stride first; the weight
-    # gradient is one GEMM over every leading row of a
-    k, n = b.data.shape
-    rows = math.prod(a.data.shape[:-1])
-    ga = _product(g, np.ascontiguousarray(b.data.T)) if a.requires_grad else None
-    gb = a.data.reshape(rows, k).T @ g.reshape(rows, n) if b.requires_grad else None
-    return ga, gb
+def _affine_vjp(g: np.ndarray, x: np.ndarray, w: np.ndarray, need_x: bool, need_w: bool, need_b: bool) -> tuple:
+    """(gx, gw, gb) of ``x @ w + b``, each None unless needed; the transposed
+    ``w`` is copied unit-stride first, gw is one GEMM over every row of x."""
+    k, n = w.shape
+    rows = math.prod(x.shape[:-1])
+    gx = _product(g, np.ascontiguousarray(w.T)) if need_x else None
+    gw = x.reshape(rows, k).T @ g.reshape(rows, n) if need_w else None
+    gb = _unbroadcast(g, (n,)) if need_b else None
+    return gx, gw, gb
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., m, k] @ [k, n] -> [..., m, n]; the right operand is a matrix."""
-    _check_matmul(a, b)
-    return _record(_product(a.data, b.data), (a, b), lambda g: _matmul_vjp(g, a, b))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map ``x @ w + b`` as one node; ``b`` broadcasts over the rows."""
-    _check_matmul(x, w)
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """Affine map ``x @ w + b`` as one node, [..., m, k] @ [k, n] + [n]; ``b`` may be None."""
+    _check_affine("linear", x, w, b)
     out = _product(x.data, w.data)
-    out += b.data
+    if b is not None:
+        out += b.data
+    inputs = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
-        return (*_matmul_vjp(g, x, w), gb)
+        need_b = b is not None and b.requires_grad
+        return _affine_vjp(g, x.data, w.data, x.requires_grad, w.requires_grad, need_b)[:len(inputs)]
 
-    return _record(out, (x, w, b), vjp)
+    return _record(out, inputs, vjp)
 
 
 def norm_linear(xhat: Tensor, gain: Tensor, shift: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -304,16 +304,15 @@ def norm_linear(xhat: Tensor, gain: Tensor, shift: Tensor, w: Tensor, b: Optiona
 
     It runs as ``xhat @ (gain[:, None] * w) + (shift @ w + b)``, so the
     affine costs products on [k, n] matrices instead of passes over the
-    rows.  ``b`` may be None (a map with no bias).  The vjp takes the folded
-    weight's gradient gw' = xhat^T g and the row sum gc of g once, and
-    derives gw = gain[:, None] * gw' + outer(shift, gc), the gain's
-    gradient sum_n(w * gw'), the shift's w @ gc and the bias's gc from them.
+    rows.  ``b`` may be None (a map with no bias).  ``linear``'s vjp core
+    gives gx, the folded weight's gradient gw' = xhat^T g and the row sum gc
+    of g; the vjp derives gw = gain[:, None] * gw' + outer(shift, gc), the
+    gain's gradient sum_n(w * gw'), the shift's w @ gc and the bias's gc.
     """
-    _check_matmul(xhat, w)
-    k, n = w.data.shape
-    if gain.data.shape != (k,) or shift.data.shape != (k,) or (b is not None and b.data.shape != (n,)):
-        raise ValueError(f"norm_linear gain/shift must be [{k}] and a bias [{n}], got "
-                         f"{gain.data.shape}, {shift.data.shape}, {None if b is None else b.data.shape}")
+    _check_affine("norm_linear", xhat, w, b)
+    k = w.data.shape[0]
+    if gain.data.shape != (k,) or shift.data.shape != (k,):
+        raise ValueError(f"norm_linear gain and shift must be [{k}], got {gain.data.shape}, {shift.data.shape}")
     folded = gain.data[:, None] * w.data
     offset = shift.data @ w.data
     if b is not None:
@@ -323,21 +322,16 @@ def norm_linear(xhat: Tensor, gain: Tensor, shift: Tensor, w: Tensor, b: Optiona
     inputs = (xhat, gain, shift, w) if b is None else (xhat, gain, shift, w, b)
 
     def vjp(g):
-        gx = _product(g, np.ascontiguousarray(folded.T)) if xhat.requires_grad else None
-        gfolded = gc = ggain = gshift = gw = None
-        if gain.requires_grad or w.requires_grad:
-            rows = math.prod(xhat.data.shape[:-1])
-            gfolded = xhat.data.reshape(rows, k).T @ g.reshape(rows, n)
-        if shift.requires_grad or w.requires_grad or (b is not None and b.requires_grad):
-            gc = _unbroadcast(g, (n,))
-        if gain.requires_grad:
-            ggain = np.einsum("kn,kn->k", w.data, gfolded)
-        if shift.requires_grad:
-            gshift = w.data @ gc
+        need_c = shift.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
+        gx, gfolded, gc = _affine_vjp(g, xhat.data, folded, xhat.requires_grad,
+                                      gain.requires_grad or w.requires_grad, need_c)
+        ggain = np.einsum("kn,kn->k", w.data, gfolded) if gain.requires_grad else None
+        gshift = w.data @ gc if shift.requires_grad else None
+        gw = None
         if w.requires_grad:  # gfolded's last reader: scaled in place
             gw = np.multiply(gfolded, gain.data[:, None], out=gfolded)
             gw += np.outer(shift.data, gc)
-        return (gx, ggain, gshift, gw) if b is None else (gx, ggain, gshift, gw, gc)
+        return (gx, ggain, gshift, gw, gc)[:len(inputs)]
 
     return _record(out, inputs, vjp)
 

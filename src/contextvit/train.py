@@ -20,8 +20,9 @@ vector, decayed parameters first, and rebind each ``.data`` to a view of
 its slice; all parameters of one state share one dtype (a mixed set is a
 ``TypeError`` naming the parameter).  A step gathers the gradients into a
 second vector, checks them all before anything moves (a parameter with no
-``.grad`` raises ``MissingGradientError`` naming it), runs the update as
-a few whole-vector ops in place, and never rebinds ``.data``.  A parameter
+``.grad`` raises ``MissingGradientError`` naming it), consumes every
+``.grad`` (sets it to None), runs the update as a few whole-vector ops in
+place, and never rebinds ``.data``.  A parameter
 whose ``.data`` was rebound after ``init`` (a checkpoint restore, a dtype
 cast) no longer reads its slice, so the next step raises
 ``StaleParameterError`` naming it; build a new state after such a change.
@@ -179,7 +180,8 @@ class _ParamArena:
 
     def gather(self, params: dict[str, Tensor], caller: str) -> np.ndarray:
         """``grad`` filled from every ``.grad`` and checked, before anything
-        moves: a rebound parameter or a missing or non-finite gradient raises."""
+        moves: a rebound parameter or a missing or non-finite gradient raises.
+        Then every ``.grad`` is set to None: no later step can reuse it."""
         if len(params) != len(self._entries):
             raise ValueError(f"{caller}: {len(params)} parameters, but the optimizer state holds "
                              f"{len(self._entries)}")
@@ -193,6 +195,8 @@ class _ParamArena:
             name, p = next((name, p) for (name, p), (_, grad) in zip(params.items(), self._entries)
                            if not np.isfinite(grad).all())
             raise NonFiniteError(caller, p.grad.shape, f"gradient of parameter {name!r}")
+        for p in params.values():
+            p.grad = None
         return self.grad
 
 
@@ -221,7 +225,7 @@ class AdamWState:
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: float) -> None:
-    """One decoupled-decay Adam update; reads each parameter's ``.grad``.
+    """One decoupled-decay Adam update; consumes each parameter's ``.grad``.
 
     The per-parameter formula runs as whole-vector ops in its own order,
     so each value rounds as it would tensor by tensor.  A missing or

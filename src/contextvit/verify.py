@@ -38,7 +38,7 @@ def _weighted(out: Tensor, coeff: np.ndarray) -> Tensor:
     """Random linear functional <out, coeff>, one [1, n] @ [n, 1] product: a
     plain sum would hide axis-mixing errors (e.g. softmax rows sum to one)."""
     n = out.size
-    return T.reshape(T.matmul(T.reshape(out, (1, n)), T.constant(np.reshape(coeff, (n, 1)))), ())
+    return T.reshape(T.linear(T.reshape(out, (1, n)), T.constant(np.reshape(coeff, (n, 1)))), ())
 
 
 def op_gradient_checks(seed: int = 0) -> dict[str, float]:
@@ -73,9 +73,9 @@ def op_gradient_checks(seed: int = 0) -> dict[str, float]:
     check("relu", T.relu, x + np.copysign(100 * STEP, x))
     check("gelu", T.gelu, rand(*dims(None, None)))
     m, k, n = dims(None, None, None)
-    check("matmul", T.matmul, rand(m, k), rand(k, n))
+    check("linear_no_bias", T.linear, rand(m, k), rand(k, n))
     b, m, k, n = dims(None, None, None, None)
-    check("matmul_batched", T.matmul, rand(b, m, k), rand(k, n))
+    check("linear_no_bias_batched", T.linear, rand(b, m, k), rand(k, n))
     check("reshape", lambda a: T.reshape(a, (a.size,)), rand(*dims(None, None)))
     m1, m2, n = dims(None, None, None)
     check("concat", lambda a, b: T.concat([a, b], axis=0), rand(m1, n), rand(m2, n))

@@ -142,7 +142,7 @@ def patchify_batch(images: np.ndarray, patch: int, dtype=np.float64) -> np.ndarr
 
 def embed_patches(patches: Tensor, params: dict[str, Tensor]) -> Tensor:
     """Project flattened patches to token space: [B, N, pd] -> [B, N, d]."""
-    return T.matmul(patches, params["patch_projection"])
+    return T.linear(patches, params["patch_projection"])
 
 
 def _assemble(patch_tokens: Tensor, params: dict[str, Tensor], prefix_tokens=(), suffix_tokens=()) -> Tensor:

@@ -18,11 +18,12 @@ from contextvit.vit import ViTConfig, _assemble, embed_patches, encode_tokens, p
 
 def dot(a: Tensor, b=None) -> Tensor:
     """The scalar sum(a * b) over every element, recorded as reshape, one
-    [1, n] @ [n, 1] matmul and reshape; ``b`` is a tensor of a's size, an
-    array (a constant), or None for all ones (the plain sum of ``a``)."""
+    [1, n] @ [n, 1] ``linear`` with no bias and reshape; ``b`` is a tensor of
+    a's size, an array (a constant), or None for all ones (the plain sum of
+    ``a``)."""
     n = a.size
     b = constant(np.ones(n)) if b is None else b if isinstance(b, Tensor) else constant(b)
-    return T.reshape(T.matmul(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
+    return T.reshape(T.linear(T.reshape(a, (1, n)), T.reshape(b, (n, 1))), ())
 
 
 def vit_forward(images: np.ndarray, params: dict, config: ViTConfig):

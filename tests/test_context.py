@@ -792,8 +792,7 @@ def _affine(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
 
 
 def _unfolded_norm_linear(xhat, gain, shift, w, b=None):
-    y = _affine(xhat, gain, shift)
-    return T.matmul(y, w) if b is None else T.linear(y, w, b)
+    return T.linear(_affine(xhat, gain, shift), w, b)
 
 
 @pytest.mark.parametrize("name", CONTEXT_KIND_NAMES)

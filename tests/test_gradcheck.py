@@ -16,7 +16,7 @@ def test_linear_function_is_nearly_exact():
     # cancellation noise over the denominator floor
     w = constant(np.arange(1.0, 7.0).reshape(2, 3))
     x = tensor(np.ones((3, 4)), requires_grad=True)
-    err = finite_diff_check(lambda: dot(T.matmul(w, x)), {"x": x}, step=1e-4)
+    err = finite_diff_check(lambda: dot(T.linear(w, x)), {"x": x}, step=1e-4)
     assert err <= 1e-10
 
 
@@ -67,7 +67,7 @@ def test_detached_path_needs_subgraph_comparison():
 def test_per_parameter_errors_reported():
     a = tensor([1.0, 2.0], requires_grad=True)
     b = tensor([[3.0], [4.0]], requires_grad=True)
-    errs = finite_diff_errors(lambda: dot(T.matmul(T.reshape(a, (1, 2)), b)), {"a": a, "b": b})
+    errs = finite_diff_errors(lambda: dot(T.linear(T.reshape(a, (1, 2)), b)), {"a": a, "b": b})
     assert set(errs) == {"a", "b"}
     assert all(e <= 1e-8 for e in errs.values())
 
@@ -77,6 +77,18 @@ def test_untouched_parameter_reports_zero_error():
     unused = tensor([5.0], requires_grad=True)
     errs = finite_diff_errors(lambda: dot(x, x), {"x": x, "unused": unused})
     assert errs["unused"] == 0.0
+
+
+def test_stale_gradient_of_an_unreached_parameter_is_not_read():
+    """``backward`` leaves the ``.grad`` of a leaf the loss does not reach as
+    it was; the checker clears it first, so an earlier gradient is not taken
+    for the analytic one."""
+    x = tensor([1.0], requires_grad=True)
+    a = tensor([2.0], requires_grad=True)
+    a.grad = np.array([3.0])
+    errs = finite_diff_errors(lambda: dot(x, x), {"x": x, "a": a})
+    assert errs["a"] == 0.0
+    assert a.grad is None
 
 
 def test_coordinate_sampling_is_deterministic():

@@ -183,15 +183,20 @@ def _optimizer(optimizer, params):
     return state, lambda: sgd_momentum_step(params, state, 0.1, 0.9), (state.velocity,)
 
 
-def _stepped(optimizer):
-    """Parameters, their state after one step (moments or velocity away from
-    zero) with every gradient still set, a step function, and the state's
-    vectors."""
-    params = _params()
-    state, step, vectors = _optimizer(optimizer, params)
+def _ones_grads(params):
     for p in params.values():
         p.grad = np.ones_like(p.data)
+
+
+def _stepped(optimizer):
+    """Parameters, their state after one step (moments or velocity away from
+    zero) with every gradient set again (the step consumed them), a step
+    function, and the state's vectors."""
+    params = _params()
+    state, step, vectors = _optimizer(optimizer, params)
+    _ones_grads(params)
     step()
+    _ones_grads(params)
     return params, state, step, vectors
 
 
@@ -238,6 +243,34 @@ def test_parameter_the_loss_ignores_gets_no_gradient_and_stops_the_step(optimize
         backward(dot(T.linear(*(params[name] for name in read))), tape)
     assert any(t is cls for node in tape.nodes for t in node.inputs)
     assert cls.grad is None and all(params[name].grad is not None for name in read)
+    before = _snapshot(params, *vectors)
+    steps_before = getattr(state, "step", None)
+    with pytest.raises(MissingGradientError, match="'cls_token'") as err:
+        step()
+    assert err.value.name == "cls_token"
+    assert _snapshot(params, *vectors) == before
+    assert getattr(state, "step", None) == steps_before
+
+
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+def test_a_step_consumes_its_gradients_so_the_next_cannot_reuse_them(optimizer):
+    """Step 1's loss reaches ``cls_token``; step 2's records it in a node the
+    loss ignores.  Step 1 set every ``.grad`` to None, so step 2 raises
+    naming ``cls_token`` instead of stepping it with step 1's gradient, and
+    no value, moment, velocity or step count moves."""
+    params = _params()
+    state, step, vectors = _optimizer(optimizer, params)
+    cls, read = params["cls_token"], ("head.w", "layer0.attn.wq", "layer0.attn.bq")
+    with Tape() as tape:
+        backward(dot(T.linear(T.linear(cls, params["head.w"]), params["layer0.attn.wq"],
+                              params["layer0.attn.bq"])), tape)
+    assert all(p.grad is not None for p in params.values())
+    step()
+    assert all(p.grad is None for p in params.values())
+    with Tape() as tape:
+        T.add(cls, cls)  # recorded, but the loss never reads it
+        backward(dot(T.linear(*(params[name] for name in read))), tape)
+    assert cls.grad is None
     before = _snapshot(params, *vectors)
     steps_before = getattr(state, "step", None)
     with pytest.raises(MissingGradientError, match="'cls_token'") as err:

@@ -185,8 +185,8 @@ def test_pooled_context_matches_reference(slots, inner, d, mean, strided, dtype,
 @settings(max_examples=40, deadline=None)
 @given(lead=LEAD, m=st.integers(1, 5), k=st.integers(1, 5), n=st.integers(1, 5),
        strided=st.booleans(), w_strided=st.booleans(), dtype=DTYPES, seed=SEEDS)
-def test_linear_is_bitwise_matmul_plus_bias_in_both_dtypes(lead, m, k, n, strided, w_strided, dtype, seed):
-    """``linear`` and ``add(matmul)`` share ``_matmul_vjp`` and
+def test_linear_with_bias_is_bitwise_linear_then_add_in_both_dtypes(lead, m, k, n, strided, w_strided, dtype, seed):
+    """``linear(x, w, b)`` and ``add(linear(x, w), b)`` share ``_affine_vjp`` and
     ``_unbroadcast``, so every output and gradient has the same bytes."""
     rng = np.random.default_rng(seed)
     values = (_array(rng, (*lead, m, k), dtype, strided), _array(rng, (k, n), dtype, w_strided),
@@ -194,7 +194,7 @@ def test_linear_is_bitwise_matmul_plus_bias_in_both_dtypes(lead, m, k, n, stride
     results = []
     for fused in (True, False):
         x, w, b = (tensor(v, requires_grad=True) for v in values)
-        out, _ = _run(lambda: T.linear(x, w, b) if fused else T.add(T.matmul(x, w), b),
+        out, _ = _run(lambda: T.linear(x, w, b) if fused else T.add(T.linear(x, w), b),
                       np.random.default_rng(seed + 1), dtype)
         results.append([out.data, x.grad, w.grad, b.grad])
     for got, want in zip(*results):

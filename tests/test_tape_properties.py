@@ -90,7 +90,7 @@ _UNARY = {
     "relu": T.relu,
     "reshape": lambda h: T.reshape(h, h.shape[::-1]),
     "double": lambda h: T.add(h, h),
-    "scale": lambda h: T.matmul(h, constant(0.5 * np.eye(h.shape[-1]))),
+    "scale": lambda h: T.linear(h, constant(0.5 * np.eye(h.shape[-1]))),
 }
 
 
@@ -118,7 +118,7 @@ def test_only_leaves_carry_grad(ops, seed):
 @settings(max_examples=50, deadline=None)
 @given(lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 5), k=st.integers(1, 5),
        n=st.integers(1, 5), seed=SEEDS)
-def test_linear_is_bitwise_matmul_plus_bias(lead, m, k, n, seed):
+def test_linear_with_bias_is_bitwise_linear_then_add(lead, m, k, n, seed):
     rng = np.random.default_rng(seed)
     values = (rng.standard_normal((*lead, m, k)), rng.standard_normal((k, n)), rng.standard_normal(n))
     c = rng.standard_normal((*lead, m, n))
@@ -126,7 +126,7 @@ def test_linear_is_bitwise_matmul_plus_bias(lead, m, k, n, seed):
     for fused in (True, False):
         x, w, b = (tensor(v, requires_grad=True) for v in values)
         with Tape() as tape:
-            out = T.linear(x, w, b) if fused else T.add(T.matmul(x, w), b)
+            out = T.linear(x, w, b) if fused else T.add(T.linear(x, w), b)
             backward(dot(out, c), tape)
         results.append([out.data, x.grad, w.grad, b.grad])
     for got, want in zip(*results):
@@ -214,12 +214,12 @@ def test_cross_entropy_is_bitwise_the_unfused_composition(b, k, scale, seed):
 
 
 def _dtype_cases(new, n: int) -> dict:
-    """One application of every op (and of Tensor indexing) to leaves made by
-    ``new(*shape)``; ``n`` varies the leading size."""
+    """One application of every op (and of Tensor indexing and of linear with
+    no bias) to leaves made by ``new(*shape)``; ``n`` varies the leading size."""
     return {
         "add": lambda: T.add(new(n, 3), new(3)),
-        "matmul": lambda: T.matmul(new(n, 2, 3), new(3, 4)),
         "linear": lambda: T.linear(new(n, 2, 3), new(3, 4), new(4)),
+        "linear_no_bias": lambda: T.linear(new(n, 2, 3), new(3, 4)),
         "norm_linear": lambda: T.norm_linear(new(n, 2, 3), new(3), new(3), new(3, 4), new(4)),
         "attention_core": lambda: T.attention_core(new(n, 3, 4), new(n, 5, 4), new(n, 5, 6), heads=2),
         "reshape": lambda: T.reshape(new(n, 6), (6, n)),
@@ -236,7 +236,7 @@ def _dtype_cases(new, n: int) -> dict:
 def test_dtype_cases_cover_every_op():
     # stop_gradient records nothing, like constant
     not_ops = {"Tensor", "Tape", "active_tape", "tensor", "constant", "stop_gradient", "backward"}
-    assert set(_dtype_cases(None, 1)) == set(T.__all__) - not_ops | {"getitem"}
+    assert set(_dtype_cases(None, 1)) == set(T.__all__) - not_ops | {"getitem", "linear_no_bias"}
 
 
 @settings(max_examples=150, deadline=None)

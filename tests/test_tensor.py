@@ -2,6 +2,7 @@
 against closed forms, tape discipline, and stop-gradient semantics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,37 +66,48 @@ def test_grad_buffer_matches_shape_after_backward():
     assert x.grad is not None and x.grad.shape == (2, 3)
 
 
-# -------------------------------------------------------------------- matmul
+# -------------------------------------------------------------------- linear
 
 
-def test_matmul_identity():
+def test_linear_no_bias_identity():
     eye = constant(np.eye(2))
     m = constant([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(T.matmul(eye, m).data, m.data)
+    assert np.array_equal(T.linear(eye, m).data, m.data)
 
 
-def test_matmul_hand_example():
-    out = T.matmul(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
+def test_linear_no_bias_hand_example():
+    out = T.linear(constant([[1.0, 2.0]]), constant([[3.0], [4.0]]))
     assert np.array_equal(out.data, [[11.0]])
 
 
-def test_matmul_dimension_mismatch():
+def test_linear_no_bias_dimension_mismatch():
     with pytest.raises(ValueError):
-        T.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
+        T.linear(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
 
 
-def test_matmul_and_linear_take_a_matrix_on_the_right():
+def test_linear_takes_a_matrix_on_the_right_with_or_without_a_bias():
     x, w = constant(np.ones((2, 3, 4))), constant(np.ones((2, 4, 5)))
-    for op in (lambda: T.matmul(x, w), lambda: T.linear(x, w, constant(np.zeros(5)))):
+    for op in (lambda: T.linear(x, w), lambda: T.linear(x, w, constant(np.zeros(5)))):
         with pytest.raises(ValueError, match=r"\(2, 3, 4\) @ \(2, 4, 5\)"):
             op()
 
 
-def test_matmul_gradient_closed_form():
+@pytest.mark.parametrize("bias", [(), (1,), (4,), (1, 5), (3, 5)])
+def test_linear_and_norm_linear_take_a_bias_of_the_output_width_only(bias):
+    """A bias must be [n]: one that would broadcast over the rows ([1, n],
+    [m, n]) or that could not ([k], a scalar) is rejected by both ops."""
+    x, w, b = constant(np.ones((3, 4))), constant(np.ones((4, 5))), constant(np.zeros(bias))
+    ones = constant(np.ones(4))
+    for op in (lambda: T.linear(x, w, b), lambda: T.norm_linear(x, ones, ones, w, b)):
+        with pytest.raises(ValueError, match=r"bias must be \[5\], got " + re.escape(str(bias))):
+            op()
+
+
+def test_linear_no_bias_gradient_closed_form():
     a = tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     b = tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     with Tape() as tape:
-        loss = dot(T.matmul(a, b))
+        loss = dot(T.linear(a, b))
         backward(loss, tape)
     g = np.ones((2, 4))
     assert np.allclose(a.grad, g @ b.data.T)
@@ -416,7 +428,7 @@ def test_forward_replay_bitwise_deterministic():
     def build():
         x = tensor(np.linspace(-1, 1, 12).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            h = T.gelu(T.matmul(x, tensor(np.arange(8.0).reshape(4, 2))))
+            h = T.gelu(T.linear(x, tensor(np.arange(8.0).reshape(4, 2))))
             loss = T.cross_entropy(h, [0, 1, 1])
             backward(loss, tape)
         return loss.data.copy(), x.grad.copy()
@@ -438,8 +450,9 @@ def test_op_checks_cover_exactly_the_differentiable_ops():
     ops = set(T.__all__) - _NOT_OPS
     checks = set(op_gradient_checks(seed=0))
     assert not ops - checks, f"ops without a finite-difference check: {sorted(ops - checks)}"
-    # the extra checks probe batched matmul, Tensor indexing and norm_linear with no bias
-    assert checks - ops == {"matmul_batched", "getitem", "norm_linear_no_bias"}
+    # the extra checks probe linear with no bias (on 2-D and on batched rows),
+    # Tensor indexing and norm_linear with no bias
+    assert checks - ops == {"linear_no_bias", "linear_no_bias_batched", "getitem", "norm_linear_no_bias"}
 
 
 
