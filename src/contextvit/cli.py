@@ -22,7 +22,8 @@ status and its summary fields, or ``None`` for no summary:
   ablate          train a grid of context kinds x seeds, emit a table
   sweep           re-evaluate a checkpoint across evaluation batch sizes
   export-context  collect context tokens, PCA + separation analysis
-  grad-check      run the finite-difference verification suite
+  grad-check      run the finite-difference verification suite, whose
+                  errors and tolerance go to summary.json
 """
 
 from __future__ import annotations
@@ -197,8 +198,7 @@ def _write_trained(cfg: RunConfig, run_dir: str, data: DatasetSplit, result, pre
 def _cmd_ablate(cfg: RunConfig, run_dir: str, data: DatasetSplit, model: None) -> tuple:
     seeds = cfg.seed_list()
     rows = run_ablation(data, cfg.vit_config(), cfg.train_config(), kinds=cfg.kind_list(), seeds=seeds,
-                        eval_batch_size=cfg.eval_batch_size, context_patches=cfg.context_patches,
-                        ema_lambda=cfg.ema_lambda)
+                        eval_batch_size=cfg.eval_batch_size)
     table_path = os.path.join(run_dir, "ablation.csv")
     _write_csv(
         table_path,
@@ -266,16 +266,12 @@ def _cmd_export_context(cfg: RunConfig, run_dir: str, data: DatasetSplit, model:
 
 def _cmd_grad_check(cfg: RunConfig, run_dir: str, data: None, model: None) -> tuple:
     results = run_gradient_suite()
-    write_summary_json(
-        {"command": "grad-check", "tolerance": TOLERANCE, "results": results},
-        os.path.join(run_dir, "gradcheck.json"),
-    )
     failures = sum(err >= TOLERANCE for err in results.values())
     for name, err in results.items():
         status = "ok" if err < TOLERANCE else "FAIL"
         print(f"{status:4s} {name:40s} {err:.3e}")
     print(f"{len(results) - failures}/{len(results)} gradient checks within {TOLERANCE:g}")
-    return 1 if failures else 0, None
+    return 1 if failures else 0, {"tolerance": TOLERANCE, "results": results}
 
 
 class _Command(NamedTuple):

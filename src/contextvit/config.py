@@ -98,12 +98,13 @@ class RunConfig(ViTConfig, SyntheticShiftSpec, TrainConfig):
             self.context_kind, patches=self.context_patches, ema_lambda=self.ema_lambda
         )
 
-    def kind_list(self) -> list[str]:
-        kinds = _split_list("ablate_kinds", self.ablate_kinds, str)
-        for kind in kinds:
-            if kind not in CONTEXT_KIND_NAMES:
-                raise ValueError(f"config key 'ablate_kinds' must list kinds of {CONTEXT_KIND_NAMES}, got {kind!r}")
-        return kinds
+    def kind_list(self) -> list[ContextKind]:
+        """The kinds ``ablate_kinds`` names, each with this config's kind settings."""
+        names = _split_list("ablate_kinds", self.ablate_kinds, str)
+        for name in names:
+            if name not in CONTEXT_KIND_NAMES:
+                raise ValueError(f"config key 'ablate_kinds' must list kinds of {CONTEXT_KIND_NAMES}, got {name!r}")
+        return [ContextKind.from_name(name, self.context_patches, self.ema_lambda) for name in names]
 
     def seed_list(self) -> list[int]:
         seeds = _split_list("ablate_seeds", self.ablate_seeds, int)

@@ -97,19 +97,15 @@ def run_ablation(
     data: DatasetSplit,
     vit_config: ViTConfig,
     train_config: TrainConfig,
-    kinds: Sequence[str],
+    kinds: Sequence[ContextKind],
     seeds: Sequence[int],
     eval_batch_size: Optional[int] = None,
-    context_patches: Optional[int] = None,
-    ema_lambda: Optional[float] = None,
 ) -> list[AblationRow]:
-    """Train every kind with every seed; one aggregated row per kind.
+    """Train every kind, as given, with every seed; one aggregated row per
+    kind, named by the kind's name.
 
-    Each kind is built with ``context_patches`` and ``ema_lambda`` (None:
-    ``ContextKind``'s defaults), which only the kinds that read them keep
-    (``ContextKind.from_name``).  Rows keep the order of ``kinds``; a
-    failed run is recorded in the row's error field and the table is still
-    returned in full.
+    Rows keep the order of ``kinds``; a failed run is recorded in the row's
+    error field and the table is still returned in full.
     """
     if not kinds:
         raise ValueError("ablation needs at least one kind")
@@ -118,11 +114,10 @@ def run_ablation(
     eval_bs = eval_batch_size or train_config.batch_size
     group_ids = sorted(data.train.partition)
     rows = []
-    for kind_name in kinds:
-        row = AblationRow(kind=kind_name, ood_accuracy=math.nan, id_accuracy=math.nan, seconds=0.0)
+    for kind in kinds:
+        row = AblationRow(kind=kind.name, ood_accuracy=math.nan, id_accuracy=math.nan, seconds=0.0)
         start = time.perf_counter()
         try:
-            kind = ContextKind.from_name(kind_name, patches=context_patches, ema_lambda=ema_lambda)
             for seed in seeds:
                 model = ContextViT.create(vit_config, kind, seed=seed, group_ids=group_ids)
                 cfg = replace(train_config, seed=seed)
@@ -155,7 +150,6 @@ def batch_size_sweep(model: ContextViT, subset: GroupedBatch, sizes: Sequence[in
 @dataclass
 class PCAResult:
     projections: np.ndarray  # [M, k]
-    explained_variance: np.ndarray  # [k] eigenvalues, descending
     explained_ratio: np.ndarray  # [k] eigenvalue / total variance
     components: np.ndarray  # [k, d] rows orthonormal
     mean: np.ndarray  # [d]
@@ -192,7 +186,6 @@ def pca_project(tokens: np.ndarray, k: int) -> PCAResult:
     rank = int((evals > max(evals[0], 1.0) * 1e-12).sum()) if evals.size else 0
     return PCAResult(
         projections=centered @ components.T,
-        explained_variance=evals[:k],
         explained_ratio=ratio,
         components=components,
         mean=mean,

@@ -14,18 +14,19 @@ every op, gradient and optimizer moment follows that dtype.  Probing and
 evaluation run in whatever dtype the model holds, so a freshly created
 model (float64, as the gradient checks use) stays float64.
 
-Both optimizers keep their parameters in one flat arena.  ``AdamWState.init``
-and ``SGDState.init`` copy every parameter into a slice of one contiguous
-vector, decayed parameters first, and rebind each ``.data`` to a view of
-its slice; all parameters of one state share one dtype (a mixed set is a
-``TypeError`` naming the parameter).  A step gathers the gradients into a
-second vector, checks them all before anything moves (a parameter with no
-``.grad`` raises ``MissingGradientError`` naming it), consumes every
-``.grad`` (sets it to None), runs the update as a few whole-vector ops in
-place, and never rebinds ``.data``.  A parameter
-whose ``.data`` was rebound after ``init`` (a checkpoint restore, a dtype
-cast) no longer reads its slice, so the next step raises
-``StaleParameterError`` naming it; build a new state after such a change.
+Both optimizer states are flat arenas of their parameters: ``AdamWState``
+and ``SGDState`` subclass ``_ParamArena``.  ``init`` copies every parameter
+into a slice of one contiguous vector, decayed parameters first, and
+rebinds each ``.data`` to a view of its slice; all parameters of one state
+share one dtype (a mixed set is a ``TypeError`` naming the parameter).  A
+step gathers the gradients into a second vector, checks them all before
+anything moves (a parameter with no ``.grad`` raises
+``MissingGradientError`` naming it), consumes every ``.grad`` (sets it to
+None), runs the update as a few whole-vector ops in place, and never
+rebinds ``.data``.  A parameter whose ``.data`` was rebound after
+``init`` (a checkpoint restore, a dtype cast) no longer reads its slice,
+so the next step raises ``StaleParameterError`` naming it; build a new
+state after such a change.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class MissingGradientError(RuntimeError):
 
 
 class _ParamArena:
-    """Every parameter of one optimizer as a view of one contiguous vector.
+    """Every parameter of one optimizer as a view of one contiguous vector:
+    the base of both optimizer states.
 
     ``values`` holds the parameters decayed-first (``is_decay_exempt`` is
     decided here, once: the first ``decayed`` values take weight decay), and
@@ -170,6 +172,11 @@ class _ParamArena:
             p.data = view
             self._entries.append((view, self._view(self.grad, name)))
 
+    @classmethod
+    def init(cls, params: dict[str, Tensor]):
+        """A state of this class over ``params``, which it lays out and rebinds."""
+        return cls(params)
+
     def _view(self, vector: np.ndarray, name: str) -> np.ndarray:
         sl, shape = self._slots[name]
         return vector[sl].reshape(shape)
@@ -200,8 +207,8 @@ class _ParamArena:
         return self.grad
 
 
-class AdamWState:
-    """First and second moments over a ``_ParamArena``.
+class AdamWState(_ParamArena):
+    """First and second moments over the arena of the parameters.
 
     ``init`` copies the parameters into one vector, decayed ones first, and
     rebinds each ``.data`` to a view of its slice; they must share one dtype
@@ -212,16 +219,12 @@ class AdamWState:
     the next step reads.  ``step`` counts the updates made.
     """
 
-    def __init__(self, arena: _ParamArena):
-        self.arena = arena
-        self.moments = np.zeros((2, arena.values.size), arena.values.dtype)
-        self.m = arena.views(self.moments[0])
-        self.v = arena.views(self.moments[1])
+    def __init__(self, params: dict[str, Tensor]):
+        super().__init__(params)
+        self.moments = np.zeros((2, self.values.size), self.values.dtype)
+        self.m = self.views(self.moments[0])
+        self.v = self.views(self.moments[1])
         self.step = 0
-
-    @classmethod
-    def init(cls, params: dict[str, Tensor]) -> "AdamWState":
-        return cls(_ParamArena(params))
 
 
 def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: float) -> None:
@@ -235,14 +238,13 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: floa
         raise ValueError("lr must be >= 0")
     if wd < 0:
         raise ValueError("wd must be >= 0")
-    arena = state.arena
-    g = arena.gather(params, "adamw_step")
+    g = state.gather(params, "adamw_step")
     state.step += 1
     t = state.step
     bc1 = 1.0 - _BETA1 ** t
     bc2 = 1.0 - _BETA2 ** t
     m, v = state.moments
-    tmp, p, nd = arena.scratch, arena.values, arena.decayed
+    tmp, p, nd = state.scratch, state.values, state.decayed
     m *= _BETA1
     m += np.multiply(g, 1.0 - _BETA1, out=tmp)
     v *= _BETA2
@@ -253,31 +255,27 @@ def adamw_step(params: dict[str, Tensor], state: AdamWState, lr: float, wd: floa
     p -= np.multiply(update, lr, out=update)
 
 
-class SGDState:
-    """Momentum velocity over a ``_ParamArena``, laid out as its ``values``.
+class SGDState(_ParamArena):
+    """Momentum velocity over the arena of the parameters, laid out as its
+    ``values``.
 
     ``init`` lays out and rebinds the parameters as ``AdamWState.init``
     does, with the same contract: one dtype, views, no rebinding after it.
     """
 
-    def __init__(self, arena: _ParamArena):
-        self.arena = arena
-        self.velocity = np.zeros_like(arena.values)
-
-    @classmethod
-    def init(cls, params: dict[str, Tensor]) -> "SGDState":
-        return cls(_ParamArena(params))
+    def __init__(self, params: dict[str, Tensor]):
+        super().__init__(params)
+        self.velocity = np.zeros_like(self.values)
 
 
 def sgd_momentum_step(params: dict[str, Tensor], state: SGDState, lr: float, momentum: float = 0.9) -> None:
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    arena = state.arena
-    g = arena.gather(params, "sgd_momentum_step")
+    g = state.gather(params, "sgd_momentum_step")
     vel = state.velocity
     vel *= momentum
     vel += g
-    arena.values -= np.multiply(vel, lr, out=arena.scratch)
+    state.values -= np.multiply(vel, lr, out=state.scratch)
 
 
 def schedules(step: int, total_steps: int, warmup_steps: int, config: TrainConfig) -> tuple[float, float]:
@@ -334,11 +332,11 @@ def predictions(model: ContextViT, subset: GroupedBatch, batch_size: int) -> np.
     per_forward = max(1, EVAL_IMAGES_PER_FORWARD // batch_size) * batch_size
     preds = np.empty(subset.size, dtype=np.int64)
     for start in range(0, subset.size, per_forward):
-        idx = np.arange(start, min(start + per_forward, subset.size))
-        part = subset.take(idx)
-        packed = GroupedBatch(part.images, part.labels, part.groups, sets=(idx - start) // batch_size)
+        part = slice(start, min(start + per_forward, subset.size))
+        sets = np.arange(part.stop - start) // batch_size
+        packed = GroupedBatch(subset.images[part], subset.labels[part], subset.groups[part], sets)
         _, logits = model.forward(packed, train=False)
-        preds[idx] = np.argmax(logits.data, axis=1)
+        preds[part] = np.argmax(logits.data, axis=1)
     return preds
 
 
@@ -352,13 +350,13 @@ class TrainResult:
     step_losses: list = field(default_factory=list)  # one entry per optimizer step
 
 
-def _train_epochs(model: ContextViT, arena: _ParamArena, data: DatasetSplit, config: TrainConfig,
+def _train_epochs(model: ContextViT, state: _ParamArena, data: DatasetSplit, config: TrainConfig,
                   update, prefix: str, train: bool) -> TrainResult:
     """The epoch loop both trainers share.
 
     Each seeded batch runs forward and backward, then ``update(lr, wd)``;
     validation follows every epoch and the best validation epoch's
-    parameters (one copy of the arena's values) and ema state (earliest
+    parameters (one copy of the state's values) and ema state (earliest
     epoch wins ties) are restored at the end, in place.  ``prefix`` names the seed streams and the metric rows.
     """
     steps_per_epoch = batches_per_epoch(data.train, config.batch_size, config.sampler)
@@ -400,10 +398,10 @@ def _train_epochs(model: ContextViT, arena: _ParamArena, data: DatasetSplit, con
         rows.append((epoch, "val", prefix + "accuracy", val_acc, config.seed, kind_name))
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
-            best_params = arena.values.copy()
+            best_params = state.values.copy()
             best_ema = {k: v.copy() for k, v in model.ema_state.items()}
 
-    arena.values[...] = best_params
+    state.values[...] = best_params
     model.ema_state = best_ema
     return TrainResult(
         model=model,
@@ -422,7 +420,7 @@ def fine_tune(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> Tra
     model.to_float32()
     params = model.trainable_parameters()
     state = AdamWState.init(params)
-    return _train_epochs(model, state.arena, data, config, lambda lr, wd: adamw_step(params, state, lr, wd),
+    return _train_epochs(model, state, data, config, lambda lr, wd: adamw_step(params, state, lr, wd),
                          prefix="", train=True)
 
 
@@ -448,7 +446,7 @@ def linear_probe(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> 
     probe.backbone["head.b"] = Tensor(np.zeros(k, dtype), requires_grad=True)
     params = {"head.w": probe.backbone["head.w"], "head.b": probe.backbone["head.b"]}
     state = SGDState.init(params)
-    return _train_epochs(probe, state.arena, data, config,
+    return _train_epochs(probe, state, data, config,
                          lambda lr, wd: sgd_momentum_step(params, state, lr, config.momentum),
                          prefix="probe_", train=False)
 

@@ -135,7 +135,8 @@ def ablation_outcome(default_data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluation_mod, "fine_tune", keep_model)
         rows = run_ablation(data, cfg.vit_config(), train_config,
-                            kinds=BENCH_KINDS, seeds=BENCH_SEEDS, eval_batch_size=64)
+                            kinds=[ContextKind(k) for k in BENCH_KINDS], seeds=BENCH_SEEDS,
+                            eval_batch_size=64)
     return rows, time.monotonic() - start, models
 
 

@@ -14,9 +14,10 @@ import contextvit
 from contextvit import cli
 from contextvit.checkpoint import load_checkpoint, save_checkpoint
 from contextvit.cli import main
-from contextvit.config import RunConfig
+from contextvit.config import RunConfig, config_hash
 from contextvit.context import ContextKind, ContextViT
 from contextvit.data import SyntheticShiftSpec, generate_dataset, save_dataset
+from contextvit.verify import TOLERANCE
 
 
 TINY = """
@@ -408,8 +409,12 @@ def test_grad_check_plumbing(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "ok" in out and "FAIL" in out and "1/2" in out
     run_dir = next((tmp_path / "runs").iterdir())
-    blob = json.loads((run_dir / "gradcheck.json").read_text())
-    assert blob["results"]["fake_fail"] == 0.5
+    assert not (run_dir / "gradcheck.json").exists()
+    blob = json.loads((run_dir / "summary.json").read_text())
+    assert blob["command"] == "grad-check"
+    assert blob["config_hash"] == config_hash(RunConfig(out_dir=str(tmp_path / "runs")))
+    assert blob["tolerance"] == TOLERANCE
+    assert blob["results"] == {"fake_pass": 1e-9, "fake_fail": 0.5}
 
 
 def test_console_script_is_installed(tmp_path):

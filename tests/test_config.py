@@ -1,7 +1,6 @@
 """Flat key=value configuration: parsing, overrides, canonical text, hashing."""
 
 import dataclasses
-import inspect
 
 import pytest
 
@@ -15,22 +14,23 @@ from contextvit.config import (
 )
 from contextvit.context import CONTEXT_KIND_NAMES, ContextKind
 from contextvit.data import SyntheticShiftSpec
-from contextvit.evaluation import run_ablation
 from contextvit.train import TrainConfig
 from contextvit.vit import ViTConfig
 
 
 def test_kind_settings_defaults_are_contextkinds():
     """``ContextKind``'s field defaults are the one spelling of the kind
-    settings' defaults: the config keys read them, and ``from_name`` and
-    ``run_ablation`` fall back to them."""
+    settings' defaults: the config keys read them, and ``from_name`` falls
+    back to them.  ``kind_list`` builds every ablation kind with the
+    config's kind settings, kept only by the kinds that read them."""
     defaults = {f.name: f.default for f in dataclasses.fields(ContextKind) if f.name != "name"}
     cfg = RunConfig()
     assert {"patches": cfg.context_patches, "ema_lambda": cfg.ema_lambda} == defaults
-    ablation = inspect.signature(run_ablation).parameters
-    assert ablation["context_patches"].default is None and ablation["ema_lambda"].default is None
     for name in CONTEXT_KIND_NAMES:
         assert ContextKind.from_name(name) == ContextKind(name) == RunConfig(context_kind=name).kind()
+    cfg = RunConfig(ablate_kinds="in_context_patches,ema,mean", context_patches=8, ema_lambda=0.5)
+    assert cfg.kind_list() == [ContextKind("in_context_patches", patches=8), ContextKind("ema", ema_lambda=0.5),
+                               ContextKind("mean")]
 
 
 def test_defaults_are_consistent():
@@ -40,7 +40,7 @@ def test_defaults_are_consistent():
     cfg.shift_spec()
     cfg.train_config()
     cfg.kind()
-    assert cfg.kind_list()[0] == "none"
+    assert cfg.kind_list()[0].name == "none"
     assert cfg.seed_list() == [0, 1, 2]
     assert 1 in cfg.size_list()
 
@@ -211,7 +211,7 @@ def test_list_keys_reject_empty_lists_and_malformed_entries(key, value, parse):
 
 def test_list_keys_skip_blank_entries():
     cfg = apply_overrides(RunConfig(), ["ablate_seeds= 3, ,4,", "sweep_sizes=2", "ablate_kinds=mean, none"])
-    assert cfg.seed_list() == [3, 4] and cfg.size_list() == [2] and cfg.kind_list() == ["mean", "none"]
+    assert cfg.seed_list() == [3, 4] and cfg.size_list() == [2] and [k.name for k in cfg.kind_list()] == ["mean", "none"]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -111,12 +111,12 @@ def _tiny_data_and_config():
 def test_ablation_rejects_an_empty_seed_list():
     data, vit, tc = _tiny_data_and_config()
     with pytest.raises(ValueError, match="at least one seed"):
-        run_ablation(data, vit, tc, kinds=["none"], seeds=[])
+        run_ablation(data, vit, tc, kinds=[ContextKind("none")], seeds=[])
 
 
 def test_ablation_rows_aggregate_kinds():
     data, vit, tc = _tiny_data_and_config()
-    rows = run_ablation(data, vit, tc, kinds=["none", "mean"], seeds=[0, 1])
+    rows = run_ablation(data, vit, tc, kinds=[ContextKind("none"), ContextKind("mean")], seeds=[0, 1])
     assert [r.kind for r in rows] == ["none", "mean"]
     for r in rows:
         assert len(r.per_seed_ood) == 2
@@ -126,7 +126,7 @@ def test_ablation_rows_aggregate_kinds():
 
 def test_ablation_none_row_matches_plain_run():
     data, vit, tc = _tiny_data_and_config()
-    rows = run_ablation(data, vit, tc, kinds=["none"], seeds=[0])
+    rows = run_ablation(data, vit, tc, kinds=[ContextKind("none")], seeds=[0])
     model = ContextViT.create(vit, ContextKind.from_name("none"), seed=0)
     result = fine_tune(model, data, TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, seed=0, context_kind="none"))
     direct = compute_metrics(result.model, data.id_test, eval_batch_size=tc.batch_size)
@@ -145,7 +145,7 @@ def test_ablation_records_failures_and_continues(monkeypatch):
         return real(model, d, cfg)
 
     monkeypatch.setattr(ev, "fine_tune", exploding)
-    rows = run_ablation(data, vit, tc, kinds=["mean", "none"], seeds=[0])
+    rows = run_ablation(data, vit, tc, kinds=[ContextKind("mean"), ContextKind("none")], seeds=[0])
     assert rows[0].kind == "mean" and rows[0].error is not None
     assert "diverged" in rows[0].error
     assert rows[1].kind == "none" and rows[1].error is None
@@ -153,7 +153,7 @@ def test_ablation_records_failures_and_continues(monkeypatch):
 
 def test_ablation_oracle_ood_reported_nan():
     data, vit, tc = _tiny_data_and_config()
-    rows = run_ablation(data, vit, tc, kinds=["oracle"], seeds=[0])
+    rows = run_ablation(data, vit, tc, kinds=[ContextKind("oracle")], seeds=[0])
     assert math.isnan(rows[0].ood_accuracy)
     assert not math.isnan(rows[0].id_accuracy)
 

@@ -150,8 +150,8 @@ def test_arena_lays_parameters_out_decayed_first_as_views():
     params = _params()
     before = {name: p.data.copy() for name, p in params.items()}
     state = AdamWState.init(params)
-    values = state.arena.values
-    assert state.arena.decayed == 6 + 9
+    values = state.values
+    assert state.decayed == 6 + 9
     assert np.array_equal(values[:6], before["head.w"].ravel())
     assert np.array_equal(values[6:15], before["layer0.attn.wq"].ravel())
     for name, p in params.items():
@@ -300,11 +300,11 @@ def test_rebound_parameter_raises_before_any_update(init, step):
     for p in params.values():
         p.grad = np.ones_like(p.data)
     params["head.w"].data = params["head.w"].data.copy()  # what a rebinding restore does
-    before = _snapshot(params, state.arena.values)
+    before = _snapshot(params, state.values)
     with pytest.raises(StaleParameterError, match="head.w") as err:
         step(params, state)
     assert err.value.name == "head.w"
-    assert _snapshot(params, state.arena.values) == before
+    assert _snapshot(params, state.values) == before
 
 
 def test_checkpoint_restore_after_init_is_caught(tmp_path, toy_model):
