@@ -211,7 +211,8 @@ def test_list_keys_reject_empty_lists_and_malformed_entries(key, value, parse):
 
 def test_list_keys_skip_blank_entries():
     cfg = apply_overrides(RunConfig(), ["ablate_seeds= 3, ,4,", "sweep_sizes=2", "ablate_kinds=mean, none"])
-    assert cfg.seed_list() == [3, 4] and cfg.size_list() == [2] and [k.name for k in cfg.kind_list()] == ["mean", "none"]
+    assert cfg.seed_list() == [3, 4] and cfg.size_list() == [2]
+    assert [k.name for k in cfg.kind_list()] == ["mean", "none"]
 
 
 @pytest.mark.parametrize("key, value", [
