@@ -45,7 +45,7 @@ def finite_diff_errors(
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise TypeError(f"parameter {name!r} is {p.data.dtype}; finite differences need float64")
-        p.grad = None  # backward keeps the old .grad of a leaf the loss does not reach
+        p.grad = None  # backward clears only the tensors it records; f may never record p
 
     with Tape() as tape:
         loss = f()

@@ -11,13 +11,13 @@ end.  An op whose inputs need gradients records itself on the active
 forward-only passes (evaluation, finite differences) keep no graph; the
 values are the same either way.
 ``backward`` replays the tape in reverse and accumulates vector-Jacobian
-products; a grad-enabled loss that is not the output of a node on that
-tape (its forward ran outside the tape) is an error.  The accumulation
-order is the fixed reverse tape order, which makes
+products on each tensor's own ``.grad``; a grad-enabled loss that is not
+the output of a node on that tape (its forward ran outside the tape) is an
+error.  The accumulation order is the fixed reverse tape order, which makes
 gradients bitwise reproducible for a given forward pass.  Only leaves
-(inputs no node on the tape produced) that the loss reaches receive
-``.grad``; an intermediate gradient is freed as soon as the vjp of the
-node that produced it has consumed it.  The vjps of ``add``, ``linear``,
+(inputs no node on the tape produced) that the loss reaches end with a
+``.grad``; an intermediate's is freed as soon as the vjp of the node that
+produced it has read it.  The vjps of ``add``, ``linear``,
 ``norm_linear`` and ``attention_core``, the ops that meet constant inputs
 in training, compute nothing for inputs that need no gradient.  These ops
 are one node each: ``linear`` (x @ w, plus a bias b when one is given),
@@ -60,8 +60,8 @@ copy instead of row by row; a max is exact, so that one is bitwise.
 
 ``stop_gradient`` is not an op: it returns a constant that shares its
 input's storage and records nothing, so the reverse pass never enters the
-detached subgraph, and a leaf read only through it gets no ``.grad``, as
-no leaf the loss does not reach gets one.  Cutting the edge structurally,
+detached subgraph, and a leaf read only through it is not on the tape, so
+``backward`` leaves its ``.grad`` alone.  Cutting the edge structurally,
 rather than multiplying by zero, is what lets detached and
 frozen-to-constant graphs produce identical gradient bytes.
 """
@@ -533,17 +533,21 @@ def gelu(a: Tensor) -> Tensor:
 def stop_gradient(a: Tensor) -> Tensor:
     """``a``'s values as a constant: the result shares ``a``'s storage, needs
     no gradient and records no node, so no gradient flows back through it
-    and a leaf read only through it keeps ``.grad`` None."""
+    and ``backward`` never touches the ``.grad`` of a leaf read only through it."""
     return Tensor(a.data)
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
     """Set ``.grad`` = d(loss)/d(leaf) on each leaf the loss reaches.
 
-    A leaf is an input that no node on the tape produced; one the loss does
-    not reach keeps the ``.grad`` it had.  Intermediate tensors get no
-    ``.grad``: each node's output gradient is dropped as soon as its vjp
-    has read it, so a step holds only the gradients still to be consumed.
+    A leaf is an input that no node on the tape produced.  Every tensor a
+    recorded node reads or writes starts the pass at ``.grad`` None, so a
+    recorded leaf the loss does not reach ends with None; a tensor off the
+    tape keeps its ``.grad``.  A node's output gradient is dropped once its
+    vjp has read it.  A leaf's ``.grad`` is what its vjps returned (summed),
+    uncast, since each vjp gives its input's dtype; it is read-only, as it
+    may share memory with another leaf's (both operands of an equal-shape
+    ``add`` get the one upstream array).
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -553,25 +557,20 @@ def backward(loss: Tensor, tape: Tape) -> None:
             "run the forward pass inside `with Tape():`"
         )
 
+    for node in tape.nodes:
+        node.output.grad = None
+        for inp in node.inputs:
+            inp.grad = None
+    if loss.requires_grad:
+        loss.grad = np.ones_like(loss.data)
     # vjps may return views of their upstream gradient or of each other's
     # results, so a stored gradient is never updated in place
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)} if loss.requires_grad else {}
     for node in reversed(tape.nodes):
-        g_out = grads.pop(id(node.output), None)
+        g_out, node.output.grad = node.output.grad, None
         if g_out is None:
             continue
         contribs = node.vjp(g_out)
         del g_out
         for inp, g in zip(node.inputs, contribs):
-            if g is None or not inp.requires_grad:
-                continue
-            key = id(inp)
-            prev = grads.get(key)
-            grads[key] = g if prev is None else prev + g
-
-    # the loop popped every node output's gradient; the rest belong to reached leaves
-    for node in tape.nodes:
-        for t in node.inputs:
-            g = grads.pop(id(t), None)
-            if g is not None:
-                t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+            if g is not None and inp.requires_grad:
+                inp.grad = g if inp.grad is None else inp.grad + g

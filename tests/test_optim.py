@@ -1,6 +1,7 @@
 """The parameter arena under AdamW and SGD: bitwise equal to the per-tensor
-loops it replaced, nothing moves when a step raises, and a parameter
-without a gradient or rebound after the state was built is caught."""
+loops it replaced, nothing moves when a step raises, a parameter without a
+gradient or rebound after the state was built is caught, and leaves whose
+``.grad``s share one array step as if they held separate copies."""
 
 import numpy as np
 import pytest
@@ -287,6 +288,32 @@ def test_non_finite_gradient_is_named_in_dict_order():
         p.grad = np.full_like(p.data, np.inf)
     with pytest.raises(NonFiniteError, match="layer0.attn.bq"):  # first in the dict, not in the arena
         adamw_step(params, state, 0.1, 0.0)
+
+
+# ------------------------------------------------- shared leaf gradients
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("optimizer", ["adamw", "sgd"])
+def test_leaves_sharing_one_gradient_array_step_as_separate_copies(optimizer, dtype):
+    """``backward`` gives both operands of an equal-shape ``add`` the one
+    upstream array as ``.grad``.  A step over them is bitwise the same step
+    over twins whose ``.grad``s are separate copies of those arrays."""
+    rng = np.random.default_rng(0)
+    values = {name: rng.standard_normal((3, 3)).astype(dtype) for name in ("layer0.attn.wq", "cls_token")}
+    shared, separate = ({name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+                        for _ in range(2))
+    with Tape() as tape:
+        backward(dot(T.add(*shared.values()), rng.standard_normal(9).astype(dtype)), tape)
+    assert np.shares_memory(shared["layer0.attn.wq"].grad, shared["cls_token"].grad)
+    for name, p in separate.items():
+        p.grad = shared[name].grad.copy()
+    snapshots = []
+    for params in (shared, separate):
+        _, step, vectors = _optimizer(optimizer, params)
+        step()
+        snapshots.append(_snapshot(params, *vectors))
+    assert snapshots[0] == snapshots[1]
 
 
 # ------------------------------------------------------ rebound parameters

@@ -1,7 +1,8 @@
 """Property tests for gradient accumulation on the tape: ``_unbroadcast`` is
 the adjoint of broadcasting over leading axes (the one broadcast ``add``
 allows), fan-in through views sums to a dense reference,
-only leaves carry ``.grad``, and the fused ops are bitwise the unfused ones."""
+only leaves carry ``.grad``, ``backward`` replaces every stale ``.grad`` on
+its tape, and the fused ops are bitwise the unfused ones."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -113,6 +114,43 @@ def test_only_leaves_carry_grad(ops, seed):
     for leaf in (x, w, b):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape
     assert unused.grad is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=st.lists(st.sampled_from(sorted(_UNARY)), max_size=6), seed=SEEDS)
+def test_backward_replaces_every_stale_grad_on_the_tape(ops, seed):
+    """Every tensor on the tape starts the pass with a stale ``.grad``.  A
+    leaf the loss reaches ends with exactly a fresh pass's gradient, a leaf
+    it ignores with None, and the output it ignores sends nothing back; a
+    leaf read only through ``stop_gradient`` is not on the tape and keeps
+    its ``.grad``.  A second ``backward`` on the tape leaves the same bytes."""
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(shape) for shape in ((3, 4), (4, 4), (4,), (2,), (3, 4))]
+
+    def forward():
+        x, w, b, unused, detached = (tensor(v, requires_grad=True) for v in values)
+        with Tape() as tape:
+            T.add(unused, unused)  # recorded, but the loss never reads it
+            h = T.add(T.linear(x, w, b), T.stop_gradient(detached))
+            for name in ops:
+                h = _UNARY[name](h)
+            loss = dot(h)
+        return tape, loss, (x, w, b), unused, detached
+
+    tape, loss, reached, _, _ = forward()
+    backward(loss, tape)
+    want = [leaf.grad.tobytes() for leaf in reached]
+
+    tape, loss, reached, unused, detached = forward()
+    for t in [detached] + [t for node in tape.nodes for t in (node.output, *node.inputs)]:
+        t.grad = np.full(t.shape, 7.0)
+    kept = detached.grad
+    for _ in range(2):
+        backward(loss, tape)
+        assert [leaf.grad.tobytes() for leaf in reached] == want
+        assert unused.grad is None
+        assert all(node.output.grad is None for node in tape.nodes)
+        assert detached.grad is kept
 
 
 @settings(max_examples=50, deadline=None)
