@@ -6,7 +6,9 @@ Each checkout's ``src`` is imported in a fresh process; the sections are:
 
 * ``training``: for every context kind in float64 and float32, the training
   logits and every parameter gradient of two training steps (AdamW between
-  them), then the eval logits, on a mixed-group batch of a depth-3 model;
+  them, then the commit of any ema means the forward returned), the ema
+  state by group id, then the eval logits, on a mixed-group batch of a
+  depth-3 model;
 * ``model_checks``: the ``model.*`` values of ``verify.run_gradient_suite()``,
   one toy-model check per context kind;
 * ``op_checks``: every value of ``verify.op_gradient_checks`` at seeds
@@ -154,15 +156,21 @@ def training_section(cv, h) -> None:
             state = cv.train.AdamWState.init(params)
             for batch in batches[:2]:
                 with cv.tensor.Tape() as tape:
-                    _, logits = model.forward(batch, train=True, sample_seed=5)
+                    out, logits = model.forward(batch, train=True, sample_seed=5)
                     cv.tensor.backward(cv.train.batch_cross_entropy(logits, batch.labels), tape)
                 _feed(h, logits.data)
                 for name, p in sorted(params.items()):
                     h.update(name.encode())
                     _feed(h, p.grad if p.grad is not None else np.zeros(0))
                 cv.train.adamw_step(params, state, 1e-3, 0.05)
+                # a forward that returns its ema means leaves their commit to the caller; one that
+                # moved the state itself returns none
+                model.ema_state.update(getattr(out, "ema_means", {}))
                 for p in params.values():
                     p.grad = None
+            for gid in sorted(model.ema_state):
+                h.update(f"ema {gid}".encode())
+                _feed(h, model.ema_state[gid])
             with cv.tensor.Tape():
                 _, logits = model.forward(batches[2], train=False, sample_seed=5)
             _feed(h, logits.data)

@@ -25,6 +25,11 @@ each image sees the context it would see in its own batch.
 ``in_context_patches`` draws each context's rows with its group's seed
 and gathers every image's draws in one ``index_rows``.
 
+A forward writes nothing outside its outputs: the logits and a
+``ForwardRecord``, which holds the ema kind's new running means for the
+training loop to commit.  Replaying a record's ``inputs`` at their
+record/replay boundaries gives its logits bit for bit.
+
 The pooled kinds work for any group, including ones never seen in
 training and groups with a single member; the oracle table raises for
 unknown groups.
@@ -63,6 +68,7 @@ __all__ = [
     "ema_update",
     "deep_sets_infer",
     "sample_context_patches",
+    "ForwardRecord",
     "contextvit_forward",
     "ContextViT",
 ]
@@ -323,18 +329,13 @@ def oracle_lookup(groups: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     return T.index_rows(table, [int(g) for g in groups])
 
 
-def ema_update(state: dict[int, np.ndarray], group: int, batch_mean: np.ndarray, lam: float) -> np.ndarray:
-    """state <- lam*state + (1-lam)*batch_mean; first sighting adopts the mean.
-    A float32 mean keeps the state float32 (``tensor.as_float_array``)."""
+def ema_update(previous: Optional[np.ndarray], batch_mean: np.ndarray, lam: float) -> np.ndarray:
+    """lam*previous + (1-lam)*batch_mean, or a copy of ``batch_mean`` when
+    ``previous`` is None; a float32 mean stays float32 (``as_float_array``)."""
     if not (0.0 < lam < 1.0):
         raise ValueError(f"ema lambda must lie in (0,1), got {lam}")
-    g = int(group)
     mean = as_float_array(batch_mean)
-    if g in state:
-        state[g] = lam * state[g] + (1.0 - lam) * mean
-    else:
-        state[g] = mean.copy()
-    return state[g]
+    return mean.copy() if previous is None else lam * previous + (1.0 - lam) * mean
 
 
 def _mlp_residual(x: Tensor, params: dict[str, Tensor], net: str, final_residual: bool) -> Tensor:
@@ -371,35 +372,41 @@ def _patch_rows(members, n: int) -> np.ndarray:
     return (np.asarray(members, dtype=np.int64)[:, None] * n + np.arange(n)).ravel()
 
 
-def _frozen_input(layer: int, computed: Tensor, frozen: Optional[dict]) -> Tensor:
+@dataclass
+class ForwardRecord:
+    """What a forward computed besides its logits."""
+
+    cls: Optional[Tensor] = None  # [B, d] CLS rows, normalized, before the final norm's affine
+    inputs: dict[int, np.ndarray] = field(default_factory=dict)  # layer -> array at its boundary (_frozen_input)
+    tokens: dict[int, np.ndarray] = field(default_factory=dict)  # layer -> [C, d] tokens, in batch.contexts order
+    ema_means: dict[int, np.ndarray] = field(default_factory=dict)  # group -> mean after this training batch
+
+
+def _frozen_input(layer: int, computed: Tensor, frozen: dict, record: ForwardRecord) -> Tensor:
     """The array at layer ``layer``'s record/replay boundary, the input of
     every pooled kind's token map: the pooled [G, d] stack, the [B*N, d]
-    patch rows or the [G, d] ema state.
+    patch rows or the [G, d] ema means.  It goes to ``record.inputs``.
 
-    With no ``frozen`` dict it is ``computed`` itself.  With one, a layer it
-    lacks records its array there and goes on, and a layer it holds is
-    replayed as a constant of that value: gradient verification freezes the
-    boundary of a detached kind this way, so finite differences see only
-    the declared-differentiable subgraph.
+    A layer that ``frozen`` holds is replayed as a constant of that value:
+    gradient verification freezes the boundary of a detached kind this way,
+    so finite differences see only the declared-differentiable subgraph.
     """
-    if frozen is None:
-        return computed
-    if layer not in frozen:
-        frozen[layer] = computed.data.copy()
-        return computed
-    value = frozen[layer]
-    if np.shape(value) != computed.shape:
-        raise ValueError(f"frozen context input for layer {layer} has shape {np.shape(value)}, "
-                         f"the boundary has {computed.shape}")
-    return T.constant(np.array(value, dtype=computed.data.dtype))
+    if layer in frozen:
+        value = frozen[layer]
+        if np.shape(value) != computed.shape:
+            raise ValueError(f"frozen context input for layer {layer} has shape {np.shape(value)}, "
+                             f"the boundary has {computed.shape}")
+        computed = T.constant(np.array(value, dtype=computed.data.dtype))
+    record.inputs[layer] = computed.data
+    return computed
 
 
 def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: "ContextViT", train: bool,
-                  frozen: Optional[dict]) -> Tensor:
+                  frozen: dict, record: ForwardRecord) -> Tensor:
     """Context tokens [G, d] of the batch's contexts, in ``contexts``
-    order, from patch tokens [B, N, d].  Training updates the ema state;
-    at evaluation a context whose group has no state adopts its own pooled
-    mean, as a first sighting would, and the state is left alone.
+    order, from patch tokens [B, N, d].  Training puts each group's new ema
+    mean in ``record.ema_means``; at evaluation a context whose group has no
+    state adopts its own pooled mean, as a first sighting would.
 
     A detached kind reads the patch tokens through ``stop_gradient``, so its
     pooling records nothing.
@@ -412,19 +419,19 @@ def _group_tokens(patch_tokens: Tensor, batch: GroupedBatch, layer: int, model: 
     if kind.base == "oracle":
         return oracle_lookup(groups, params)
     if kind.base == "deep_sets":
-        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), frozen)
+        rows = _frozen_input(layer, T.reshape(patch_tokens, (b * n, d)), frozen, record)
         return deep_sets_infer(rows, params, np.repeat(batch.slots, n))
     pooled = infer_context_mean(patch_tokens, batch.slots)
     if kind.base == "ema":
         state = model.ema_state
         if train:
             for gid, batch_mean in zip(groups, pooled.data):
-                ema_update(state, gid, batch_mean, kind.ema_lambda)
-            means = [state[g] for g in groups]
+                record.ema_means[gid] = ema_update(state.get(gid), batch_mean, kind.ema_lambda)
+            means = [record.ema_means[g] for g in groups]
         else:
             means = [state.get(g, batch_mean) for g, batch_mean in zip(groups, pooled.data)]
         pooled = T.constant(np.stack(means))
-    src = _frozen_input(layer, pooled, frozen)
+    src = _frozen_input(layer, pooled, frozen, record)
     if kind.base == "mean":
         return src
     return T.linear(src, params[f"ctx_head{layer}.w"], params[f"ctx_head{layer}.b"])
@@ -436,11 +443,9 @@ def contextvit_forward(
     train: bool = False,
     sample_seed: int = 0,
     frozen_context_inputs: Optional[dict] = None,
-    capture_context_tokens: Optional[dict] = None,
-):
-    """Group-conditioned forward pass of ``model``: batch -> (CLS embeddings
-    [B, d], logits [B, num_classes]).  The embeddings are the final norm's
-    normalized rows before its affine, which the head applies.
+) -> tuple[ForwardRecord, Tensor]:
+    """Group-conditioned forward pass of ``model``: batch -> (``ForwardRecord``,
+    logits [B, num_classes]), and it writes nothing else.
 
     Sequence layout per image: [CLS, context, patch+pos ...] (length N+2)
     for token-producing kinds; [CLS, patch+pos ..., K sampled patches]
@@ -451,19 +456,13 @@ def contextvit_forward(
     rewrites its slot through the encoder's hook, after every layer but
     the last.
 
-    ``train`` lets the ema kind update the model's state (evaluation
-    only reads it); ``sample_seed`` seeds the in-context patch draws.
-    ``frozen_context_inputs`` maps a layer to the array at its record/replay
-    boundary (``_frozen_input``), which every pooled kind, ``mean``
-    included, passes its token map's input through: layers it lacks are
-    recorded into it and layers it holds are replayed as constants.
-    ``capture_context_tokens`` maps (layer, group) to the group's token; a
-    packed batch (``GroupedBatch.sets``), where a group can have several
-    contexts, is a ``ValueError``.
+    ``train`` lets the ema kind move its running means, into
+    ``ForwardRecord.ema_means``; ``sample_seed`` seeds the in-context patch
+    draws.  ``frozen_context_inputs`` maps a layer to the array to replay at
+    its record/replay boundary (``_frozen_input``), which every pooled
+    kind, ``mean`` included, passes its token map's input through.
     """
-    if capture_context_tokens is not None and batch.sets is not None:
-        raise ValueError("capture_context_tokens keys tokens by (layer, group), but a packed batch "
-                         "(sets given) can infer several contexts for one group")
+    record = ForwardRecord()
     backbone, config, kind = model.backbone, model.config, model.kind
     patches = T.constant(patchify_batch(batch.images, config.patch, backbone["patch_projection"].data.dtype))
     patch_tokens = embed_patches(patches, backbone)  # pre-positional, pooled from
@@ -481,10 +480,8 @@ def contextvit_forward(
 
         def column(x: Tensor, layer: int) -> Tensor:
             """[B, 1, d] context slot contents: each image gets its context's token."""
-            group_tokens = _group_tokens(x, batch, layer, model, train, frozen_context_inputs)
-            if capture_context_tokens is not None:
-                for (gid, _), token in zip(batch.contexts, group_tokens.data):
-                    capture_context_tokens[(layer, gid)] = token.copy()
+            group_tokens = _group_tokens(x, batch, layer, model, train, frozen_context_inputs or {}, record)
+            record.tokens[layer] = group_tokens.data
             return T.index_rows(group_tokens, slots)
 
         prefix = (column(patch_tokens, 0),)
@@ -495,10 +492,10 @@ def contextvit_forward(
                 return T.concat([x[:, 0:1], column(hidden, l + 1), hidden], axis=1)
 
     tokens = _assemble(patch_tokens, backbone, prefix_tokens=prefix, suffix_tokens=suffix)
-    cls_out = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
-    logits = T.norm_linear(cls_out, backbone["final_norm.gain"], backbone["final_norm.bias"],
+    record.cls = encode_tokens(tokens, backbone, config, layer_hook=layer_hook)
+    logits = T.norm_linear(record.cls, backbone["final_norm.gain"], backbone["final_norm.bias"],
                            backbone["head.w"], backbone["head.b"])
-    return cls_out, logits
+    return record, logits
 
 
 @dataclass
@@ -553,7 +550,6 @@ class ContextViT:
         for gid, value in self.ema_state.items():
             self.ema_state[gid] = value.astype(np.float32)
 
-    def forward(self, batch: GroupedBatch, train: bool = False, sample_seed: int = 0, **capture):
-        """``contextvit_forward`` of this model; ``capture`` takes its
-        ``frozen_context_inputs`` and ``capture_context_tokens`` keywords."""
-        return contextvit_forward(batch, self, train, sample_seed, **capture)
+    def forward(self, batch: GroupedBatch, train: bool = False, sample_seed: int = 0, frozen_context_inputs=None):
+        """``contextvit_forward`` of this model."""
+        return contextvit_forward(batch, self, train, sample_seed, frozen_context_inputs)

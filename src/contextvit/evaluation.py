@@ -246,11 +246,9 @@ def collect_context_tokens(
             rng = generator(child_seed(seed, "collect", gid, b))
             take = min(batch_size, members.size)
             idx = rng.choice(members, size=take, replace=False)
-            sink: dict = {}
-            model.forward(subset.take(idx), train=False, capture_context_tokens=sink)
-            key = (layer, int(gid))
-            if key not in sink:
+            out, _ = model.forward(subset.take(idx), train=False)
+            if layer not in out.tokens:
                 raise ValueError(f"no context token recorded for layer {layer} (kind {model.kind.name!r})")
-            tokens.append(sink[key])
+            tokens.append(out.tokens[layer][0])
             gids.append(int(gid))
     return np.stack(tokens), np.asarray(gids, dtype=np.int64)

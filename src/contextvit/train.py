@@ -6,7 +6,9 @@ uses SGD with momentum.  Learning rate warms up linearly then decays on
 a cosine; weight decay rises on a cosine from its start to its end
 value.  Decay is decoupled and skipped for biases, norm parameters, the
 CLS token, and context tokens.  Everything is seeded, so a fixed config
-reproduces the exact trajectory.
+reproduces the exact trajectory.  The epoch loop commits a training
+forward's ema means (``ForwardRecord.ema_means``) to ``model.ema_state``
+after the optimizer step, so a step that raises moves neither.
 
 Fine-tuning computes in float32: ``fine_tune`` casts every parameter of
 the model and its ema state once, on entry (``ContextViT.to_float32``), and
@@ -354,10 +356,11 @@ def _train_epochs(model: ContextViT, state: _ParamArena, data: DatasetSplit, con
                   update, prefix: str, train: bool) -> TrainResult:
     """The epoch loop both trainers share.
 
-    Each seeded batch runs forward and backward, then ``update(lr, wd)``;
-    validation follows every epoch and the best validation epoch's
-    parameters (one copy of the state's values) and ema state (earliest
-    epoch wins ties) are restored at the end, in place.  ``prefix`` names the seed streams and the metric rows.
+    Each seeded batch runs forward and backward, then ``update(lr, wd)``
+    and the ema commit; validation follows every epoch and the best
+    validation epoch's parameters (one copy of the state's values) and ema
+    state (earliest epoch wins ties) are restored at the end, in place.
+    ``prefix`` names the seed streams and the metric rows.
     """
     steps_per_epoch = batches_per_epoch(data.train, config.batch_size, config.sampler)
     total_steps = config.epochs * steps_per_epoch
@@ -378,13 +381,14 @@ def _train_epochs(model: ContextViT, state: _ParamArena, data: DatasetSplit, con
             lr, wd = schedules(step, total_steps, warmup_steps, config)
             try:
                 with Tape() as tape:
-                    _, logits = model.forward(batch, train=train, sample_seed=child_seed(config.seed, prefix + "draw", step))
+                    out, logits = model.forward(batch, train=train, sample_seed=child_seed(config.seed, prefix + "draw", step))
                     loss = batch_cross_entropy(logits, batch.labels)
                     backward(loss, tape)
                 loss_val = float(loss.data)
                 if not math.isfinite(loss_val):
                     raise NonFiniteError("batch_cross_entropy", loss.shape, "loss")
                 update(lr, wd)
+                model.ema_state.update(out.ema_means)
             except NonFiniteError as exc:
                 raise FloatingPointError(
                     f"training diverged at epoch {epoch} step {step} (kind {kind_name}, lr {lr:g}): {exc}"
@@ -438,7 +442,7 @@ def linear_probe(model: ContextViT, data: DatasetSplit, config: TrainConfig) -> 
         kind=model.kind,
         backbone=frozen(model.backbone),
         context=frozen(model.context),
-        ema_state={k: v.copy() for k, v in model.ema_state.items()},
+        ema_state=model.ema_state,
     )
     d, k = model.config.dim, model.config.num_classes
     dtype = model.backbone["patch_projection"].data.dtype  # the head computes in the backbone's dtype

@@ -5,10 +5,10 @@ probe every differentiable primitive on small random shapes against
 central finite differences; model checks run the complete conditioned
 forward pass (16x16 images, patch 4, d=16, depth 2) for each context
 kind.  Detached kinds, ``ema`` among them, freeze their context inputs:
-the analytic pass records the array at each record/replay boundary
-(``contextvit_forward(..., frozen_context_inputs=...)``) and every
-finite-difference forward replays it as a constant, so the oracle
-compares only the declared-differentiable subgraph.
+the analytic pass's ``ForwardRecord.inputs`` hold the array at each
+record/replay boundary, and every finite-difference forward replays them
+as constants (``contextvit_forward(..., frozen_context_inputs=...)``), so
+the oracle compares only the declared-differentiable subgraph.
 """
 
 from __future__ import annotations
@@ -133,14 +133,15 @@ def _toy_setup(kind_name: str, seed: int):
 def toy_model_gradient_check(kind_name: str, seed: int = 0) -> float:
     """End-to-end FD check of cross-entropy through the full forward pass.
 
-    Detached kinds, ``ema`` among them, freeze their context inputs: the
-    analytic pass records them into ``frozen`` and every finite-difference
-    forward replays them as constants."""
+    Detached kinds, ``ema`` among them, freeze their context inputs: every
+    finite-difference forward replays the analytic pass's recorded inputs."""
     model, batch = _toy_setup(kind_name, seed)
     frozen = {} if model.kind.detach else None
 
     def f():
-        _, logits = model.forward(batch, train=False, sample_seed=7, frozen_context_inputs=frozen)
+        out, logits = model.forward(batch, train=False, sample_seed=7, frozen_context_inputs=frozen)
+        if frozen == {}:  # the analytic pass
+            frozen.update(out.inputs)
         return batch_cross_entropy(logits, batch.labels)
 
     return finite_diff_check(f, model.trainable_parameters(), step=STEP, max_coords=MAX_COORDS, seed=seed)

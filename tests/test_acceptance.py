@@ -100,13 +100,14 @@ def _eval_logits(model: ContextViT, batch: GroupedBatch) -> np.ndarray:
 
 
 def _backbone_grads(model: ContextViT, batch: GroupedBatch, frozen=None):
+    """The forward's recorded context inputs and the backbone gradients."""
     with Tape() as tape:
-        _, logits = model.forward(batch, train=True, frozen_context_inputs=frozen)
+        out, logits = model.forward(batch, train=True, frozen_context_inputs=frozen)
         loss = batch_cross_entropy(logits, batch.labels)
         backward(loss, tape)
-    return {k: np.array(p.grad, copy=True)
-            for k, p in model.parameters().items()
-            if p.requires_grad and not k.startswith("context.")}
+    return out.inputs, {k: np.array(p.grad, copy=True)
+                        for k, p in model.parameters().items()
+                        if p.requires_grad and not k.startswith("context.")}
 
 
 @pytest.fixture(scope="session")
@@ -169,10 +170,9 @@ def test_criterion_01_gradient_suite():
 
 def test_criterion_02_detach_gradient_semantics():
     batch = _toy_batch()
-    frozen: dict = {}  # recorded by the detached model, replayed into mean_linear
-    g_detach = _backbone_grads(_make_model("mean_linear_detach"), batch, frozen=frozen)
-    g_frozen = _backbone_grads(_make_model("mean_linear"), batch, frozen=frozen)
-    g_flow = _backbone_grads(_make_model("mean_linear"), batch)
+    frozen, g_detach = _backbone_grads(_make_model("mean_linear_detach"), batch)  # recorded by the detached model
+    _, g_frozen = _backbone_grads(_make_model("mean_linear"), batch, frozen=frozen)  # replayed into mean_linear
+    _, g_flow = _backbone_grads(_make_model("mean_linear"), batch)
 
     exact = all(np.array_equal(g_detach[k], g_frozen[k]) for k in g_detach)
     differs = any(not np.array_equal(g_flow[k], g_detach[k]) for k in g_detach)
@@ -204,8 +204,8 @@ def test_criterion_03_sequence_layout(monkeypatch):
     with_context = shapes[-1]
     model_none = ContextViT.create(TOY, ContextKind.from_name("none"), seed=11)
     with Tape():
-        cls_none, logits_none = model_none.forward(batch)
-        cls_none, logits_none = np.array(cls_none.data), np.array(logits_none.data)
+        out_none, logits_none = model_none.forward(batch)
+        cls_none, logits_none = np.array(out_none.cls.data), np.array(logits_none.data)
     without_context = shapes[-1]
     monkeypatch.setattr(context_mod, "encode_tokens", real)
     monkeypatch.setattr(vit_mod, "encode_tokens", real)

@@ -147,7 +147,7 @@ def _patch_token_grad(toy_config, name, seed):
     batch = GroupedBatch(np.zeros((3, 1, 1, 1)), [0, 0, 0], [0, 0, 1])
     x = tensor(generator(9).normal(size=(3, toy_config.num_patches, toy_config.dim)), requires_grad=True)
     with Tape() as tape:
-        backward(dot(ctx_mod._group_tokens(x, batch, 0, model, False, None)), tape)
+        backward(dot(ctx_mod._group_tokens(x, batch, 0, model, False, {}, ctx_mod.ForwardRecord())), tape)
     return x.grad, model
 
 
@@ -210,31 +210,32 @@ def test_oracle_entry_moves_against_gradient(toy_config):
 
 
 def test_ema_midpoint():
-    state = {5: np.array([0.0])}
-    ema_update(state, 5, np.array([2.0]), lam=0.5)
-    assert np.array_equal(state[5], [1.0])
+    previous = np.array([0.0])
+    assert np.array_equal(ema_update(previous, np.array([2.0]), lam=0.5), [1.0])
+    assert np.array_equal(previous, [0.0])  # the previous mean is read, never written
 
 
 def test_ema_geometric_halving():
-    state = {0: np.array([0.0])}
+    mean = np.array([0.0])
     target = np.array([8.0])
     gaps = []
     for _ in range(4):
-        ema_update(state, 0, target, lam=0.5)
-        gaps.append(abs(state[0][0] - target[0]))
+        mean = ema_update(mean, target, lam=0.5)
+        gaps.append(abs(mean[0] - target[0]))
     assert gaps == [4.0, 2.0, 1.0, 0.5]
 
 
 def test_ema_first_update_adopts_mean():
-    state = {}
-    ema_update(state, 9, np.array([3.0, 4.0]), lam=0.9)
-    assert np.array_equal(state[9], [3.0, 4.0])
+    batch_mean = np.array([3.0, 4.0])
+    adopted = ema_update(None, batch_mean, lam=0.9)
+    assert np.array_equal(adopted, [3.0, 4.0])
+    assert not np.shares_memory(adopted, batch_mean)  # a copy, not the batch's array
 
 
 def test_ema_lambda_range_enforced():
     for lam in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            ema_update({}, 0, np.zeros(2), lam=lam)
+            ema_update(None, np.zeros(2), lam=lam)
     with pytest.raises(ValueError):
         ContextKind.from_name("ema", ema_lambda=1.0)
 
@@ -327,8 +328,8 @@ def test_forward_shapes_all_token_kinds(small_data, toy_config, name):
     model = _model(toy_config, name)
     batch = make_batch(small_data.train, np.arange(6))
     with Tape():
-        cls_out, logits = model.forward(batch, train=name == "ema")
-    assert cls_out.data.shape == (6, toy_config.dim)
+        out, logits = model.forward(batch, train=name == "ema")
+    assert out.cls.data.shape == (6, toy_config.dim)
     assert logits.data.shape == (6, toy_config.num_classes)
 
 
@@ -385,14 +386,21 @@ def test_sequence_length_in_context_mode(small_data, toy_config):
     assert lengths == [toy_config.num_patches + 1 + k]
 
 
+def _tokens_by_group(out, batch) -> dict:
+    """(layer, group) -> the group's token, from a forward's record of an
+    unpacked ``batch``."""
+    return {(layer, gid): token for layer, tokens in out.tokens.items()
+            for (gid, _), token in zip(batch.contexts, tokens)}
+
+
 def test_same_group_same_token_distinct_groups_differ(small_data, toy_config):
     model = _model(toy_config, "mean")
     idx_g0 = np.nonzero(small_data.train.groups == 0)[0][:3]
     idx_g1 = np.nonzero(small_data.train.groups == 1)[0][:3]
     batch = make_batch(small_data.train, np.concatenate([idx_g0, idx_g1]))
-    sink = {}
     with Tape():
-        model.forward(batch, capture_context_tokens=sink)
+        out, _ = model.forward(batch)
+    sink = _tokens_by_group(out, batch)
     tok0 = sink[(0, 0)]
     tok1 = sink[(0, 1)]
     assert tok0.shape == (toy_config.dim,)
@@ -411,15 +419,13 @@ def test_member_and_patch_permutation_invariance(small_data, toy_config, name):
         np.nonzero(small_data.train.groups == 1)[0][:2],
     ])
     batch = make_batch(small_data.train, idx)
-    sink = {}
     with Tape():
-        model.forward(batch, capture_context_tokens=sink)
+        sink = _tokens_by_group(model.forward(batch)[0], batch)
 
     perm = np.concatenate([np.random.default_rng(21).permutation(4), 4 + np.random.default_rng(22).permutation(2)])
     batch_p = make_batch(small_data.train, idx[perm])
-    sink_p = {}
     with Tape():
-        model.forward(batch_p, capture_context_tokens=sink_p)
+        sink_p = _tokens_by_group(model.forward(batch_p)[0], batch_p)
 
     assert set(sink) == set(sink_p)
     for key in sink:
@@ -444,8 +450,8 @@ def test_amortized_kinds_handle_batch_size_one(small_data, toy_config, name):
     model = _model(toy_config, name)
     batch = make_batch(small_data.ood_test, [0])
     with Tape():
-        cls_out, logits = model.forward(batch)
-    assert cls_out.data.shape == (1, toy_config.dim)
+        out, logits = model.forward(batch)
+    assert out.cls.data.shape == (1, toy_config.dim)
     assert logits.data.shape == (1, toy_config.num_classes)
 
 
@@ -539,11 +545,10 @@ def test_member_permutation_invariance_property(toy_config, groups, seed):
         model = _PERMUTATION_MODELS[name]
         runs = []
         for order in (np.arange(groups.size), perm):
-            sink: dict = {}
+            batch = GroupedBatch(images[order], groups[order], groups[order])
             with Tape():
-                _, logits = model.forward(GroupedBatch(images[order], groups[order], groups[order]),
-                                          capture_context_tokens=sink)
-            runs.append((sink, logits.data))
+                out, logits = model.forward(batch)
+            runs.append((_tokens_by_group(out, batch), logits.data))
         (sink, logits), (sink_p, logits_p) = runs
         assert set(sink) == set(sink_p)
         for key in sink:
@@ -589,25 +594,23 @@ def test_detach_gradients_match_frozen_constant_exactly(small_data, toy_config):
     tolerance); mean_linear differs."""
     batch = make_batch(small_data.train, np.arange(6))
 
-    def run(name, frozen):
+    def run(name, frozen=None):
         model = _model(toy_config, name, seed=2)
         for p in model.context.values():
             p.data = p.data + generator(24).normal(size=p.data.shape) * 0.25
         with Tape() as tape:
-            _, logits = model.forward(batch, frozen_context_inputs=frozen)
+            out, logits = model.forward(batch, frozen_context_inputs=frozen)
             backward(batch_cross_entropy(logits, batch.labels), tape)
-        return {k: v.grad.copy() for k, v in model.backbone.items() if v.grad is not None}
+        return out.inputs, {k: v.grad.copy() for k, v in model.backbone.items() if v.grad is not None}
 
-    captured = {}
-    detached = run("mean_linear_detach", captured)  # records the boundary
-    frozen = run("mean_linear_detach", captured)  # replays it as a constant
+    captured, detached = run("mean_linear_detach")  # records the boundary
+    _, frozen = run("mean_linear_detach", captured)  # replays it as a constant
     assert set(detached) == set(frozen)
     for key in detached:
         assert np.array_equal(detached[key], frozen[key]), key
 
-    captured_live = {}
-    live = run("mean_linear", captured_live)
-    frozen_live = run("mean_linear", captured_live)
+    captured_live, live = run("mean_linear")
+    _, frozen_live = run("mean_linear", captured_live)
     assert any(not np.array_equal(live[k], frozen_live[k]) for k in live)
 
 
@@ -625,9 +628,8 @@ def test_captured_context_inputs_are_keyed_by_frozen_layer(small_data, toy_confi
     model = _model(toy_config, name)
     batch = make_batch(small_data.train, [0, 1, 40, 2, 41])  # groups 0, 0, 1, 0, 1
     assert len(batch.partition) == 2
-    captured = {}
     with Tape():
-        model.forward(batch, frozen_context_inputs=captured)
+        captured = model.forward(batch)[0].inputs
     assert set(captured) == _frozen_layers(name, toy_config.depth)
     rows = batch.size * toy_config.num_patches if model.kind.base == "deep_sets" else 2
     for value in captured.values():
@@ -637,9 +639,8 @@ def test_captured_context_inputs_are_keyed_by_frozen_layer(small_data, toy_confi
 @pytest.mark.parametrize("name", ["mean_linear_detach", "layerwise_mean_linear_detach", "deep_sets_detach", "ema"])
 def test_context_input_override_of_wrong_shape_names_the_layer(small_data, toy_config, name):
     model = _model(toy_config, name)
-    captured = {}
     with Tape():
-        model.forward(make_batch(small_data.train, np.arange(4)), frozen_context_inputs=captured)
+        captured = model.forward(make_batch(small_data.train, np.arange(4)))[0].inputs
     layer = max(captured)
     wrong = {**captured, layer: captured[layer][:-1]}
     with pytest.raises(ValueError, match=f"layer {layer}"):
@@ -653,47 +654,89 @@ def test_partly_filled_frozen_inputs_record_missing_layers_and_replay_held_ones(
         p.data = p.data + generator(25).normal(size=p.data.shape) * 0.3
     batch = make_batch(small_data.train, [0, 1, 40, 2, 41])
 
-    def logits(frozen):
+    def run(frozen=None):
         with Tape():
-            return model.forward(batch, frozen_context_inputs=frozen)[1].data
+            out, logits = model.forward(batch, frozen_context_inputs=frozen)
+        return out.inputs, logits.data
 
-    full = {}
-    recorded = logits(full)
+    full, recorded = run()
     assert set(full) == {0, 1}
     partial = {0: full[0]}
-    assert np.array_equal(logits(partial), recorded)
-    assert partial[0] is full[0]  # replayed, not re-recorded
-    assert np.array_equal(partial[1], full[1])  # recorded, as the full forward did
+    inputs, logits = run(partial)
+    assert np.array_equal(logits, recorded)
+    assert list(partial) == [0] and partial[0] is full[0]  # read, never written
+    assert np.array_equal(inputs[0], full[0])  # replayed
+    assert np.array_equal(inputs[1], full[1])  # recorded, as the full forward did
     shifted = {0: full[0] + 1.0}
-    assert not np.array_equal(logits(shifted), recorded)  # layer 0 came from the dict
-    assert not np.array_equal(shifted[1], full[1])  # layer 1 recorded from the shifted run
+    inputs, logits = run(shifted)
+    assert not np.array_equal(logits, recorded)  # layer 0 came from the dict
+    assert np.array_equal(inputs[0], shifted[0])  # the record holds what was replayed
+    assert not np.array_equal(inputs[1], full[1])  # layer 1 recorded from the shifted run
 
 
-@pytest.mark.parametrize("name", ["mean", "layerwise_mean_linear_detach", "deep_sets_detach", "ema"])
+@pytest.mark.parametrize("name", ["mean", "mean_linear", "mean_linear_detach", "layerwise_mean_linear_detach",
+                                  "deep_sets", "deep_sets_detach", "ema"])
 def test_forward_with_filled_frozen_inputs_replays_bitwise(small_data, toy_config, name):
-    """Recording the boundary and replaying it give the same logits bit for
-    bit, and a detached kind the same backbone gradients too: its boundary
-    is a constant either way, while a live kind's replay cuts the path
-    through the pooling."""
+    """Every kind with a boundary: replaying a forward's own recorded inputs
+    gives the same logits bit for bit, and a detached kind the same backbone
+    gradients too: its boundary is a constant either way, while a live
+    kind's replay cuts the path through the pooling."""
     model = _model(toy_config, name)
     for p in model.context.values():
         p.data = p.data + generator(26).normal(size=p.data.shape) * 0.3
     batch = make_batch(small_data.train, [0, 1, 40, 2, 41, 80])
 
-    def step(frozen):
+    def step(frozen=None):
         with Tape() as tape:
-            _, logits = model.forward(batch, train=True, frozen_context_inputs=frozen)
+            out, logits = model.forward(batch, train=True, frozen_context_inputs=frozen)
             backward(batch_cross_entropy(logits, batch.labels), tape)
-        return logits.data, {k: p.grad.copy() for k, p in model.backbone.items()}
+        return out.inputs, logits.data, {k: p.grad.copy() for k, p in model.backbone.items()}
 
-    frozen = {}
-    first_logits, first_grads = step(frozen)
+    frozen, first_logits, first_grads = step()
     assert set(frozen) == _frozen_layers(name, toy_config.depth)
     held = {k: v.copy() for k, v in frozen.items()}
-    logits, grads = step(frozen)
+    inputs, logits, grads = step(frozen)
     assert np.array_equal(logits, first_logits)
     assert all(np.array_equal(grads[k], first_grads[k]) for k in first_grads) == model.kind.detach
     assert all(np.array_equal(frozen[k], held[k]) for k in held)  # replayed, not overwritten
+    assert set(inputs) == set(held) and all(np.array_equal(inputs[k], held[k]) for k in held)
+
+
+_PURITY_MODELS: dict = {}
+
+
+@settings(max_examples=20, deadline=None)
+@given(groups=st.lists(st.integers(0, 2), min_size=1, max_size=8), seed=st.integers(0, 2**16))
+def test_training_forward_writes_nothing_property(toy_config, groups, seed):
+    """Any batch composition, every kind: two training forwards of one batch
+    give bitwise-equal logits and ema means, and ``ema_state`` is left as
+    it was.  The ema model holds state for group 0 only, so its means mix
+    updates and first sightings."""
+    groups = np.asarray(groups)
+    rng = np.random.default_rng(seed)
+    batch = GroupedBatch(rng.random((groups.size, 16, 16, 3)), np.zeros(groups.size, dtype=int), groups)
+    for name in CONTEXT_KIND_NAMES:
+        if name not in _PURITY_MODELS:
+            model = _model(toy_config, name)
+            for p in model.context.values():
+                p.data = p.data + generator(40).normal(size=p.data.shape) * 0.2
+            if name == "ema":
+                model.ema_state = {0: generator(41).normal(size=toy_config.dim)}
+            _PURITY_MODELS[name] = model
+        model = _PURITY_MODELS[name]
+        state = model.ema_state
+        before = {g: v.copy() for g, v in state.items()}
+        runs = []
+        for _ in range(2):
+            with Tape():
+                out, logits = model.forward(batch, train=True, sample_seed=4)
+            runs.append((logits.data, out.ema_means))
+        (logits, means), (logits_again, means_again) = runs
+        assert np.array_equal(logits, logits_again)
+        assert set(means) == set(means_again) == (set(groups.tolist()) if name == "ema" else set())
+        assert all(np.array_equal(means[g], means_again[g]) for g in means)
+        assert model.ema_state is state and set(state) == set(before)
+        assert all(np.array_equal(state[g], before[g]) for g in before)
 
 
 def _unreached_nodes(tape, loss) -> list:
@@ -764,9 +807,9 @@ def test_cls_only_last_layer_matches_the_full_sequence_encoder(small_data, toy_c
     def step():
         model = _model(config, name)
         with Tape() as tape:
-            cls_out, logits = model.forward(batch, train=True)
+            out, logits = model.forward(batch, train=True)
             backward(batch_cross_entropy(logits, batch.labels), tape)
-        assert cls_out.data.shape == (batch.size, config.dim)
+        assert out.cls.data.shape == (batch.size, config.dim)
         return logits.data, {k: p.grad for k, p in model.trainable_parameters().items()}
 
     logits, grads = step()
@@ -985,11 +1028,19 @@ def test_packed_in_context_patch_draws_equal_each_sets_own_draws(toy_config, mon
         assert np.array_equal(got, want)
 
 
-def test_capturing_tokens_of_a_packed_batch_is_rejected(small_data, toy_config):
-    """Captured tokens are keyed by (layer, group), and a packed batch can
-    hold one group in two contexts."""
-    model = _model(toy_config, "mean_linear_detach")
-    batch = make_batch(small_data.train, [0, 1, 2, 3])
-    with Tape(), pytest.raises(ValueError):
-        model.forward(GroupedBatch(batch.images, batch.labels, batch.groups, [0, 0, 1, 1]),
-                      capture_context_tokens={})
+@pytest.mark.parametrize("name", TOKEN_KINDS)
+def test_packed_batch_records_one_token_per_context(toy_config, name):
+    """A packed batch's recorded tokens have one row per context, groups 0
+    and 1 each twice here, and each row equals its set's token for that
+    group when the set runs alone, to float64 rounding."""
+    model = _model(toy_config, name)
+    for p in model.context.values():
+        p.data = p.data + generator(38).normal(size=p.data.shape) * 0.3
+    images = np.random.default_rng(39).random((6, 16, 16, 3))
+    groups, sets = [0, 1, 0, 1, 1, 0], [0, 0, 0, 1, 1, 1]
+    packed = _packed(images, groups, sets)
+    with Tape():
+        tokens = model.forward(packed)[0].tokens[0]
+        alone = np.concatenate([model.forward(batch)[0].tokens[0] for batch in _sets_alone(images, groups, sets)])
+    assert tokens.shape == (len(packed.contexts), toy_config.dim) == (4, toy_config.dim)
+    assert _relative_gap(tokens, alone) <= 1e-12

@@ -306,6 +306,38 @@ def test_divergence_aborts_with_diagnostics():
         fine_tune(model, data, TrainConfig(epochs=3, batch_size=8, warmup_epochs=0, seed=0))
 
 
+def test_divergent_step_leaves_the_ema_state_as_the_step_before_left_it(monkeypatch):
+    """The third step's loss is made non-finite: the fine-tune raises, and
+    the ema state is bitwise the one the second step committed, since a
+    step's means are committed only after its optimizer update."""
+    import contextvit.train as train_mod
+
+    data, _, model = _tiny_setup(kind="ema")
+    real_forward, real_loss = ContextViT.forward, train_mod.batch_cross_entropy
+    starts = []  # the ema state each training step starts from
+
+    def forward(self, batch, train=False, *args, **kwargs):
+        if train:
+            starts.append({g: v.copy() for g, v in self.ema_state.items()})
+        return real_forward(self, batch, train, *args, **kwargs)
+
+    def loss(logits, labels):
+        value = real_loss(logits, labels)
+        return value if len(starts) < 3 else value + constant(np.full((), np.nan, value.data.dtype))
+
+    monkeypatch.setattr(ContextViT, "forward", forward)
+    monkeypatch.setattr(train_mod, "batch_cross_entropy", loss)
+    with pytest.raises(FloatingPointError, match="step 2"):
+        fine_tune(model, data, TrainConfig(epochs=1, batch_size=4, warmup_epochs=0, seed=0, context_kind="ema"))
+    assert len(starts) == 3
+    second, committed = starts[1], starts[2]
+    assert committed and (set(committed) != set(second)
+                          or any(not np.array_equal(committed[g], second[g]) for g in second))
+    assert set(model.ema_state) == set(committed)
+    for g, value in committed.items():
+        assert np.array_equal(model.ema_state[g], value), g
+
+
 def test_probe_leaves_backbone_bitwise_identical():
     data, _, model = _tiny_setup(kind="mean_linear_detach")
     before = {k: p.data.copy() for k, p in model.parameters().items()}
